@@ -176,7 +176,7 @@ pub fn run_cold_start_sweep(
     catalog.persist_to(&dir)?;
     let page_file = std::fs::metadata(dir.join(dbtouch_storage::persist::PAGES_FILE))
         .map_err(|e| DbTouchError::Io(format!("stat page file: {e}")))?;
-    let dataset_pages = page_file.len() / config.page_size_bytes as u64;
+    let dataset_pages = page_file.len() / dbtouch_storage::page::DEFAULT_PAGE_SIZE as u64;
     drop(catalog);
 
     let mut points = Vec::with_capacity(fractions.len());

@@ -97,7 +97,7 @@ pub fn run_segment_scan_sweep(
             &catalog,
             id,
             std::slice::from_ref(plan),
-            ServerConfig::with_workers(1).with_raw_latency(true),
+            ServerConfig::with_workers(1),
         )?;
         let session = &run.sessions[0];
         let digest = session.result_digest();

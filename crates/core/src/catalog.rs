@@ -63,6 +63,15 @@ use dbtouch_storage::table::Table;
 use dbtouch_types::{DataType, DbTouchError, KernelConfig, Result, SizeCm};
 use std::sync::{Arc, Mutex};
 
+/// Capacity of each session's region cache, in rows across all regions.
+const REGION_CACHE_CAPACITY_ROWS: u64 = 1 << 20;
+/// Capacity of the shared cross-session result cache, in entries.
+const SHARED_CACHE_CAPACITY: usize = 1 << 16;
+/// Trace events the telemetry ring retains; older events are evicted.
+const TELEMETRY_RING_CAPACITY: usize = 8192;
+/// Rows converted per step of an incremental layout rotation (Section 2.8).
+const ROTATION_CHUNK_ROWS: u64 = 65_536;
+
 /// The immutable, shareable part of a loaded data object.
 ///
 /// Everything here is fixed at load (or restructure) time. Sessions read it
@@ -352,14 +361,14 @@ impl ObjectState {
     }
 
     /// Flip the physical layout of this session's matrix, converting
-    /// `chunk_rows` rows at a time (incremental rotation, Section 2.8). Only
+    /// [`ROTATION_CHUNK_ROWS`] rows at a time (incremental rotation). Only
     /// this session sees the rotated copy; the shared catalog is untouched.
     ///
     /// The rotation reads through the shared `Arc<Matrix>` and builds only
     /// the rotated target chunk by chunk — the source is never deep-copied,
     /// so peak memory stays bounded by one extra (target) copy.
-    pub(crate) fn rotate_layout(&mut self, chunk_rows: u64) -> Result<()> {
-        let task = RotationTask::over(Arc::clone(&self.matrix), chunk_rows);
+    pub(crate) fn rotate_layout(&mut self) -> Result<()> {
+        let task = RotationTask::over(Arc::clone(&self.matrix), ROTATION_CHUNK_ROWS);
         self.matrix = Arc::new(task.finish()?);
         self.view = self.view.rotated();
         Ok(())
@@ -547,7 +556,7 @@ impl SharedCatalog {
     ) -> SharedCatalog {
         let shared_cache = config
             .shared_cache_enabled
-            .then(|| Arc::new(SharedResultCache::new(config.shared_cache_capacity)));
+            .then(|| Arc::new(SharedResultCache::new(SHARED_CACHE_CAPACITY)));
         let remote_executor = config
             .remote_split
             .as_ref()
@@ -566,14 +575,14 @@ impl SharedCatalog {
             .then(|| Arc::new(MorselPool::start(config.scan_parallelism - 1)));
         let telemetry = Arc::new(if config.telemetry_enabled {
             Telemetry::with_spans(
-                config.telemetry_ring_capacity,
+                TELEMETRY_RING_CAPACITY,
                 config.telemetry_hot_sample,
                 SpanConfig {
                     enabled: config.tracing_enabled,
                     tail_threshold_nanos: config.trace_tail_threshold_micros.saturating_mul(1_000),
                     head_sample_every: config.trace_head_sample_every,
                     retained_capacity: config.trace_retained_capacity,
-                    max_spans: config.trace_max_spans,
+                    ..SpanConfig::default()
                 },
             )
         } else {
@@ -710,7 +719,7 @@ impl SharedCatalog {
             view: data.base_view.clone(),
             action: data.default_action.clone(),
             cache: if config.cache_enabled {
-                RegionCache::new(config.cache_capacity_rows)
+                RegionCache::new(REGION_CACHE_CAPACITY_ROWS)
             } else {
                 RegionCache::disabled()
             },
@@ -1196,7 +1205,7 @@ mod tests {
             .unwrap();
         let mut s1 = catalog.checkout(id).unwrap();
         let s2 = catalog.checkout(id).unwrap();
-        s1.rotate_layout(16).unwrap();
+        s1.rotate_layout().unwrap();
         assert_eq!(s1.matrix.layout(), Layout::RowMajor);
         assert_eq!(s2.matrix.layout(), Layout::ColumnMajor);
         assert_eq!(
@@ -1283,7 +1292,7 @@ mod tests {
             .load_table(two_column_table(50), SizeCm::new(6.0, 10.0))
             .unwrap();
         let mut rotated = catalog.checkout(catalog.object_id("t").unwrap()).unwrap();
-        rotated.rotate_layout(16).unwrap();
+        rotated.rotate_layout().unwrap();
         catalog
             .load_column("b", (0..10).collect(), SizeCm::new(2.0, 10.0))
             .unwrap();

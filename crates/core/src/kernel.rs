@@ -388,9 +388,8 @@ impl Kernel {
     /// and the physical layout of the object (Section 2.8). The rotation is
     /// session-local: other sessions over the same catalog are undisturbed.
     pub fn rotate(&mut self, id: ObjectId) -> Result<Layout> {
-        let chunk = self.catalog.config().rotation_chunk_rows;
         let state = self.state_mut(id)?;
-        state.rotate_layout(chunk)?;
+        state.rotate_layout()?;
         Ok(state.matrix.layout())
     }
 

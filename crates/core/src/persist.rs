@@ -42,6 +42,7 @@ use dbtouch_storage::column::Column;
 use dbtouch_storage::encoding::EncodingPolicy;
 use dbtouch_storage::layout::Layout;
 use dbtouch_storage::matrix::Matrix;
+use dbtouch_storage::page::DEFAULT_PAGE_SIZE;
 use dbtouch_storage::pager::{ColumnExtent, PagedColumn, PagerStats};
 use dbtouch_storage::persist::{CatalogStore, ObjectRecord, StoreManifest};
 use dbtouch_storage::sample::SampleHierarchy;
@@ -275,7 +276,7 @@ impl SharedCatalog {
         let (store, manifest) = CatalogStore::open_with_retention(
             &dir,
             config.buffer_pool_pages,
-            config.page_size_bytes,
+            DEFAULT_PAGE_SIZE,
             config.manifest_keep,
         )?;
         let mut extents = HashMap::new();
@@ -335,7 +336,7 @@ impl SharedCatalog {
         }
         let store = CatalogStore::create_with_retention(
             &dir,
-            self.config().page_size_bytes,
+            DEFAULT_PAGE_SIZE,
             self.config().buffer_pool_pages,
             self.config().manifest_keep,
         )?;

@@ -13,6 +13,10 @@ use dbtouch_gesture::view::View;
 use dbtouch_storage::prefetch::Prefetcher;
 use dbtouch_types::{KernelConfig, RowRange};
 
+/// How many rows ahead of the gesture the prefetcher fetches when it
+/// extrapolates the gesture movement (Section 2.6 "Prefetching Data").
+const PREFETCH_HORIZON_ROWS: u64 = 4096;
+
 /// Turns gesture kinematics into prefetch requests.
 #[derive(Debug, Clone)]
 pub struct PrefetchPolicy {
@@ -26,7 +30,7 @@ impl PrefetchPolicy {
     /// Build the policy from the kernel configuration.
     pub fn new(config: &KernelConfig) -> PrefetchPolicy {
         PrefetchPolicy {
-            horizon_rows: config.prefetch_horizon_rows,
+            horizon_rows: PREFETCH_HORIZON_ROWS,
             enabled: config.prefetch_enabled,
             lookahead_s: 0.25,
         }
@@ -125,7 +129,7 @@ mod tests {
         assert!(range.start > current_row);
         assert!(range.end > range.start);
         // bounded by the horizon
-        assert!(range.len() <= KernelConfig::default().prefetch_horizon_rows + 1);
+        assert!(range.len() <= PREFETCH_HORIZON_ROWS + 1);
     }
 
     #[test]

@@ -8,36 +8,13 @@
 //! partial answers, while in the mean time more fine-grained answers are
 //! produced and delivered by the server."
 //!
-//! The paper has no real deployment; we model the split with a
-//! [`RemoteStore`]: the device keeps the coarse sample levels of a column, the
-//! simulated server keeps everything, and each request is charged a latency and
-//! a bandwidth cost. The router answers immediately from local data when it
-//! can, and reports what a remote round trip would have cost otherwise — which
-//! is what the remote-processing example and tests measure.
+//! The paper has no real deployment; the split itself is executed by
+//! [`crate::remote_exec`] (device-resident coarse levels answer at once, the
+//! fine answer arrives later as a refinement). This module holds what that
+//! executor and the session reports share: the [`NetworkModel`] that prices a
+//! simulated round trip and the [`RemoteStats`] traffic counters.
 
-use dbtouch_storage::sample::SampleHierarchy;
-use dbtouch_types::{DbTouchError, Result, RowRange};
 use serde::{Deserialize, Serialize};
-
-/// Where a request was served from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServedFrom {
-    /// Answered entirely from the device's local samples.
-    Local,
-    /// Required a round trip to the simulated server.
-    Remote,
-}
-
-/// The outcome of one data request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RemoteFetch {
-    /// Where the rows came from.
-    pub served_from: ServedFrom,
-    /// Rows transferred.
-    pub rows: u64,
-    /// Simulated time to answer, in microseconds.
-    pub simulated_micros: u64,
-}
 
 /// Accumulated traffic statistics.
 ///
@@ -124,257 +101,24 @@ impl NetworkModel {
     }
 }
 
-/// A column split between a thin device store and a simulated remote server.
-#[derive(Debug, Clone)]
-pub struct RemoteStore {
-    hierarchy: SampleHierarchy,
-    /// Coarsest level range kept on the device: levels `>= local_min_level`.
-    local_min_level: u8,
-    network: NetworkModel,
-    stats: RemoteStats,
-}
-
-impl RemoteStore {
-    /// Split a sample hierarchy: the device keeps levels `>= local_min_level`
-    /// (the coarse, small samples), the server keeps everything.
-    pub fn new(
-        hierarchy: SampleHierarchy,
-        local_min_level: u8,
-        network: NetworkModel,
-    ) -> Result<RemoteStore> {
-        if local_min_level >= hierarchy.level_count() {
-            return Err(DbTouchError::InvalidSampleLevel {
-                level: local_min_level,
-                max: hierarchy.level_count(),
-            });
-        }
-        Ok(RemoteStore {
-            hierarchy,
-            local_min_level,
-            network,
-            stats: RemoteStats::default(),
-        })
-    }
-
-    /// The sample hierarchy (base data + all levels, i.e. the server's copy).
-    pub fn hierarchy(&self) -> &SampleHierarchy {
-        &self.hierarchy
-    }
-
-    /// The coarsest level held locally.
-    pub fn local_min_level(&self) -> u8 {
-        self.local_min_level
-    }
-
-    /// Device-resident bytes (the local sample levels only).
-    pub fn local_bytes(&self) -> u64 {
-        (self.local_min_level..self.hierarchy.level_count())
-            .filter_map(|l| self.hierarchy.level(l).ok())
-            .map(|c| c.byte_size())
-            .sum()
-    }
-
-    /// True if a request at `level` can be served from the device.
-    pub fn is_local(&self, level: u8) -> bool {
-        level >= self.local_min_level
-    }
-
-    /// Serve `range` at `level` without touching the request counters: the
-    /// shared cost computation of [`fetch`](RemoteStore::fetch) and
-    /// [`fetch_progressive`](RemoteStore::fetch_progressive).
-    fn serve(&self, range: RowRange, level: u8) -> Result<RemoteFetch> {
-        let mapped = self.hierarchy.map_range(range, level)?;
-        let rows = mapped.len();
-        if self.is_local(level) {
-            Ok(RemoteFetch {
-                served_from: ServedFrom::Local,
-                rows,
-                simulated_micros: 0,
-            })
-        } else {
-            Ok(RemoteFetch {
-                served_from: ServedFrom::Remote,
-                rows,
-                simulated_micros: self.network.cost_micros(rows),
-            })
-        }
-    }
-
-    /// Absorb a served fetch's traffic (rows and wait, not the request
-    /// counters — the caller decides which of the disjoint counters the
-    /// logical request belongs to).
-    fn charge(&mut self, fetch: &RemoteFetch) {
-        if fetch.served_from == ServedFrom::Remote {
-            self.stats.rows_shipped = self.stats.rows_shipped.saturating_add(fetch.rows);
-            self.stats.remote_wait_micros = self
-                .stats
-                .remote_wait_micros
-                .saturating_add(fetch.simulated_micros);
-        }
-    }
-
-    /// Request `range` (in base-row coordinates) at `level`, returning where it
-    /// was served from and the simulated cost. Local requests are free in this
-    /// model (in-memory), remote requests pay a round trip plus transfer time.
-    pub fn fetch(&mut self, range: RowRange, level: u8) -> Result<RemoteFetch> {
-        let fetch = self.serve(range, level)?;
-        match fetch.served_from {
-            ServedFrom::Local => {
-                self.stats.local_requests = self.stats.local_requests.saturating_add(1);
-            }
-            ServedFrom::Remote => {
-                self.stats.remote_requests = self.stats.remote_requests.saturating_add(1);
-            }
-        }
-        self.charge(&fetch);
-        Ok(fetch)
-    }
-
-    /// Answer a detail request the dbTouch way: first return the best local
-    /// answer (coarse but instant), then the remote answer (fine but slow).
-    /// Returns `(local, Option<remote>)`; the remote part is `None` when the
-    /// requested level is already local.
-    ///
-    /// A progressive request counts once, in
-    /// [`RemoteStats::progressive_requests`] — its coarse and fine parts bump
-    /// neither `local_requests` nor `remote_requests`, so the three counters
-    /// partition the logical requests. (An already-local request degenerates
-    /// to a plain local fetch and is counted as one.)
-    pub fn fetch_progressive(
-        &mut self,
-        range: RowRange,
-        requested_level: u8,
-    ) -> Result<(RemoteFetch, Option<RemoteFetch>)> {
-        if self.is_local(requested_level) {
-            return Ok((self.fetch(range, requested_level)?, None));
-        }
-        let local = self.serve(range, self.local_min_level)?;
-        let remote = self.serve(range, requested_level)?;
-        self.stats.progressive_requests = self.stats.progressive_requests.saturating_add(1);
-        self.charge(&local);
-        self.charge(&remote);
-        Ok((local, Some(remote)))
-    }
-
-    /// Traffic statistics so far.
-    pub fn stats(&self) -> RemoteStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtouch_storage::column::Column;
-
-    fn store() -> RemoteStore {
-        let h = SampleHierarchy::build(Column::from_i64("c", (0..100_000).collect()), 8).unwrap();
-        RemoteStore::new(h, 4, NetworkModel::default()).unwrap()
-    }
 
     #[test]
-    fn split_levels() {
-        let s = store();
-        assert!(s.is_local(4));
-        assert!(s.is_local(7));
-        assert!(!s.is_local(0));
-        assert!(!s.is_local(3));
-        assert!(s.local_bytes() < s.hierarchy().base().byte_size() / 4);
-    }
-
-    #[test]
-    fn invalid_split_rejected() {
-        let h = SampleHierarchy::build(Column::from_i64("c", (0..100).collect()), 3).unwrap();
-        assert!(RemoteStore::new(h, 9, NetworkModel::default()).is_err());
-    }
-
-    #[test]
-    fn local_fetch_is_free() {
-        let mut s = store();
-        let f = s.fetch(RowRange::new(0, 10_000), 5).unwrap();
-        assert_eq!(f.served_from, ServedFrom::Local);
-        assert_eq!(f.simulated_micros, 0);
-        assert_eq!(s.stats().local_requests, 1);
-        assert_eq!(s.stats().remote_requests, 0);
-    }
-
-    #[test]
-    fn remote_fetch_pays_latency_and_transfer() {
-        let mut s = store();
-        let f = s.fetch(RowRange::new(0, 20_000), 0).unwrap();
-        assert_eq!(f.served_from, ServedFrom::Remote);
-        assert_eq!(f.rows, 20_000);
-        assert_eq!(f.simulated_micros, 40_000 + 20_000 * 1000 / 2_000);
-        assert_eq!(s.stats().remote_requests, 1);
-        assert_eq!(s.stats().rows_shipped, 20_000);
-    }
-
-    #[test]
-    fn progressive_fetch_serves_coarse_then_fine() {
-        let mut s = store();
-        let (local, remote) = s.fetch_progressive(RowRange::new(0, 16_000), 1).unwrap();
-        assert_eq!(local.served_from, ServedFrom::Local);
-        let remote = remote.unwrap();
-        assert_eq!(remote.served_from, ServedFrom::Remote);
-        // the coarse local answer covers far fewer rows than the fine remote one
-        assert!(local.rows < remote.rows);
-        // when the requested level is already local there is no remote part
-        let (_, none) = s.fetch_progressive(RowRange::new(0, 16_000), 6).unwrap();
-        assert!(none.is_none());
-    }
-
-    #[test]
-    fn progressive_requests_are_counted_once_and_unambiguously() {
-        // Regression: a progressive request used to bump both local_requests
-        // (for its coarse part) and remote_requests (for its fine part),
-        // making the counters impossible to reconcile with logical requests.
-        let mut s = store();
-        let (local, remote) = s.fetch_progressive(RowRange::new(0, 16_000), 1).unwrap();
-        let remote = remote.unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.progressive_requests, 1);
-        assert_eq!(stats.local_requests, 0);
-        assert_eq!(stats.remote_requests, 0);
-        assert_eq!(stats.total_requests(), 1);
-        // Traffic of the remote half is still accounted.
-        assert_eq!(stats.rows_shipped, remote.rows);
-        assert_eq!(stats.remote_wait_micros, remote.simulated_micros);
-        assert_eq!(local.simulated_micros, 0);
-
-        // An already-local progressive request degenerates to one local fetch.
-        s.fetch_progressive(RowRange::new(0, 16_000), 6).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.progressive_requests, 1);
-        assert_eq!(stats.local_requests, 1);
-        assert_eq!(stats.total_requests(), 2);
-
-        // A plain remote fetch stays in its own counter.
-        s.fetch(RowRange::new(0, 100), 0).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.remote_requests, 1);
-        assert_eq!(stats.total_requests(), 3);
+    fn default_model_charges_latency_plus_transfer() {
+        let model = NetworkModel::default();
+        assert_eq!(model.cost_micros(20_000), 40_000 + 20_000 * 1000 / 2_000);
+        assert_eq!(model.cost_micros(0), 40_000);
     }
 
     #[test]
     fn adversarial_network_model_saturates_instead_of_overflowing() {
-        let h = SampleHierarchy::build(Column::from_i64("c", (0..100_000).collect()), 8).unwrap();
-        let mut s = RemoteStore::new(
-            h,
-            4,
-            NetworkModel {
-                round_trip_micros: u64::MAX,
-                rows_per_milli: 1,
-            },
-        )
-        .unwrap();
-        // transfer = rows * 1000 (saturating), added to u64::MAX round trip:
-        // both the per-fetch cost and the accumulated stats must clamp.
-        let f = s.fetch(RowRange::new(0, 50_000), 0).unwrap();
-        assert_eq!(f.simulated_micros, u64::MAX);
-        let _ = s.fetch(RowRange::new(0, 50_000), 0).unwrap();
-        assert_eq!(s.stats().remote_wait_micros, u64::MAX);
-        assert_eq!(s.stats().remote_requests, 2);
-
+        let model = NetworkModel {
+            round_trip_micros: u64::MAX,
+            rows_per_milli: 1,
+        };
+        assert_eq!(model.cost_micros(50_000), u64::MAX);
         // A model whose transfer product alone would overflow u64.
         let model = NetworkModel {
             round_trip_micros: 0,
@@ -397,17 +141,10 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_model_only_charges_latency() {
-        let h = SampleHierarchy::build(Column::from_i64("c", (0..1000).collect()), 4).unwrap();
-        let mut s = RemoteStore::new(
-            h,
-            2,
-            NetworkModel {
-                round_trip_micros: 1_000,
-                rows_per_milli: 0,
-            },
-        )
-        .unwrap();
-        let f = s.fetch(RowRange::new(0, 100), 0).unwrap();
-        assert_eq!(f.simulated_micros, 1_000);
+        let model = NetworkModel {
+            round_trip_micros: 1_000,
+            rows_per_milli: 0,
+        };
+        assert_eq!(model.cost_micros(100), 1_000);
     }
 }

@@ -219,10 +219,7 @@ impl<'a> Session<'a> {
             budget,
             aggregate,
             groupby,
-            results: ResultStream::new(FadePolicy {
-                visible_ms: config.result_fade_after_ms,
-                fade_ms: config.result_fade_duration_ms,
-            }),
+            results: ResultStream::new(FadePolicy::default()),
             stats: SessionStats::default(),
             last_row: None,
             pending: Vec::new(),
@@ -291,7 +288,7 @@ impl<'a> Session<'a> {
                 Ok(())
             }
             GestureEvent::Rotate { .. } => {
-                self.object.rotate_layout(self.config.rotation_chunk_rows)?;
+                self.object.rotate_layout()?;
                 self.stats.rotations += 1;
                 Ok(())
             }

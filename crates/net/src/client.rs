@@ -79,23 +79,18 @@ impl TcpClient {
         }
     }
 
-    fn dial(&self) -> Result<(TcpStream, u64)> {
+    fn dial(&self) -> Result<TcpStream> {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| DbTouchError::Io(format!("connect {}: {e}", self.addr)))?;
         let _ = stream.set_nodelay(true);
-        let version = client_handshake(&mut stream)?;
-        Ok((stream, version))
+        client_handshake(&mut stream)?;
+        Ok(stream)
     }
 
     /// Fetch the server's retained span trees as Chrome trace-event JSON
-    /// (loadable in Perfetto / `chrome://tracing`). Requires a v2 server.
+    /// (loadable in Perfetto / `chrome://tracing`).
     pub fn dump_traces(&self) -> Result<Json> {
-        let (mut stream, version) = self.dial()?;
-        if version < 2 {
-            return Err(DbTouchError::Remote(format!(
-                "server speaks protocol v{version}; DumpTraces needs v2"
-            )));
-        }
+        let mut stream = self.dial()?;
         match request(&mut stream, &Request::DumpTraces)? {
             Response::TracesJson(text) => {
                 json::parse(&text).map_err(|e| DbTouchError::Remote(format!("bad trace JSON: {e}")))
@@ -106,14 +101,8 @@ impl TcpClient {
     }
 
     /// Fetch the metrics snapshot in Prometheus-style text exposition.
-    /// Requires a v2 server.
     pub fn metrics_text(&self) -> Result<String> {
-        let (mut stream, version) = self.dial()?;
-        if version < 2 {
-            return Err(DbTouchError::Remote(format!(
-                "server speaks protocol v{version}; MetricsText needs v2"
-            )));
-        }
+        let mut stream = self.dial()?;
         match request(&mut stream, &Request::MetricsText)? {
             Response::MetricsText(text) => Ok(text),
             Response::Error(msg) => Err(DbTouchError::Remote(msg)),
@@ -127,8 +116,6 @@ impl TcpClient {
 pub struct TcpSession {
     stream: TcpStream,
     id: SessionId,
-    /// Protocol version both sides agreed to speak in the handshake.
-    version: u64,
     /// Trace ids this session stamped into `RunTrace` frames, in send order.
     stamped_traces: Vec<u64>,
     /// The final report delivered by a server `GoAway` during drain.
@@ -184,14 +171,9 @@ impl TcpSession {
         self.goaway_report.take()
     }
 
-    /// Protocol version negotiated with the server (min of both sides).
-    pub fn protocol_version(&self) -> u64 {
-        self.version
-    }
-
     /// Trace ids this session stamped into its `RunTrace` frames, in send
     /// order. All carry [`CLIENT_ID_BIT`]; server-side span trees for those
-    /// gestures carry these exact ids. Empty on a v1 connection.
+    /// gestures carry these exact ids.
     pub fn stamped_trace_ids(&self) -> &[u64] {
         &self.stamped_traces
     }
@@ -210,18 +192,14 @@ impl ClientSession for TcpSession {
     }
 
     fn run_trace(&mut self, object: ObjectId, trace: GestureTrace) -> Result<()> {
-        // v2 peers get a client-minted trace context so the server's span
-        // tree carries an id the client can correlate; v1 frames stay
-        // byte-identical to the old encoding.
-        let ctx = (self.version >= 2).then(|| {
-            let wire = WireTraceContext {
-                trace: mint_client_id(),
-                root_span: mint_client_id(),
-            };
-            self.stamped_traces.push(wire.trace);
-            wire
-        });
-        match self.call(&Request::RunTrace(object, trace, ctx))? {
+        // A client-minted trace context, so the server's span tree carries
+        // an id the client can correlate.
+        let ctx = WireTraceContext {
+            trace: mint_client_id(),
+            root_span: mint_client_id(),
+        };
+        self.stamped_traces.push(ctx.trace);
+        match self.call(&Request::RunTrace(object, trace, Some(ctx)))? {
             Response::Ack => Ok(()),
             other => Err(unexpected("Ack", &other)),
         }
@@ -267,12 +245,11 @@ impl ExplorationClient for TcpClient {
     type Session = TcpSession;
 
     fn open_session(&self) -> Result<TcpSession> {
-        let (mut stream, version) = self.dial()?;
+        let mut stream = self.dial()?;
         match request(&mut stream, &Request::OpenSession)? {
             Response::SessionOpened(id) => Ok(TcpSession {
                 stream,
                 id,
-                version,
                 stamped_traces: Vec::new(),
                 goaway_report: None,
             }),
@@ -290,7 +267,7 @@ impl ExplorationClient for TcpClient {
     }
 
     fn metrics_json(&self) -> Result<Json> {
-        let (mut stream, _) = self.dial()?;
+        let mut stream = self.dial()?;
         match request(&mut stream, &Request::Metrics)? {
             Response::MetricsJson(text) => json::parse(&text)
                 .map_err(|e| DbTouchError::Remote(format!("bad metrics JSON: {e}"))),

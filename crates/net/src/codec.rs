@@ -31,7 +31,7 @@ use dbtouch_core::session::{SessionOutcome, SessionStats};
 use dbtouch_gesture::touch::{TouchEvent, TouchPhase};
 use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_obs::{HistogramSnapshot, WireTraceContext, BUCKETS};
-use dbtouch_server::{LatencySample, SessionReport, TraceOutcome};
+use dbtouch_server::{SessionReport, TraceOutcome};
 use dbtouch_types::{DbTouchError, PointCm, Result, RowId, Timestamp, Value};
 
 use crate::frame::tag;
@@ -800,12 +800,6 @@ pub(crate) fn write_report(w: &mut WireWriter, rep: &SessionReport) {
         w.u64(t.object.0);
         write_outcome(w, &t.outcome);
     }
-    w.len(rep.latencies.len());
-    for l in &rep.latencies {
-        w.u64(l.nanos);
-        w.u64(l.touches);
-        w.u64(l.max_touch_nanos);
-    }
     write_histogram(w, &rep.latency_hist);
     w.u64(rep.max_touch_nanos);
     w.len(rep.epochs.len());
@@ -833,15 +827,6 @@ pub(crate) fn read_report(r: &mut WireReader<'_>) -> Result<SessionReport> {
         let outcome = read_outcome(r)?;
         outcomes.push(TraceOutcome { object, outcome });
     }
-    let n = r.len(24)?;
-    let mut latencies = Vec::with_capacity(n);
-    for _ in 0..n {
-        latencies.push(LatencySample {
-            nanos: r.u64()?,
-            touches: r.u64()?,
-            max_touch_nanos: r.u64()?,
-        });
-    }
     let latency_hist = read_histogram(r)?;
     let max_touch_nanos = r.u64()?;
     let n = r.len(8)?;
@@ -864,7 +849,6 @@ pub(crate) fn read_report(r: &mut WireReader<'_>) -> Result<SessionReport> {
     Ok(SessionReport {
         session_id,
         outcomes,
-        latencies,
         latency_hist,
         max_touch_nanos,
         epochs,
@@ -887,7 +871,7 @@ pub enum Request {
     /// Set the touch action for an object.
     SetAction(ObjectId, TouchAction),
     /// Run one gesture trace, optionally carrying the client-stamped trace
-    /// context (v2; absent on v1 wires — encodes as zero extra bytes).
+    /// context (absent encodes as zero extra bytes).
     RunTrace(ObjectId, GestureTrace, Option<WireTraceContext>),
     /// Barrier + copy of the session report.
     Snapshot,
@@ -895,9 +879,9 @@ pub enum Request {
     CloseSession,
     /// The server's metrics snapshot as JSON text.
     Metrics,
-    /// Retained span trees as Chrome trace-event JSON (v2).
+    /// Retained span trees as Chrome trace-event JSON.
     DumpTraces,
-    /// The metrics snapshot as flat text exposition (v2).
+    /// The metrics snapshot as flat text exposition.
     MetricsText,
 }
 
@@ -923,9 +907,9 @@ pub enum Response {
     },
     /// The server is draining; optionally carries the final session report.
     GoAway(Option<SessionReport>),
-    /// Chrome trace-event JSON of retained span trees (v2).
+    /// Chrome trace-event JSON of retained span trees.
     TracesJson(String),
-    /// Metrics snapshot as flat text exposition (v2).
+    /// Metrics snapshot as flat text exposition.
     MetricsText(String),
 }
 
@@ -943,8 +927,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             let mut w = WireWriter::with_tag(tag::RUN_TRACE);
             w.u64(object.0);
             write_trace(&mut w, trace);
-            // v2 trailer: absent encodes as *zero* bytes, so a context-free
-            // frame is byte-identical to what a v1 peer produces and expects.
+            // Optional trailer: an untraced frame carries zero extra bytes.
             if let Some(ctx) = ctx {
                 w.u8(1);
                 w.u64(ctx.trace);
@@ -974,7 +957,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
         tag::RUN_TRACE => {
             let object = ObjectId(r.u64()?);
             let trace = read_trace(&mut r)?;
-            // Nothing left = a v1 frame (or v2 without tracing): no context.
+            // Nothing left: an untraced frame, no context.
             let ctx = if r.remaining() == 0 {
                 None
             } else {
@@ -1254,7 +1237,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_roundtrips_and_absence_is_v1_identical() {
+    fn trace_context_roundtrips_and_absence_costs_no_bytes() {
         let ctx = WireTraceContext {
             trace: dbtouch_obs::CLIENT_ID_BIT | 7,
             root_span: dbtouch_obs::CLIENT_ID_BIT | 8,
@@ -1264,8 +1247,7 @@ mod tests {
             Request::RunTrace(_, _, decoded) => assert_eq!(decoded, Some(ctx)),
             other => panic!("wrong decode: {other:?}"),
         }
-        // An absent context adds no bytes: the frame is exactly the v1
-        // encoding, so old peers decode it unchanged.
+        // An absent context adds no bytes.
         let without = encode_request(&Request::RunTrace(ObjectId(2), sample_trace(), None));
         assert_eq!(with.len(), without.len() + 17);
         assert_eq!(&with[..without.len()], &without[..]);
@@ -1274,7 +1256,7 @@ mod tests {
         forged.push(9);
         assert!(decode_request(&forged).is_err());
 
-        // The v2 admin requests round-trip.
+        // The admin requests round-trip.
         assert!(matches!(
             decode_request(&encode_request(&Request::DumpTraces)).unwrap(),
             Request::DumpTraces

@@ -32,13 +32,10 @@ use std::io::{ErrorKind, Read, Write};
 
 /// Protocol name carried in the JSON handshake frame.
 pub const PROTOCOL_NAME: &str = "dbtouch-net";
-/// Protocol version carried in the JSON handshake frame. Version 2 adds the
-/// optional trace context on `RunTrace` and the `DumpTraces`/`MetricsText`
-/// requests; both sides speak `min(client, server)` after the handshake.
-pub const PROTOCOL_VERSION: u64 = 2;
-/// Oldest peer version still interoperable: a v1 peer simply never sees the
-/// v2 additions (the trace context encodes as zero extra bytes when absent).
-pub const MIN_PROTOCOL_VERSION: u64 = 1;
+/// The one protocol version, carried in the JSON handshake frame by both
+/// sides. A peer offering any other version is refused with an error frame:
+/// binary layouts (the session report, for one) differ between versions.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;
@@ -48,10 +45,9 @@ pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 /// Frame type tags (first payload byte).
 pub mod tag {
-    /// Client → server: JSON `{"proto": "dbtouch-net", "version": 2}`.
+    /// Client → server: JSON `{"proto": "dbtouch-net", "version": 3}`.
     pub const HELLO: u8 = 0x01;
-    /// Server → client: JSON echo of the accepted protocol and the
-    /// *negotiated* version, `min(client, server)`.
+    /// Server → client: JSON echo of the accepted protocol and version.
     pub const HELLO_ACK: u8 = 0x02;
 
     /// Request: open one exploration session on this connection.
@@ -67,9 +63,9 @@ pub mod tag {
     pub const CLOSE_SESSION: u8 = 0x14;
     /// Request: the server's metrics snapshot as JSON text (debug dump).
     pub const METRICS: u8 = 0x15;
-    /// Request (v2): retained span trees as Chrome trace-event JSON.
+    /// Request: retained span trees as Chrome trace-event JSON.
     pub const DUMP_TRACES: u8 = 0x16;
-    /// Request (v2): the metrics snapshot as flat text exposition.
+    /// Request: the metrics snapshot as flat text exposition.
     pub const METRICS_TEXT: u8 = 0x17;
 
     /// Response: session opened, body carries the session id.
@@ -91,9 +87,9 @@ pub mod tag {
     /// Response: the server is draining; body optionally carries the final
     /// session report. No further requests will be served.
     pub const GO_AWAY: u8 = 0x26;
-    /// Response (v2): Chrome trace-event JSON of retained span trees.
+    /// Response: Chrome trace-event JSON of retained span trees.
     pub const TRACES_JSON: u8 = 0x27;
-    /// Response (v2): metrics snapshot as flat text exposition.
+    /// Response: metrics snapshot as flat text exposition.
     pub const METRICS_TEXT_REPLY: u8 = 0x28;
 }
 

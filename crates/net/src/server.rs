@@ -6,7 +6,7 @@
 //! listens on `config.listen_addr`:
 //!
 //! * the **acceptor** thread accepts sockets and pushes them into a bounded
-//!   queue of `config.accept_backlog` entries — an accept burst beyond the
+//!   queue of [`ACCEPT_BACKLOG`] entries — an accept burst beyond the
 //!   queue (or beyond `config.max_connections` live connections) receives an
 //!   explicit `Shed` frame and is closed, counted in `net.shed`;
 //! * the **dispatcher** thread drains the queue and spawns one handler
@@ -34,7 +34,7 @@ use crate::admission::{Admission, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::{
     read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_NAME, PROTOCOL_VERSION,
+    PROTOCOL_NAME, PROTOCOL_VERSION,
 };
 use crate::metrics::NetInstruments;
 use dbtouch_obs::TraceEventKind;
@@ -56,21 +56,26 @@ use std::time::{Duration, Instant};
 /// the upper bound on how stale the draining flag can be observed.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// The JSON handshake payload, carrying `version` (a client offers its own;
-/// a server acks the negotiated `min(client, server)`).
-fn hello_json(version: u64) -> String {
+/// Bound of the accepted-but-not-yet-dispatched connection queue; an accept
+/// burst beyond it sheds instead of queueing without bound.
+const ACCEPT_BACKLOG: usize = 64;
+
+/// How long a graceful shutdown waits for in-flight connections to drain
+/// (flush traces, deliver final reports) before giving up on the stragglers.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(5_000);
+
+/// The JSON handshake payload both sides send: protocol name and version.
+fn hello_json() -> String {
     json::object([
         ("proto", Json::String(PROTOCOL_NAME.into())),
-        ("version", Json::Number(version as f64)),
+        ("version", Json::Number(PROTOCOL_VERSION as f64)),
     ])
     .pretty()
 }
 
-/// Validate a received handshake payload (JSON text after the tag byte) and
-/// return the peer's version. Anything down to [`MIN_PROTOCOL_VERSION`] is
-/// accepted — both sides then speak `min(peer, own)`, so a v1 peer simply
-/// never sees the v2 additions.
-pub(crate) fn check_hello(body: &[u8]) -> std::result::Result<u64, String> {
+/// Validate a received handshake payload (JSON text after the tag byte):
+/// the peer must name this protocol and exactly [`PROTOCOL_VERSION`].
+pub(crate) fn check_hello(body: &[u8]) -> std::result::Result<(), String> {
     let text = std::str::from_utf8(body).map_err(|_| "handshake is not UTF-8".to_string())?;
     let parsed = json::parse(text).map_err(|e| format!("handshake is not JSON: {e}"))?;
     match parsed.get("proto").and_then(|p| p.as_str()) {
@@ -78,10 +83,9 @@ pub(crate) fn check_hello(body: &[u8]) -> std::result::Result<u64, String> {
         other => return Err(format!("unknown protocol {other:?}")),
     }
     match parsed.get("version").and_then(|v| v.as_u64()) {
-        Some(v) if v >= MIN_PROTOCOL_VERSION => Ok(v),
+        Some(PROTOCOL_VERSION) => Ok(()),
         other => Err(format!(
-            "unsupported protocol version {other:?} \
-             (supported: {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+            "unsupported protocol version {other:?} (supported: {PROTOCOL_VERSION})"
         )),
     }
 }
@@ -105,7 +109,6 @@ struct Shared {
     draining: AtomicBool,
     live_connections: AtomicUsize,
     retry_after_ms: u64,
-    drain_timeout: Duration,
 }
 
 impl Shared {
@@ -158,10 +161,9 @@ impl NetServer {
             draining: AtomicBool::new(false),
             live_connections: AtomicUsize::new(0),
             retry_after_ms: config.shed.retry_after_ms,
-            drain_timeout: Duration::from_millis(config.drain_timeout_ms),
         });
 
-        let (tx, rx) = sync_channel::<TcpStream>(config.accept_backlog);
+        let (tx, rx) = sync_channel::<TcpStream>(ACCEPT_BACKLOG);
         let max_connections = config.max_connections;
 
         let acceptor = {
@@ -206,7 +208,7 @@ impl NetServer {
     /// Graceful drain: stop accepting, let every connection flush its
     /// in-flight traces and receive its final report via `GoAway`, then shut
     /// the inner exploration server down. Connections that have not finished
-    /// within `config.drain_timeout_ms` are abandoned (their handler threads
+    /// within [`DRAIN_TIMEOUT`] are abandoned (their handler threads
     /// die with the process).
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
@@ -216,7 +218,7 @@ impl NetServer {
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
-        let deadline = Instant::now() + self.shared.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.shared.live_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -366,16 +368,13 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         );
         return;
     }
-    let peer_version = match check_hello(&hello[1..]) {
-        Ok(v) => v,
-        Err(reason) => {
-            shared.instruments.frame_errors.inc();
-            let _ = send(shared, &mut stream, &Response::Error(reason));
-            return;
-        }
-    };
+    if let Err(reason) = check_hello(&hello[1..]) {
+        shared.instruments.frame_errors.inc();
+        let _ = send(shared, &mut stream, &Response::Error(reason));
+        return;
+    }
     let mut ack = crate::codec::WireWriter::with_tag(crate::frame::tag::HELLO_ACK);
-    ack.raw(hello_json(peer_version.min(PROTOCOL_VERSION)).as_bytes());
+    ack.raw(hello_json().as_bytes());
     match write_frame(&mut stream, &ack.into_bytes()) {
         Ok(n) => shared.instruments.bytes_out.add(n),
         Err(_) => return,
@@ -609,7 +608,7 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
         return;
     }
     let _ = stream.flush();
-    let deadline = Instant::now() + shared.drain_timeout;
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
     loop {
         match read_frame(&mut stream, MAX_FRAME_LEN) {
             Ok((ReadOutcome::Frame(_), n)) => {
@@ -634,20 +633,20 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
 }
 
 /// Client-side handshake over a fresh stream (shared with
-/// [`crate::client::TcpClient`]). Returns the negotiated protocol version,
-/// `min(our version, the server's ack)`.
-pub(crate) fn client_handshake(stream: &mut TcpStream) -> Result<u64> {
+/// [`crate::client::TcpClient`]): offer [`PROTOCOL_VERSION`], require the
+/// server to ack the same.
+pub(crate) fn client_handshake(stream: &mut TcpStream) -> Result<()> {
     let mut hello = crate::codec::WireWriter::with_tag(crate::frame::tag::HELLO);
-    hello.raw(hello_json(PROTOCOL_VERSION).as_bytes());
+    hello.raw(hello_json().as_bytes());
     write_frame(stream, &hello.into_bytes())
         .map_err(|e| DbTouchError::Io(format!("handshake send: {e}")))?;
     loop {
         match read_frame(stream, MAX_HANDSHAKE_LEN) {
             Ok((ReadOutcome::Frame(p), _)) => {
                 return match p.first() {
-                    Some(&crate::frame::tag::HELLO_ACK) => check_hello(&p[1..])
-                        .map(|acked| acked.min(PROTOCOL_VERSION))
-                        .map_err(DbTouchError::Remote),
+                    Some(&crate::frame::tag::HELLO_ACK) => {
+                        check_hello(&p[1..]).map_err(DbTouchError::Remote)
+                    }
                     Some(&crate::frame::tag::SHED) => match crate::codec::decode_response(&p)? {
                         Response::Shed {
                             retry_after_ms,

@@ -172,8 +172,7 @@ impl EventRing {
 
     /// Events discarded because the ring was full (oldest evicted) or
     /// retention is disabled. A growing value on scrape means the ring is
-    /// saturated and `telemetry_ring_capacity` is too small for the scrape
-    /// interval.
+    /// saturated: its capacity is too small for the scrape interval.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }

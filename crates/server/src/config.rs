@@ -87,17 +87,6 @@ pub struct ServerConfig {
     ///
     /// [`serve`]: crate::manager::ExplorationServer::serve
     pub catalog_dir: Option<PathBuf>,
-    /// Keep every raw [`LatencySample`] in [`SessionReport::latencies`].
-    ///
-    /// Live serving summarizes per-touch latency into a fixed-memory
-    /// log-scale histogram (`SessionReport::latency_hist`), so a long-lived
-    /// session's report stays bounded. Benches and debugging sessions that
-    /// want exact per-trace samples (exact percentiles, per-trace plots)
-    /// opt back into the unbounded vector with this flag.
-    ///
-    /// [`LatencySample`]: crate::latency::LatencySample
-    /// [`SessionReport::latencies`]: crate::report::SessionReport::latencies
-    pub record_raw_latency: bool,
     /// Address the network layer (`dbtouch-net`) listens on, e.g.
     /// `"127.0.0.1:0"`. The in-process server ignores it; `dbtouch-net`
     /// requires it.
@@ -105,15 +94,8 @@ pub struct ServerConfig {
     /// Maximum simultaneous client connections the network layer serves;
     /// further connections receive a `Shed` frame and are closed.
     pub max_connections: usize,
-    /// Bound of the accepted-but-not-yet-dispatched connection queue; an
-    /// accept burst beyond it sheds instead of queueing without bound.
-    pub accept_backlog: usize,
     /// Admission-control thresholds driven by live telemetry.
     pub shed: ShedConfig,
-    /// How long a graceful network shutdown waits for in-flight connections
-    /// to drain (flush traces, deliver final reports) before giving up on
-    /// the stragglers, in milliseconds.
-    pub drain_timeout_ms: u64,
 }
 
 impl ServerConfig {
@@ -149,12 +131,6 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style setter for raw latency-sample retention.
-    pub fn with_raw_latency(mut self, record: bool) -> ServerConfig {
-        self.record_raw_latency = record;
-        self
-    }
-
     /// Builder-style setter for the network listen address.
     pub fn with_listen_addr(mut self, addr: impl Into<String>) -> ServerConfig {
         self.listen_addr = Some(addr.into());
@@ -167,21 +143,9 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style setter for the accept-backlog bound.
-    pub fn with_accept_backlog(mut self, backlog: usize) -> ServerConfig {
-        self.accept_backlog = backlog;
-        self
-    }
-
     /// Builder-style setter for the admission-control thresholds.
     pub fn with_shed(mut self, shed: ShedConfig) -> ServerConfig {
         self.shed = shed;
-        self
-    }
-
-    /// Builder-style setter for the graceful-drain timeout.
-    pub fn with_drain_timeout_ms(mut self, ms: u64) -> ServerConfig {
-        self.drain_timeout_ms = ms;
         self
     }
 
@@ -210,11 +174,6 @@ impl ServerConfig {
         if self.max_connections == 0 {
             return Err(DbTouchError::InvalidConfig(
                 "max_connections must be at least 1".into(),
-            ));
-        }
-        if self.accept_backlog == 0 {
-            return Err(DbTouchError::InvalidConfig(
-                "accept_backlog must be at least 1".into(),
             ));
         }
         if let Some(addr) = &self.listen_addr {
@@ -246,12 +205,9 @@ impl Default for ServerConfig {
             kernel: KernelConfig::default(),
             catalog: None,
             catalog_dir: None,
-            record_raw_latency: false,
             listen_addr: None,
             max_connections: 1024,
-            accept_backlog: 64,
             shed: ShedConfig::default(),
-            drain_timeout_ms: 5_000,
         }
     }
 }
@@ -267,12 +223,9 @@ impl fmt::Debug for ServerConfig {
                 &self.catalog.as_ref().map(|_| "Arc<SharedCatalog>"),
             )
             .field("catalog_dir", &self.catalog_dir)
-            .field("record_raw_latency", &self.record_raw_latency)
             .field("listen_addr", &self.listen_addr)
             .field("max_connections", &self.max_connections)
-            .field("accept_backlog", &self.accept_backlog)
             .field("shed", &self.shed)
-            .field("drain_timeout_ms", &self.drain_timeout_ms)
             .finish_non_exhaustive()
     }
 }
@@ -287,7 +240,6 @@ mod tests {
         assert!(c.worker_threads >= 2);
         assert!(c.session_queue_depth > 0);
         assert!(c.max_connections > 0);
-        assert!(c.accept_backlog > 0);
         assert_eq!(ServerConfig::with_workers(0).worker_threads, 1);
         assert_eq!(ServerConfig::with_workers(5).worker_threads, 5);
         assert!(c.validate().is_ok());
@@ -320,10 +272,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(ServerConfig::default()
-            .with_accept_backlog(0)
-            .validate()
-            .is_err());
-        assert!(ServerConfig::default()
             .with_listen_addr("")
             .validate()
             .is_err());
@@ -341,8 +289,6 @@ mod tests {
         let c = ServerConfig::with_workers(3)
             .with_listen_addr("127.0.0.1:0")
             .with_max_connections(7)
-            .with_accept_backlog(2)
-            .with_drain_timeout_ms(250)
             .with_shed(ShedConfig {
                 max_live_sessions: Some(1),
                 retry_after_ms: 50,
@@ -351,8 +297,6 @@ mod tests {
         assert_eq!(c.worker_threads, 3);
         assert_eq!(c.listen_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(c.max_connections, 7);
-        assert_eq!(c.accept_backlog, 2);
-        assert_eq!(c.drain_timeout_ms, 250);
         assert_eq!(c.shed.max_live_sessions, Some(1));
         assert_eq!(c.shed.retry_after_ms, 50);
         assert!(c.validate().is_ok());

@@ -7,37 +7,6 @@
 
 use dbtouch_obs::HistogramSnapshot;
 
-/// Wall-clock measurement of one processed gesture trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySample {
-    /// Wall time the worker spent processing the trace, in nanoseconds.
-    pub nanos: u64,
-    /// Touch samples in the trace.
-    pub touches: u64,
-    /// Worst single-touch processing time inside the trace, in nanoseconds
-    /// (from the session's own per-touch measurement). This is what the
-    /// paper's "maximum possible wait time for a single touch" bounds; the
-    /// per-trace mean cannot stand in for it.
-    pub max_touch_nanos: u64,
-}
-
-impl LatencySample {
-    /// Mean per-touch processing time within this trace.
-    pub fn per_touch_nanos(&self) -> u64 {
-        self.nanos / self.touches.max(1)
-    }
-}
-
-/// Percentile over an unsorted slice (nearest-rank). Returns 0 when empty.
-///
-/// Clones and sorts per call — when several percentiles of the same slice
-/// are needed, sort once and use [`percentile_sorted`] for each.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    percentile_sorted(&sorted, p)
-}
-
 /// Nearest-rank percentile over an already-sorted slice. Returns 0 when empty.
 pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -70,31 +39,6 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize per-touch latencies of a set of trace samples.
-    pub fn from_samples(samples: &[LatencySample]) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut per_touch: Vec<u64> = samples.iter().map(LatencySample::per_touch_nanos).collect();
-        per_touch.sort_unstable();
-        let sum: u64 = per_touch.iter().sum();
-        // The worst single touch anywhere; a sample that never recorded one
-        // (max_touch_nanos == 0) falls back to its mean.
-        let max_nanos = samples
-            .iter()
-            .map(|s| s.max_touch_nanos.max(s.per_touch_nanos()))
-            .max()
-            .unwrap_or(0);
-        LatencySummary {
-            count: per_touch.len(),
-            mean_nanos: sum / per_touch.len() as u64,
-            p50_nanos: percentile_sorted(&per_touch, 50.0),
-            p90_nanos: percentile_sorted(&per_touch, 90.0),
-            p99_nanos: percentile_sorted(&per_touch, 99.0),
-            max_nanos,
-        }
-    }
-
     /// Summarize a per-touch latency histogram (each recorded value one
     /// trace's mean per-touch nanoseconds). `max_touch_nanos` is the worst
     /// single touch tracked alongside the histogram; the larger of it and
@@ -117,27 +61,6 @@ impl LatencySummary {
             max_nanos: max_touch_nanos.max(hist.max()),
         }
     }
-
-    /// Merge per-trace samples from several sessions into one summary.
-    ///
-    /// Streams every sample into one fixed-memory histogram instead of
-    /// copying all samples into one vector (sessions can hold arbitrarily
-    /// many traces): memory is constant and percentiles carry the
-    /// histogram's 2x bucket resolution. The reported max stays exact.
-    pub fn merged<'a>(
-        per_session: impl IntoIterator<Item = &'a [LatencySample]>,
-    ) -> LatencySummary {
-        let mut hist = HistogramSnapshot::default();
-        let mut worst = 0u64;
-        for samples in per_session {
-            for sample in samples {
-                let mean = sample.per_touch_nanos();
-                hist.record(mean);
-                worst = worst.max(sample.max_touch_nanos.max(mean));
-            }
-        }
-        LatencySummary::from_histogram(&hist, worst)
-    }
 }
 
 #[cfg(test)]
@@ -147,72 +70,36 @@ mod tests {
     #[test]
     fn percentiles_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 50.0), 50);
-        assert_eq!(percentile(&samples, 99.0), 99);
-        assert_eq!(percentile(&samples, 100.0), 100);
-        assert_eq!(percentile(&[], 50.0), 0);
-        assert_eq!(percentile(&[7], 99.0), 7);
+        assert_eq!(percentile_sorted(&samples, 50.0), 50);
+        assert_eq!(percentile_sorted(&samples, 99.0), 99);
+        assert_eq!(percentile_sorted(&samples, 100.0), 100);
+        assert_eq!(percentile_sorted(&[], 50.0), 0);
+        assert_eq!(percentile_sorted(&[7], 99.0), 7);
     }
 
     #[test]
-    fn summary_per_touch() {
-        let samples = [
-            LatencySample {
-                nanos: 1_000,
-                touches: 10,
-                max_touch_nanos: 400,
-            }, // mean 100 ns/touch, worst touch 400
-            LatencySample {
-                nanos: 9_000,
-                touches: 30,
-                max_touch_nanos: 5_000,
-            }, // mean 300 ns/touch, worst touch 5000
-        ];
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean_nanos, 200);
-        assert_eq!(s.p50_nanos, 100);
-        // max is the worst single touch, not the worst per-trace mean.
-        assert_eq!(s.max_nanos, 5_000);
-    }
-
-    #[test]
-    fn histogram_summary_bounds_the_exact_one() {
-        let samples: Vec<LatencySample> = (1..=200u64)
-            .map(|i| LatencySample {
-                nanos: i * 1_000,
-                touches: 1,
-                max_touch_nanos: i * 1_000,
-            })
-            .collect();
-        let exact = LatencySummary::from_samples(&samples);
-        let merged = LatencySummary::merged([samples.as_slice()]);
-        assert_eq!(merged.count, exact.count);
-        assert_eq!(merged.max_nanos, exact.max_nanos, "max stays exact");
-        for (est, want) in [
-            (merged.p50_nanos, exact.p50_nanos),
-            (merged.p90_nanos, exact.p90_nanos),
-            (merged.p99_nanos, exact.p99_nanos),
+    fn histogram_summary_bounds_the_exact_percentiles() {
+        let per_touch: Vec<u64> = (1..=200u64).map(|i| i * 1_000).collect();
+        let mut hist = HistogramSnapshot::default();
+        per_touch.iter().for_each(|&v| hist.record(v));
+        // A tracked worst touch above every per-trace mean is reported as is.
+        let summary = LatencySummary::from_histogram(&hist, 450_000);
+        assert_eq!(summary.count, 200);
+        assert_eq!(summary.max_nanos, 450_000, "max stays exact");
+        for (est, p) in [
+            (summary.p50_nanos, 50.0),
+            (summary.p90_nanos, 90.0),
+            (summary.p99_nanos, 99.0),
         ] {
+            let want = percentile_sorted(&per_touch, p);
             assert!(est >= want, "histogram percentile is an upper bound");
             assert!(est < want * 2, "within the 2x log-bucket error bound");
         }
+        // Without a tracked worst touch the worst per-trace mean stands in.
+        assert_eq!(LatencySummary::from_histogram(&hist, 0).max_nanos, 200_000);
         assert_eq!(
-            LatencySummary::merged(std::iter::empty::<&[LatencySample]>()),
+            LatencySummary::from_histogram(&HistogramSnapshot::default(), 9),
             LatencySummary::default()
         );
-    }
-
-    #[test]
-    fn empty_and_zero_touch_safe() {
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
-        let z = LatencySample {
-            nanos: 5,
-            touches: 0,
-            max_touch_nanos: 0,
-        };
-        assert_eq!(z.per_touch_nanos(), 5);
-        // A sample without a recorded worst touch falls back to its mean.
-        assert_eq!(LatencySummary::from_samples(&[z]).max_nanos, 5);
     }
 }

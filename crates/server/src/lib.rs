@@ -36,7 +36,7 @@
 //!   per-session in-flight events), change actions, snapshot, close.
 //! * [`SessionReport`] — trace outcomes in submission order, the catalog
 //!   epoch each trace ran against, restructures observed, error log, and
-//!   wall-clock [`LatencySample`]s for throughput/tail-latency reporting.
+//!   a per-touch latency histogram for throughput/tail-latency reporting.
 
 pub mod client;
 pub mod config;
@@ -47,7 +47,7 @@ pub mod report;
 
 pub use client::{ClientSession, ExplorationClient};
 pub use config::{ServerConfig, ShedConfig};
-pub use latency::{LatencySample, LatencySummary};
+pub use latency::LatencySummary;
 pub use manager::{ExplorationServer, SessionHandle};
 pub use metrics::ServerMetricsSnapshot;
 pub use report::{digest_outcomes, SessionId, SessionReport, TraceOutcome};

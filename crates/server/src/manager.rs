@@ -29,7 +29,6 @@
 //!   recorded in the session's report instead of killing the worker.
 
 use crate::config::ServerConfig;
-use crate::latency::LatencySample;
 use crate::metrics::{ServerInstruments, ServerMetricsSnapshot};
 use crate::report::{SessionId, SessionReport, TraceOutcome};
 use dbtouch_core::catalog::{validate_action, ObjectState, SharedCatalog};
@@ -40,7 +39,7 @@ use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_obs::{
     clear_trace_ctx, set_trace_ctx, set_trace_ctx_span, Telemetry, TraceEventKind, WireTraceContext,
 };
-use dbtouch_types::{DbTouchError, KernelConfig, Result};
+use dbtouch_types::{DbTouchError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -300,9 +299,6 @@ impl ExplorationServer {
     /// (an existing [`ServerConfig::catalog`], the persistent
     /// [`ServerConfig::catalog_dir`] opened with [`ServerConfig::kernel`], or
     /// a fresh memory-only catalog) and spawn the worker pool over it.
-    ///
-    /// This replaces the old `start` (existing catalog) / `open` (persistent
-    /// catalog) split — both remain as thin deprecated shims.
     pub fn serve(config: ServerConfig) -> Result<ExplorationServer> {
         config.validate()?;
         let catalog = match (&config.catalog, &config.catalog_dir) {
@@ -314,31 +310,11 @@ impl ExplorationServer {
         Ok(ExplorationServer::spawn(catalog, &config))
     }
 
-    /// Spawn the worker pool over `catalog`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ExplorationServer::serve(config.with_catalog(catalog))"
-    )]
-    pub fn start(catalog: Arc<SharedCatalog>, config: ServerConfig) -> ExplorationServer {
-        ExplorationServer::spawn(catalog, &config)
-    }
-
-    /// Open-or-create the configured catalog and spawn the worker pool over
-    /// it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ExplorationServer::serve(config.with_kernel(kernel_config))"
-    )]
-    pub fn open(kernel_config: KernelConfig, config: ServerConfig) -> Result<ExplorationServer> {
-        ExplorationServer::serve(config.with_kernel(kernel_config))
-    }
-
     fn spawn(catalog: Arc<SharedCatalog>, config: &ServerConfig) -> ExplorationServer {
         let instruments = Arc::new(ServerInstruments::default());
         catalog
             .telemetry()
             .register(Arc::clone(&instruments) as Arc<dyn dbtouch_obs::MetricSource>);
-        let record_raw = config.record_raw_latency;
         let workers = (0..config.worker_threads.max(1))
             .map(|index| {
                 let (sender, receiver) = channel();
@@ -348,7 +324,7 @@ impl ExplorationServer {
                 let instruments = Arc::clone(&instruments);
                 let join = std::thread::Builder::new()
                     .name(format!("dbtouch-worker-{index}"))
-                    .spawn(move || worker_loop(catalog, receiver, live, instruments, record_raw))
+                    .spawn(move || worker_loop(catalog, receiver, live, instruments))
                     .expect("spawn worker thread");
                 WorkerHandle {
                     sender: Some(sender),
@@ -592,7 +568,6 @@ fn worker_loop(
     receiver: Receiver<Envelope>,
     live_sessions: Arc<AtomicUsize>,
     instruments: Arc<ServerInstruments>,
-    record_raw: bool,
 ) {
     let mut gates: HashMap<SessionId, Arc<QueueGate>> = HashMap::new();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -602,7 +577,6 @@ fn worker_loop(
             &mut gates,
             &live_sessions,
             &instruments,
-            record_raw,
         )
     }));
     // Whether the loop ended by Terminate, channel disconnect or a panic
@@ -638,7 +612,6 @@ fn serve(
     gates: &mut HashMap<SessionId, Arc<QueueGate>>,
     live_sessions: &AtomicUsize,
     instruments: &ServerInstruments,
-    record_raw: bool,
 ) {
     let config = catalog.config().clone();
     let telemetry = Arc::clone(catalog.telemetry());
@@ -744,18 +717,12 @@ fn serve(
                         let epoch = state.epoch();
                         match Session::new(state, &config).run(&trace) {
                             Ok(outcome) => {
-                                let sample = LatencySample {
-                                    nanos: started.elapsed().as_nanos() as u64,
-                                    touches: trace.len() as u64,
-                                    max_touch_nanos: outcome.stats.max_touch_nanos,
-                                };
-                                let mean = sample.per_touch_nanos();
+                                let nanos = started.elapsed().as_nanos() as u64;
+                                let mean = nanos / (trace.len() as u64).max(1);
                                 report.latency_hist.record(mean);
-                                report.max_touch_nanos =
-                                    report.max_touch_nanos.max(sample.max_touch_nanos.max(mean));
-                                if record_raw {
-                                    report.latencies.push(sample);
-                                }
+                                report.max_touch_nanos = report
+                                    .max_touch_nanos
+                                    .max(outcome.stats.max_touch_nanos.max(mean));
                                 instruments.record_trace(&outcome.stats, mean);
                                 report.epochs.push(epoch);
                                 // Refinements of this trace are in flight:
@@ -909,8 +876,6 @@ mod tests {
         assert_eq!(report.traces_run(), 1);
         assert!(report.total_entries() > 0);
         assert!(report.errors.is_empty());
-        // Raw samples are off by default; the histogram always records.
-        assert!(report.latencies.is_empty());
         assert_eq!(report.latency_summary().count, 1);
         assert!(report.latency_summary().max_nanos > 0);
         server.shutdown();
@@ -1493,10 +1458,9 @@ mod tests {
             metrics.scalar("morsel.pruned_segments"),
             Some(stats.pruned_segments)
         );
-        assert!(
-            metrics.scalar("morsel.steals").unwrap() > 0,
-            "helpers must claim some morsels"
-        );
+        // How many morsels the helpers win is scheduling, not correctness:
+        // the counter must be scraped, its value is `touch_budget`'s to report.
+        assert!(metrics.scalar("morsel.steals").is_some());
         assert_eq!(
             metrics.scalar("morsel.queue_depth"),
             Some(0),
@@ -1520,34 +1484,6 @@ mod tests {
         // The whole report — results, aggregates, accounting — is
         // bit-identical to the sequential run.
         assert_eq!(sequential.result_digest(), parallel.result_digest());
-    }
-
-    #[test]
-    fn raw_latency_samples_are_opt_in() {
-        let (catalog, id) = catalog_with_column(20_000);
-        let view = catalog.data(id).unwrap().base_view().clone();
-        let server = ExplorationServer::serve(
-            ServerConfig::with_workers(1)
-                .with_raw_latency(true)
-                .with_catalog(Arc::clone(&catalog)),
-        )
-        .unwrap();
-        let session = server.open_session();
-        session
-            .run_trace(id, GestureSynthesizer::new(60.0).slide_down(&view, 0.3))
-            .unwrap();
-        let report = session.close().unwrap();
-        server.shutdown();
-        assert_eq!(report.latencies.len(), 1, "raw samples retained on opt-in");
-        assert_eq!(report.latency_hist.count(), 1, "histogram always records");
-        // With raw samples present the summary is the exact one.
-        let summary = report.latency_summary();
-        assert_eq!(summary.count, 1);
-        assert_eq!(
-            summary.p50_nanos,
-            report.latencies[0].per_touch_nanos(),
-            "raw path reports exact percentiles"
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Session reports: what a served exploration session produced.
 
-use crate::latency::{LatencySample, LatencySummary};
+use crate::latency::LatencySummary;
 use dbtouch_core::kernel::ObjectId;
 use dbtouch_core::remote::RemoteStats;
 use dbtouch_core::session::SessionOutcome;
@@ -18,26 +18,19 @@ pub struct TraceOutcome {
     pub outcome: SessionOutcome,
 }
 
-/// Everything a session produced: trace outcomes in submission order, wall
-/// clock latency samples, the catalog epochs the session observed, and any
-/// per-event errors (a bad trace or unknown object records an error instead
-/// of killing the session).
+/// Everything a session produced: trace outcomes in submission order, a
+/// per-touch latency histogram, the catalog epochs the session observed, and
+/// any per-event errors (a bad trace or unknown object records an error
+/// instead of killing the session).
 #[derive(Debug, Clone, Default)]
 pub struct SessionReport {
     /// The session this report describes.
     pub session_id: SessionId,
     /// One entry per completed `run_trace`, in submission order.
     pub outcomes: Vec<TraceOutcome>,
-    /// Raw wall-clock samples, one per completed `run_trace` — populated
-    /// only when [`ServerConfig::record_raw_latency`] is on. Live serving
-    /// keeps per-touch latency in the fixed-memory
-    /// [`latency_hist`](Self::latency_hist) instead, so a long-lived
-    /// session's report does not grow with every trace.
-    ///
-    /// [`ServerConfig::record_raw_latency`]: crate::config::ServerConfig::record_raw_latency
-    pub latencies: Vec<LatencySample>,
-    /// Log-scale histogram of per-trace mean per-touch nanoseconds — always
-    /// populated, one recorded value per completed trace. Percentiles read
+    /// Log-scale histogram of per-trace mean per-touch nanoseconds, one
+    /// recorded value per completed trace. Fixed memory, so a long-lived
+    /// session's report does not grow with every trace; percentiles read
     /// from it are upper bounds within 2x (log2 buckets).
     pub latency_hist: HistogramSnapshot,
     /// Worst single-touch processing time observed in any trace,
@@ -136,17 +129,10 @@ impl SessionReport {
         }
     }
 
-    /// Per-touch latency summary of this session: exact when raw samples
-    /// were retained ([`ServerConfig::record_raw_latency`]), histogram-backed
-    /// (percentiles within 2x) otherwise.
-    ///
-    /// [`ServerConfig::record_raw_latency`]: crate::config::ServerConfig::record_raw_latency
+    /// Per-touch latency summary of this session, read from its histogram
+    /// (percentiles within 2x; the max is exact).
     pub fn latency_summary(&self) -> LatencySummary {
-        if self.latencies.is_empty() {
-            LatencySummary::from_histogram(&self.latency_hist, self.max_touch_nanos)
-        } else {
-            LatencySummary::from_samples(&self.latencies)
-        }
+        LatencySummary::from_histogram(&self.latency_hist, self.max_touch_nanos)
     }
 
     /// Latency summary across several sessions' reports, merged from their

@@ -7,8 +7,9 @@
 //! arithmetic to keep per-touch response times low.
 
 use crate::encoding::EncodingPolicy;
+use crate::fold::{Elem, Exact, Ordered, RangeFold, Sum};
 use crate::pager::{append_row_bytes_encoded, ColumnExtent, PagedColumn, Pager};
-use crate::segment::{SegmentStats, SegmentSum};
+use crate::segment::SegmentStats;
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use serde::{Deserialize, Serialize};
 
@@ -83,6 +84,13 @@ impl PartialEq for Column {
             }
         }
     }
+}
+
+/// Fold one in-memory span of typed values.
+fn fold_values<T: Elem, S: Sum<T>>(values: &[T]) -> SegmentStats {
+    let mut fold = RangeFold::<S>::default();
+    fold.raw(values.iter().copied());
+    fold.finish()
 }
 
 impl Column {
@@ -408,50 +416,14 @@ impl Column {
     }
 
     /// Sum, count, minimum and maximum of the numeric values in `range`
-    /// (clamped). Returns `(count, sum, min, max)`; `min`/`max` are `None` when
-    /// the clamped range is empty. Errors for non-numeric columns.
+    /// (clamped), folded in ascending row order. Returns `(count, sum, min,
+    /// max)`; `min`/`max` are `None` when the clamped range is empty. Errors
+    /// for non-numeric columns.
     pub fn numeric_range_stats(
         &self,
         range: RowRange,
     ) -> Result<(u64, f64, Option<f64>, Option<f64>)> {
-        if !self.data_type().is_numeric() {
-            return Err(DbTouchError::TypeMismatch {
-                expected: "numeric".into(),
-                found: self.data_type().name(),
-            });
-        }
-        if let ColumnData::Paged(p) = &self.data {
-            // Same ascending fold as the inline arms below, reading through
-            // the buffer pool: results are bit-identical.
-            return p.numeric_range_stats(range);
-        }
-        let range = range.clamp_to(self.len());
-        let mut count = 0u64;
-        let mut sum = 0.0;
-        let mut min: Option<f64> = None;
-        let mut max: Option<f64> = None;
-        // Iterate over the typed storage directly to avoid per-row enum overhead.
-        match &self.data {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
-                for &x in &v[range.as_usize_range()] {
-                    let x = x as f64;
-                    count += 1;
-                    sum += x;
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-            }
-            ColumnData::Float64(v) => {
-                for &x in &v[range.as_usize_range()] {
-                    count += 1;
-                    sum += x;
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-            }
-            _ => unreachable!("checked numeric above"),
-        }
-        Ok((count, sum, min, max))
+        Ok(self.range_stats(range, false)?.as_tuple())
     }
 
     /// [`SegmentStats`] of the numeric values in `range` (clamped): the
@@ -463,50 +435,29 @@ impl Column {
     ///
     /// [`numeric_range_stats`]: Column::numeric_range_stats
     pub fn segment_range_stats(&self, range: RowRange) -> Result<SegmentStats> {
-        if !self.data_type().is_numeric() {
-            return Err(DbTouchError::TypeMismatch {
-                expected: "numeric".into(),
-                found: self.data_type().name(),
-            });
-        }
+        self.range_stats(range, true)
+    }
+
+    /// Present `range` to the one range fold ([`crate::fold`]) as a span of
+    /// raw values; `exact` selects the `i128` sum for integer columns.
+    fn range_stats(&self, range: RowRange, exact: bool) -> Result<SegmentStats> {
         if let ColumnData::Paged(p) = &self.data {
-            return p.segment_range_stats(range);
+            return p.range_stats(range, exact);
         }
-        let range = range.clamp_to(self.len());
-        let mut min: Option<f64> = None;
-        let mut max: Option<f64> = None;
-        match &self.data {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
-                let mut sum = 0i128;
-                for &x in &v[range.as_usize_range()] {
-                    sum += x as i128;
-                    let xf = x as f64;
-                    min = Some(min.map_or(xf, |m| m.min(xf)));
-                    max = Some(max.map_or(xf, |m| m.max(xf)));
-                }
-                Ok(SegmentStats {
-                    count: range.len(),
-                    sum: SegmentSum::Int(sum),
-                    min,
-                    max,
+        let rows = range.clamp_to(self.len()).as_usize_range();
+        Ok(match &self.data {
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) if exact => {
+                fold_values::<_, Exact>(&v[rows])
+            }
+            ColumnData::Int64(v) | ColumnData::Timestamp(v) => fold_values::<_, Ordered>(&v[rows]),
+            ColumnData::Float64(v) => fold_values::<_, Ordered>(&v[rows]),
+            _ => {
+                return Err(DbTouchError::TypeMismatch {
+                    expected: "numeric".into(),
+                    found: self.data_type().name(),
                 })
             }
-            ColumnData::Float64(v) => {
-                let mut sum = 0.0;
-                for &x in &v[range.as_usize_range()] {
-                    sum += x;
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
-                }
-                Ok(SegmentStats {
-                    count: range.len(),
-                    sum: SegmentSum::Float(sum),
-                    min,
-                    max,
-                })
-            }
-            _ => unreachable!("checked numeric above"),
-        }
+        })
     }
 
     /// Build a new column containing every `step`-th row starting at row 0.

@@ -41,6 +41,7 @@
 pub mod cache;
 pub mod column;
 pub mod encoding;
+mod fold;
 pub mod index;
 pub mod layout;
 pub mod matrix;

@@ -12,6 +12,7 @@
 //! gesture converts between them (see [`crate::rotation`]).
 
 use crate::column::Column;
+use crate::fold::{Ordered, RangeFold};
 use crate::layout::Layout;
 use crate::table::Table;
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
@@ -195,19 +196,12 @@ impl Matrix {
                         found: dt.name(),
                     });
                 }
-                let range = range.clamp_to(self.row_count);
-                let mut count = 0u64;
-                let mut sum = 0.0;
-                let mut min: Option<f64> = None;
-                let mut max: Option<f64> = None;
-                for row in range.iter() {
-                    let x = self.get(row, column)?.as_f64()?;
-                    count += 1;
-                    sum += x;
-                    min = Some(min.map_or(x, |m| m.min(x)));
-                    max = Some(max.map_or(x, |m| m.max(x)));
+                // A row-major cell is a one-value span of the one range fold.
+                let mut fold = RangeFold::<Ordered>::default();
+                for row in range.clamp_to(self.row_count).iter() {
+                    fold.raw(std::iter::once(self.get(row, column)?.as_f64()?));
                 }
-                Ok((count, sum, min, max))
+                Ok(fold.finish().as_tuple())
             }
         }
     }

@@ -19,13 +19,13 @@
 //! touch instead of living in a `Vec`.
 
 use crate::encoding::{
-    decode_span, pack_row_bytes, rle_runs, span_value_offset, span_view, EncodingPolicy,
-    EncodingStats, SpanView,
+    decode_span, pack_row_bytes, span_value_offset, span_view, EncodingPolicy, EncodingStats,
 };
+use crate::fold::{le_values, Elem, Exact, Ordered, RangeFold, Sum, ELEM_BYTES};
 use crate::page::{
     encode_page, payload_capacity, rows_per_page, verify_page, MIN_PAGE_SIZE, PAGE_HEADER_BYTES,
 };
-use crate::segment::{SegmentStats, SegmentSum};
+use crate::segment::SegmentStats;
 use dbtouch_obs::{MetricSource, MetricValue, Telemetry, TraceEventKind};
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use std::collections::{HashMap, VecDeque};
@@ -531,111 +531,31 @@ impl PagedColumn {
         &self,
         range: RowRange,
     ) -> Result<(u64, f64, Option<f64>, Option<f64>)> {
-        if !self.extent.dt.is_numeric() {
-            return Err(DbTouchError::TypeMismatch {
-                expected: "numeric".into(),
-                found: self.extent.dt.name(),
-            });
-        }
-        let range = range.clamp_to(self.extent.rows);
-        let mut count = 0u64;
-        let mut sum = 0.0;
-        let mut min: Option<f64> = None;
-        let mut max: Option<f64> = None;
-        if self.extent.is_packed() {
-            let integer = self.extent.dt.is_integer();
-            self.packed_fold_rows(range, integer, &mut |x| {
-                count += 1;
-                sum += x;
-                min = Some(min.map_or(x, |m| m.min(x)));
-                max = Some(max.map_or(x, |m| m.max(x)));
-            })?;
-            return Ok((count, sum, min, max));
-        }
-        let mut row = range.start;
-        while row < range.end {
-            let (payload, offset) = self.page_for_row(row)?;
-            // Rows of this page inside the range.
-            let page_remaining = self.rows_per_page - (row % self.rows_per_page);
-            let take = page_remaining.min(range.end - row);
-            let integer = self.extent.dt.is_integer();
-            for i in 0..take as usize {
-                let at = offset + i * 8;
-                let bits: [u8; 8] = payload[at..at + 8].try_into().unwrap();
-                let x = if integer {
-                    i64::from_le_bytes(bits) as f64
-                } else {
-                    f64::from_le_bytes(bits)
-                };
-                count += 1;
-                sum += x;
-                min = Some(min.map_or(x, |m| m.min(x)));
-                max = Some(max.map_or(x, |m| m.max(x)));
-            }
-            row += take;
-        }
-        Ok((count, sum, min, max))
+        Ok(self.range_stats(range, false)?.as_tuple())
     }
 
     /// [`SegmentStats`] over `range` — the same page-at-a-time fold as
     /// `numeric_range_stats`, but integer columns accumulate their sum in
-    /// exact `i128` so segment partials merge associatively.
+    /// exact `i128` so segment partials merge associatively, whole RLE runs
+    /// aggregate with one multiply and dictionary pages by counting codes.
     pub fn segment_range_stats(&self, range: RowRange) -> Result<SegmentStats> {
-        if !self.extent.dt.is_numeric() {
-            return Err(DbTouchError::TypeMismatch {
+        self.range_stats(range, true)
+    }
+
+    /// Pick the element type and sum discipline of the one range fold
+    /// ([`crate::fold`]); `exact` selects the `i128` sum for integer columns.
+    pub(crate) fn range_stats(&self, range: RowRange, exact: bool) -> Result<SegmentStats> {
+        match self.extent.dt {
+            DataType::Int64 | DataType::TimestampMillis if exact => {
+                self.fold_pages::<i64, Exact>(range)
+            }
+            DataType::Int64 | DataType::TimestampMillis => self.fold_pages::<i64, Ordered>(range),
+            DataType::Float64 => self.fold_pages::<f64, Ordered>(range),
+            dt => Err(DbTouchError::TypeMismatch {
                 expected: "numeric".into(),
-                found: self.extent.dt.name(),
-            });
+                found: dt.name(),
+            }),
         }
-        let range = range.clamp_to(self.extent.rows);
-        let integer = self.extent.dt.is_integer();
-        if self.extent.is_packed() {
-            if integer {
-                return self.packed_segment_stats_int(range);
-            }
-            // Float sums are order-dependent: reuse the per-row ascending
-            // fold, which visits values exactly as the raw layout does.
-            let (count, sum, min, max) = self.numeric_range_stats(range)?;
-            return Ok(SegmentStats {
-                count,
-                sum: SegmentSum::Float(sum),
-                min,
-                max,
-            });
-        }
-        let mut stats = SegmentStats::empty(integer);
-        let mut fsum = 0.0f64;
-        let mut isum = 0i128;
-        let mut row = range.start;
-        while row < range.end {
-            let (payload, offset) = self.page_for_row(row)?;
-            // Rows of this page inside the range.
-            let page_remaining = self.rows_per_page - (row % self.rows_per_page);
-            let take = page_remaining.min(range.end - row);
-            for i in 0..take as usize {
-                let at = offset + i * 8;
-                let bits: [u8; 8] = payload[at..at + 8].try_into().unwrap();
-                let x = if integer {
-                    let v = i64::from_le_bytes(bits);
-                    isum += v as i128;
-                    v as f64
-                } else {
-                    let v = f64::from_le_bytes(bits);
-                    fsum += v;
-                    v
-                };
-                stats.count += 1;
-                stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
-                stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
-            }
-            row += take;
-        }
-        stats.sum = if integer {
-            SegmentSum::Int(isum)
-        } else {
-            SegmentSum::Float(fsum)
-        };
-        Ok(stats)
     }
 
     /// Fault the page containing `row` and return `(payload, page id)`.
@@ -645,152 +565,40 @@ impl PagedColumn {
         Ok((payload, self.extent.start_page + page_idx))
     }
 
-    /// Fold every value of `range` (already clamped) in ascending row order,
-    /// decoding packed spans in place. The per-row visit order — and
-    /// therefore any floating-point accumulation the caller performs — is
-    /// identical to the raw layout's page-at-a-time fold.
-    fn packed_fold_rows(
-        &self,
-        range: RowRange,
-        integer: bool,
-        f: &mut dyn FnMut(f64),
-    ) -> Result<()> {
-        let width = self.extent.dt.width_bytes();
-        let to_f64 = |bytes: &[u8]| {
-            let bits: [u8; 8] = bytes[0..8].try_into().unwrap();
-            if integer {
-                i64::from_le_bytes(bits) as f64
+    /// Feed `range` (clamped) to the fold one page at a time, in ascending
+    /// row order: packed pages as their encoded span, unpacked pages as raw
+    /// values.
+    fn fold_pages<T: Elem, S: Sum<T>>(&self, range: RowRange) -> Result<SegmentStats> {
+        let range = range.clamp_to(self.extent.rows);
+        let mut fold = RangeFold::<S>::default();
+        let mut row = range.start;
+        while row < range.end {
+            let lo = (row % self.rows_per_page) as usize;
+            let take = (self.rows_per_page - row % self.rows_per_page).min(range.end - row);
+            let hi = lo + take as usize;
+            let (payload, page_id) = self.page_span(row)?;
+            if self.extent.is_packed() {
+                let (view, span_rows) = span_view(&payload, ELEM_BYTES)?;
+                if (span_rows as usize) < hi {
+                    return Err(DbTouchError::Corrupt(format!(
+                        "page {page_id} stores {span_rows} rows where {hi} were expected"
+                    )));
+                }
+                fold.encoded::<T>(view, lo, hi);
             } else {
-                f64::from_le_bytes(bits)
-            }
-        };
-        let mut row = range.start;
-        while row < range.end {
-            let lo = (row % self.rows_per_page) as usize;
-            let take = (self.rows_per_page - row % self.rows_per_page).min(range.end - row);
-            let hi = lo + take as usize;
-            let (payload, page_id) = self.page_span(row)?;
-            let (view, span_rows) = span_view(&payload, width)?;
-            if (span_rows as usize) < hi {
-                return Err(DbTouchError::Corrupt(format!(
-                    "page {page_id} stores {span_rows} rows where {hi} were expected"
-                )));
-            }
-            match view {
-                SpanView::Raw { rows } => {
-                    for i in lo..hi {
-                        f(to_f64(&rows[i * width..]));
-                    }
-                }
-                SpanView::Rle { runs } => {
-                    let mut cum = 0usize;
-                    for (len, value) in rle_runs(runs, width) {
-                        let start = cum;
-                        cum += len as usize;
-                        if cum <= lo {
-                            continue;
-                        }
-                        if start >= hi {
-                            break;
-                        }
-                        let overlap = cum.min(hi) - start.max(lo);
-                        let x = to_f64(value);
-                        for _ in 0..overlap {
-                            f(x);
-                        }
-                    }
-                }
-                SpanView::Dict { dict, codes } => {
-                    for &c in &codes[lo..hi] {
-                        f(to_f64(&dict[c as usize * width..]));
-                    }
-                }
+                let rows = payload
+                    .get(lo * ELEM_BYTES..hi * ELEM_BYTES)
+                    .ok_or_else(|| {
+                        DbTouchError::Corrupt(format!(
+                            "page {page_id} payload short of its expected {hi} rows"
+                        ))
+                    })?;
+                fold.raw(le_values::<T>(rows));
             }
             row += take;
         }
-        Ok(())
-    }
-
-    /// Integer [`SegmentStats`] over a packed extent: whole RLE runs
-    /// aggregate with one multiply, dictionary pages aggregate by counting
-    /// codes and folding each distinct value once. Exact `i128` accumulation
-    /// makes the decomposition invisible — the result is bit-identical to
-    /// the per-row fold at every granularity.
-    fn packed_segment_stats_int(&self, range: RowRange) -> Result<SegmentStats> {
-        let width = self.extent.dt.width_bytes();
-        let mut stats = SegmentStats::empty(true);
-        let mut isum = 0i128;
-        let mut run_skips = 0u64;
-        let value_of = |bytes: &[u8]| i64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let fold_minmax = |stats: &mut SegmentStats, v: i64| {
-            let x = v as f64;
-            stats.min = Some(stats.min.map_or(x, |m| m.min(x)));
-            stats.max = Some(stats.max.map_or(x, |m| m.max(x)));
-        };
-        let mut counts = [0u32; 256];
-        let mut row = range.start;
-        while row < range.end {
-            let lo = (row % self.rows_per_page) as usize;
-            let take = (self.rows_per_page - row % self.rows_per_page).min(range.end - row);
-            let hi = lo + take as usize;
-            let (payload, page_id) = self.page_span(row)?;
-            let (view, span_rows) = span_view(&payload, width)?;
-            if (span_rows as usize) < hi {
-                return Err(DbTouchError::Corrupt(format!(
-                    "page {page_id} stores {span_rows} rows where {hi} were expected"
-                )));
-            }
-            match view {
-                SpanView::Raw { rows } => {
-                    for i in lo..hi {
-                        let v = value_of(&rows[i * width..]);
-                        isum += v as i128;
-                        stats.count += 1;
-                        fold_minmax(&mut stats, v);
-                    }
-                }
-                SpanView::Rle { runs } => {
-                    let mut cum = 0usize;
-                    for (len, value) in rle_runs(runs, width) {
-                        let start = cum;
-                        cum += len as usize;
-                        if cum <= lo {
-                            continue;
-                        }
-                        if start >= hi {
-                            break;
-                        }
-                        let overlap = (cum.min(hi) - start.max(lo)) as u64;
-                        let v = value_of(value);
-                        isum += v as i128 * overlap as i128;
-                        stats.count += overlap;
-                        fold_minmax(&mut stats, v);
-                        if overlap >= 2 {
-                            run_skips += 1;
-                        }
-                    }
-                }
-                SpanView::Dict { dict, codes } => {
-                    let dict_len = dict.len() / width;
-                    counts[..dict_len].fill(0);
-                    for &c in &codes[lo..hi] {
-                        counts[c as usize] += 1;
-                    }
-                    for (c, &n) in counts[..dict_len].iter().enumerate() {
-                        if n > 0 {
-                            let v = value_of(&dict[c * width..]);
-                            isum += v as i128 * n as i128;
-                            stats.count += n as u64;
-                            fold_minmax(&mut stats, v);
-                        }
-                    }
-                }
-            }
-            row += take;
-        }
-        stats.sum = SegmentSum::Int(isum);
-        self.pager.encoding_stats.add_run_skips(run_skips);
-        Ok(stats)
+        self.pager.encoding_stats.add_run_skips(fold.run_skips);
+        Ok(fold.finish())
     }
 
     /// Rows per page of this extent (packed extents hold more than the page
@@ -999,24 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_stats_match_numeric_stats_across_pages() {
-        let path = temp_file("segment-stats");
-        let pager = Arc::new(Pager::open_or_create(&path, 256, 4).unwrap());
-        let values: Vec<i64> = (0..1000).map(|v| v * 3 - 500).collect();
-        let extent = append_row_bytes(&pager, DataType::Int64, 1000, &i64_bytes(&values)).unwrap();
-        let col = PagedColumn::new(Arc::clone(&pager), extent).unwrap();
-        for (start, end) in [(0, 1000), (10, 20), (17, 993), (500, 500)] {
-            let seg = col.segment_range_stats(RowRange::new(start, end)).unwrap();
-            let (count, sum, min, max) =
-                col.numeric_range_stats(RowRange::new(start, end)).unwrap();
-            assert_eq!(seg.as_tuple(), (count, sum, min, max));
-        }
-        let seg = col.segment_range_stats(RowRange::new(0, 1000)).unwrap();
-        let exact: i128 = values.iter().map(|&v| v as i128).sum();
-        assert_eq!(seg.sum, SegmentSum::Int(exact));
-    }
-
-    #[test]
     fn pool_stays_bounded_and_counts_evictions() {
         let path = temp_file("bounded");
         let pager = Arc::new(Pager::open_or_create(&path, 256, 3).unwrap());
@@ -1120,8 +910,9 @@ mod tests {
         values.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
-    /// Every accessor of a packed column must agree bit-for-bit with the raw
-    /// column persisted from the same rows.
+    /// Every point and batch accessor of a packed column must agree
+    /// bit-for-bit with the raw column persisted from the same rows (range
+    /// statistics are held to a per-row reference in `tests/range_fold.rs`).
     fn assert_reads_match(raw: &PagedColumn, packed: &PagedColumn, rows: u64) {
         for row in [0, 1, rows / 2, rows - 1] {
             assert_eq!(
@@ -1132,16 +923,6 @@ mod tests {
                 raw.f64_at(RowId(row)).unwrap().to_bits(),
                 packed.f64_at(RowId(row)).unwrap().to_bits()
             );
-        }
-        for (start, end) in [(0, rows), (10, 20), (17, rows - 7), (rows / 2, rows / 2)] {
-            let range = RowRange::new(start, end);
-            let a = raw.numeric_range_stats(range).unwrap();
-            let b = packed.numeric_range_stats(range).unwrap();
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "sum differs over {range:?}");
-            assert_eq!(a, b);
-            let sa = raw.segment_range_stats(range).unwrap();
-            let sb = packed.segment_range_stats(range).unwrap();
-            assert_eq!(sa, sb, "segment stats differ over {range:?}");
         }
         assert_eq!(
             raw.raw_row_bytes().unwrap(),
@@ -1174,14 +955,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_rle_column_reads_identically_and_skips_runs() {
+    fn packed_rle_column_reads_identically() {
         let values: Vec<i64> = (0..4000).map(|i| (i / 100) % 4 - 2).collect();
         let (raw, packed) = packed_pair("packed-rle", DataType::Int64, 4000, &i64_bytes(&values));
         assert_reads_match(&raw, &packed, 4000);
-        let exact: i128 = values.iter().map(|&v| v as i128).sum();
-        let stats = packed.segment_range_stats(RowRange::new(0, 4000)).unwrap();
-        assert_eq!(stats.sum, SegmentSum::Int(exact));
-        assert!(packed.pager.encoding_stats().run_skips() > 0);
         assert!(packed.pager.encoding_stats().rle_pages() > 0);
         assert!(packed.pager.encoding_stats().bytes_saved() > 0);
     }

@@ -15,7 +15,7 @@
 //! of that sample.
 
 use crate::column::Column;
-use dbtouch_types::{DbTouchError, Result, RowId, RowRange};
+use dbtouch_types::{DbTouchError, Result, RowId};
 use serde::{Deserialize, Serialize};
 
 /// A hierarchy of strided samples over one column.
@@ -136,16 +136,6 @@ impl SampleHierarchy {
         Ok(mapped.clamp_to(col.len()).unwrap_or(RowId::ZERO))
     }
 
-    /// Map a base-data row range to the corresponding range of `level`
-    /// (inclusive of any partially covered sample rows).
-    pub fn map_range(&self, range: RowRange, level: u8) -> Result<RowRange> {
-        let col = self.level(level)?;
-        let stride = self.stride(level);
-        let start = range.start / stride;
-        let end = range.end.div_ceil(stride);
-        Ok(RowRange::new(start, end).clamp_to(col.len()))
-    }
-
     /// Map a row of `level` back to the base-data row it was sampled from.
     pub fn unmap_row(&self, sample_row: RowId, level: u8) -> Result<RowId> {
         self.level(level)?; // validate level
@@ -233,19 +223,6 @@ mod tests {
         let h = hierarchy();
         let last = h.map_row(RowId(999), 5).unwrap();
         assert!(last.0 < h.level(5).unwrap().len());
-    }
-
-    #[test]
-    fn map_range_covers_original_rows() {
-        let h = hierarchy();
-        let r = h.map_range(RowRange::new(10, 30), 2).unwrap();
-        // stride 4: rows 10..30 map to sample rows 2..8
-        assert_eq!(r, RowRange::new(2, 8));
-        // every base row in [10,30) has its sample ancestor inside r
-        for base in 10..30u64 {
-            let m = h.map_row(RowId(base), 2).unwrap();
-            assert!(r.contains(m));
-        }
     }
 
     #[test]

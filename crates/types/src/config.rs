@@ -123,27 +123,10 @@ pub struct KernelConfig {
     /// `i` keeps every 2^i-th row). Section 2.6 "Sample-based Storage".
     pub sample_levels: u8,
 
-    /// Capacity of the region cache in rows (across all cached regions).
-    pub cache_capacity_rows: u64,
-
-    /// How many rows ahead of the gesture the prefetcher fetches when it
-    /// extrapolates the gesture movement (Section 2.6 "Prefetching Data").
-    pub prefetch_horizon_rows: u64,
-
     /// Maximum time the kernel may spend answering one touch, in microseconds.
     /// Section 4: "There should always be a maximum possible wait time for a
     /// single touch regardless of the query and the data sizes."
     pub touch_budget_micros: u64,
-
-    /// Milliseconds a result value stays fully visible before it starts fading.
-    pub result_fade_after_ms: u64,
-
-    /// Milliseconds a fading result takes to disappear completely.
-    pub result_fade_duration_ms: u64,
-
-    /// Rows converted per step when a layout rotation is performed
-    /// incrementally (Section 2.8).
-    pub rotation_chunk_rows: u64,
 
     /// When `true`, the kernel picks the sample level adaptively from the
     /// gesture speed and object size; when `false` it always reads base data.
@@ -162,19 +145,10 @@ pub struct KernelConfig {
     /// tuple a recomputation would.
     pub shared_cache_enabled: bool,
 
-    /// Capacity of the shared result cache in entries (ignored when
-    /// `shared_cache_enabled` is `false`).
-    pub shared_cache_capacity: usize,
-
-    /// Page size in bytes used when *creating* a persistent catalog store
-    /// (an existing store is always opened with the page size recorded in
-    /// its manifest).
-    pub page_size_bytes: usize,
-
     /// Capacity of the persistent store's buffer pool, in pages. This bounds
     /// the memory resident for paged-backed catalogs: a reopened catalog
-    /// larger than `buffer_pool_pages * page_size` streams under exploration
-    /// instead of loading fully.
+    /// larger than `buffer_pool_pages` × the store's page size streams under
+    /// exploration instead of loading fully.
     pub buffer_pool_pages: usize,
 
     /// How many epoch manifests a persistent catalog directory retains. One
@@ -192,10 +166,6 @@ pub struct KernelConfig {
     /// Telemetry observes execution without steering it — results and session
     /// digests are bit-identical either way.
     pub telemetry_enabled: bool,
-
-    /// How many trace events the telemetry event ring retains (older events
-    /// are evicted). 0 keeps counting events without storing any.
-    pub telemetry_ring_capacity: usize,
 
     /// Sampling stride for hot-path trace events (touch received, shared-cache
     /// hit/miss): every Nth is recorded. 1 records all of them; rare lifecycle
@@ -260,11 +230,6 @@ pub struct KernelConfig {
     /// Completed span trees retained; the oldest is evicted beyond this.
     #[serde(default)]
     pub trace_retained_capacity: usize,
-
-    /// Per-trace span cap: spans past this are counted as truncated rather
-    /// than stored, bounding memory under pathological fan-out.
-    #[serde(default)]
-    pub trace_max_spans: usize,
 }
 
 impl Default for KernelConfig {
@@ -274,23 +239,15 @@ impl Default for KernelConfig {
             touch_resolution_cm: 0.05,
             summary_half_window: 5,
             sample_levels: 8,
-            cache_capacity_rows: 1 << 20,
-            prefetch_horizon_rows: 4096,
             touch_budget_micros: 2_000,
-            result_fade_after_ms: 400,
-            result_fade_duration_ms: 800,
-            rotation_chunk_rows: 65_536,
             adaptive_sampling: true,
             prefetch_enabled: true,
             cache_enabled: true,
             shared_cache_enabled: true,
-            shared_cache_capacity: 1 << 16,
-            page_size_bytes: 8192,
             buffer_pool_pages: 4096,
             manifest_keep: 8,
             remote_split: None,
             telemetry_enabled: true,
-            telemetry_ring_capacity: 8192,
             telemetry_hot_sample: 64,
             scan_parallelism: 1,
             segment_rows: 65_536,
@@ -300,7 +257,6 @@ impl Default for KernelConfig {
             trace_tail_threshold_micros: 10_000,
             trace_head_sample_every: 64,
             trace_retained_capacity: 64,
-            trace_max_spans: 512,
         }
     }
 }
@@ -324,26 +280,9 @@ impl KernelConfig {
                 "sample_levels must be at least 1 (level 0 is base data)".into(),
             ));
         }
-        if self.rotation_chunk_rows == 0 {
-            return Err(DbTouchError::InvalidConfig(
-                "rotation_chunk_rows must be > 0".into(),
-            ));
-        }
         if self.touch_budget_micros == 0 {
             return Err(DbTouchError::InvalidConfig(
                 "touch_budget_micros must be > 0".into(),
-            ));
-        }
-        if self.shared_cache_enabled && self.shared_cache_capacity == 0 {
-            return Err(DbTouchError::InvalidConfig(
-                "shared_cache_capacity must be > 0 when the shared cache is enabled".into(),
-            ));
-        }
-        // 32 bytes = page header + one widest (8-byte) numeric row; the
-        // storage layer re-validates against its exact header size.
-        if self.page_size_bytes < 32 {
-            return Err(DbTouchError::InvalidConfig(
-                "page_size_bytes must be at least 32".into(),
             ));
         }
         if self.buffer_pool_pages == 0 {
@@ -379,17 +318,10 @@ impl KernelConfig {
                 "dict_max_cardinality must be in 1..=256 (codes are one byte)".into(),
             ));
         }
-        if self.tracing_enabled {
-            if self.trace_max_spans == 0 {
-                return Err(DbTouchError::InvalidConfig(
-                    "trace_max_spans must be >= 1 when tracing is enabled".into(),
-                ));
-            }
-            if self.trace_retained_capacity == 0 {
-                return Err(DbTouchError::InvalidConfig(
-                    "trace_retained_capacity must be >= 1 when tracing is enabled".into(),
-                ));
-            }
+        if self.tracing_enabled && self.trace_retained_capacity == 0 {
+            return Err(DbTouchError::InvalidConfig(
+                "trace_retained_capacity must be >= 1 when tracing is enabled".into(),
+            ));
         }
         Ok(())
     }
@@ -466,13 +398,6 @@ impl KernelConfig {
         self
     }
 
-    /// Builder-style setter for the page size used when creating a
-    /// persistent catalog store.
-    pub fn with_page_size(mut self, bytes: usize) -> Self {
-        self.page_size_bytes = bytes;
-        self
-    }
-
     /// Builder-style setter for the manifest retention window of persistent
     /// catalog directories.
     pub fn with_manifest_keep(mut self, keep: usize) -> Self {
@@ -490,12 +415,6 @@ impl KernelConfig {
     /// Builder-style toggle for live telemetry recording.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry_enabled = on;
-        self
-    }
-
-    /// Builder-style setter for the trace-event ring capacity.
-    pub fn with_telemetry_ring_capacity(mut self, events: usize) -> Self {
-        self.telemetry_ring_capacity = events;
         self
     }
 
@@ -553,12 +472,6 @@ impl KernelConfig {
         self.trace_retained_capacity = trees;
         self
     }
-
-    /// Builder-style setter for the per-trace span cap.
-    pub fn with_trace_max_spans(mut self, spans: usize) -> Self {
-        self.trace_max_spans = spans;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -593,15 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_rotation_chunk_rejected() {
-        let c = KernelConfig {
-            rotation_chunk_rows: 0,
-            ..KernelConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn invalid_budget_rejected() {
         let c = KernelConfig {
             touch_budget_micros: 0,
@@ -617,22 +521,6 @@ mod tests {
         assert!(!c.prefetch_enabled);
         assert!(!c.cache_enabled);
         assert!(!c.shared_cache_enabled);
-    }
-
-    #[test]
-    fn invalid_shared_cache_capacity_rejected() {
-        let c = KernelConfig {
-            shared_cache_capacity: 0,
-            ..KernelConfig::default()
-        };
-        assert!(c.validate().is_err());
-        // A zero capacity is fine while the shared cache is off.
-        let c = KernelConfig {
-            shared_cache_capacity: 0,
-            ..KernelConfig::default()
-        }
-        .with_shared_cache(false);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -708,11 +596,8 @@ mod tests {
             .with_telemetry(false)
             .validate()
             .is_ok());
-        let c = KernelConfig::default()
-            .with_telemetry_ring_capacity(128)
-            .with_telemetry_hot_sample(1);
+        let c = KernelConfig::default().with_telemetry_hot_sample(1);
         assert!(c.validate().is_ok());
-        assert_eq!(c.telemetry_ring_capacity, 128);
         assert_eq!(c.telemetry_hot_sample, 1);
     }
 
@@ -723,16 +608,11 @@ mod tests {
         assert_eq!(c.trace_tail_threshold_micros, 10_000);
         assert_eq!(c.trace_head_sample_every, 64);
         assert!(KernelConfig::default()
-            .with_trace_max_spans(0)
-            .validate()
-            .is_err());
-        assert!(KernelConfig::default()
             .with_trace_retained_capacity(0)
             .validate()
             .is_err());
-        // Zero caps are fine while tracing is off.
+        // A zero cap is fine while tracing is off.
         assert!(KernelConfig::default()
-            .with_trace_max_spans(0)
             .with_trace_retained_capacity(0)
             .with_tracing(false)
             .validate()
@@ -740,13 +620,11 @@ mod tests {
         let c = KernelConfig::default()
             .with_trace_tail_threshold_micros(500)
             .with_trace_head_sample_every(0)
-            .with_trace_retained_capacity(8)
-            .with_trace_max_spans(32);
+            .with_trace_retained_capacity(8);
         assert!(c.validate().is_ok());
         assert_eq!(c.trace_tail_threshold_micros, 500);
         assert_eq!(c.trace_head_sample_every, 0);
         assert_eq!(c.trace_retained_capacity, 8);
-        assert_eq!(c.trace_max_spans, 32);
     }
 
     #[test]

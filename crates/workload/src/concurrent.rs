@@ -233,9 +233,7 @@ impl ConcurrentRunReport {
     }
 
     /// Per-touch latency percentiles across every session's traces, merged
-    /// from the sessions' fixed-memory histograms (exact raw samples exist
-    /// only when the run recorded them — see
-    /// `ServerConfig::record_raw_latency`).
+    /// from the sessions' fixed-memory histograms.
     pub fn latency_summary(&self) -> LatencySummary {
         SessionReport::merged_latency_summary(&self.sessions)
     }

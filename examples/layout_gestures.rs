@@ -5,8 +5,8 @@
 //! a column out of a "fat" table turns it into its own lean object, and
 //! independent columns can be grouped back into a table placeholder. This
 //! example performs each of those gestures on a small sales table and shows how
-//! the catalog and layouts evolve, plus how the remote-processing split of
-//! Section 4 would serve detail requests.
+//! the catalog and layouts evolve. (The remote-processing split of Section 4
+//! is `examples/remote_exploration.rs`.)
 //!
 //! Run with:
 //! ```text
@@ -14,9 +14,7 @@
 //! ```
 
 use dbtouch::core::kernel::TouchAction;
-use dbtouch::core::remote::{NetworkModel, RemoteStore};
 use dbtouch::prelude::*;
-use dbtouch::storage::sample::SampleHierarchy;
 
 fn main() -> Result<()> {
     let mut kernel = Kernel::new(KernelConfig::default());
@@ -96,33 +94,6 @@ fn main() -> Result<()> {
         "grouped columns into `{}` with {} attributes",
         kernel.catalog_names().last().cloned().unwrap_or_default(),
         kernel.view(grouped)?.attribute_count
-    );
-
-    // Remote processing (Section 4): the device keeps only coarse samples of the
-    // amount column; fine-grained detail requests go to the simulated server.
-    let hierarchy = SampleHierarchy::build(
-        Column::from_f64(
-            "amount",
-            (0..rows).map(|i| (i % 500) as f64 / 10.0).collect(),
-        ),
-        8,
-    )?;
-    let mut remote = RemoteStore::new(hierarchy, 4, NetworkModel::default())?;
-    let coarse = remote.fetch(RowRange::new(0, 50_000), 5)?;
-    let (quick, fine) = remote.fetch_progressive(RowRange::new(0, 50_000), 0)?;
-    println!(
-        "remote split: coarse request served {:?} in {}µs; detail request answered locally with {} rows first, \
-         then {} rows from the server after {}µs",
-        coarse.served_from,
-        coarse.simulated_micros,
-        quick.rows,
-        fine.as_ref().map(|f| f.rows).unwrap_or(0),
-        fine.as_ref().map(|f| f.simulated_micros).unwrap_or(0)
-    );
-    println!(
-        "device-resident bytes: {} (vs {} for the full column)",
-        remote.local_bytes(),
-        rows * 8
     );
     Ok(())
 }

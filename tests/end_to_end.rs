@@ -1,15 +1,13 @@
 //! Cross-crate integration tests: full gesture-trace → kernel → result flows,
-//! layout gestures, the exploration scenarios and the remote-processing split,
-//! all at a scale small enough for CI.
+//! layout gestures and the exploration scenarios, all at a scale small enough
+//! for CI.
 
 use dbtouch::core::kernel::TouchAction;
 use dbtouch::core::operators::aggregate::AggregateKind;
 use dbtouch::core::operators::filter::{CompareOp, Predicate};
-use dbtouch::core::remote::{NetworkModel, RemoteStore, ServedFrom};
 use dbtouch::gesture::synthesizer::SlideSegment;
 use dbtouch::prelude::*;
 use dbtouch::storage::column::Column as StorageColumn;
-use dbtouch::storage::sample::SampleHierarchy;
 use dbtouch::workload::explorer::{DbTouchExplorer, SqlExplorer};
 use dbtouch::workload::scenarios::Scenario;
 
@@ -219,30 +217,6 @@ fn exploration_contest_dbtouch_touches_less_data() {
     assert!(dbtouch.error_fraction < 0.05);
     assert!(sql.error_fraction < 0.05);
     assert!(dbtouch.rows_touched * 5 < sql.rows_touched);
-}
-
-#[test]
-fn remote_split_serves_coarse_locally_and_detail_remotely() {
-    let column = StorageColumn::from_i64("c", (0..100_000).collect());
-    let hierarchy = SampleHierarchy::build(column, 8).unwrap();
-    let mut store = RemoteStore::new(hierarchy, 4, NetworkModel::default()).unwrap();
-    let coarse = store.fetch(RowRange::new(0, 50_000), 6).unwrap();
-    assert_eq!(coarse.served_from, ServedFrom::Local);
-    let (quick, fine) = store
-        .fetch_progressive(RowRange::new(0, 50_000), 0)
-        .unwrap();
-    assert_eq!(quick.served_from, ServedFrom::Local);
-    let fine = fine.unwrap();
-    assert_eq!(fine.served_from, ServedFrom::Remote);
-    assert!(fine.simulated_micros > 0);
-    // Unambiguous accounting: the plain local fetch and the progressive
-    // request each count exactly once, in their own counters.
-    let stats = store.stats();
-    assert_eq!(stats.local_requests, 1);
-    assert_eq!(stats.progressive_requests, 1);
-    assert_eq!(stats.remote_requests, 0);
-    assert_eq!(stats.total_requests(), 2);
-    assert_eq!(stats.rows_shipped, fine.rows);
 }
 
 #[test]

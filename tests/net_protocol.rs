@@ -2,6 +2,7 @@
 //! bit-identical digests, malformed-frame robustness, load shedding under
 //! deliberately tiny thresholds, and graceful drain.
 
+use dbtouch::net::codec::{decode_response, Response};
 use dbtouch::net::frame::{self, tag};
 use dbtouch::net::{NetServer, TcpClient};
 use dbtouch::server::{ClientSession, ExplorationClient, ServerConfig, SessionReport, ShedConfig};
@@ -83,22 +84,28 @@ fn metrics_travel_over_the_wire() {
     server.shutdown();
 }
 
-/// A raw TCP peer that completes the handshake and then misbehaves.
-fn handshaken_raw_stream(server: &NetServer) -> TcpStream {
+/// A raw TCP peer that offers `version` in its HELLO; returns the stream and
+/// the server's answer frame.
+fn raw_hello(server: &NetServer, version: u64) -> (TcpStream, Vec<u8>) {
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     let hello = format!(
-        "{{\"proto\": \"{}\", \"version\": {}}}",
-        frame::PROTOCOL_NAME,
-        frame::PROTOCOL_VERSION
+        "{{\"proto\": \"{}\", \"version\": {version}}}",
+        frame::PROTOCOL_NAME
     );
     let mut payload = vec![tag::HELLO];
     payload.extend_from_slice(hello.as_bytes());
     frame::write_frame(&mut stream, &payload).unwrap();
     let (outcome, _) = frame::read_frame(&mut stream, frame::MAX_HANDSHAKE_LEN).unwrap();
     match outcome {
-        frame::ReadOutcome::Frame(p) => assert_eq!(p.first(), Some(&tag::HELLO_ACK)),
+        frame::ReadOutcome::Frame(answer) => (stream, answer),
         other => panic!("handshake failed: {other:?}"),
     }
+}
+
+/// A raw TCP peer that completes the handshake and then misbehaves.
+fn handshaken_raw_stream(server: &NetServer) -> TcpStream {
+    let (stream, answer) = raw_hello(server, frame::PROTOCOL_VERSION);
+    assert_eq!(answer.first(), Some(&tag::HELLO_ACK));
     stream
 }
 
@@ -108,6 +115,30 @@ fn read_response(stream: &mut TcpStream) -> Vec<u8> {
         frame::ReadOutcome::Frame(p) => p,
         other => panic!("expected a frame, got {other:?}"),
     }
+}
+
+#[test]
+fn other_protocol_versions_are_refused_with_a_typed_error() {
+    let (server, _catalog, _object) = serve_scenario(2_000, ServerConfig::with_workers(1));
+    for version in [2, frame::PROTOCOL_VERSION + 1] {
+        let (mut stream, answer) = raw_hello(&server, version);
+        match decode_response(&answer).unwrap() {
+            Response::Error(reason) => assert!(
+                reason.contains("unsupported protocol version"),
+                "reason: {reason}"
+            ),
+            other => panic!("expected an Error frame, got {other:?}"),
+        }
+        // The server hangs up after refusing; nothing else arrives.
+        let (outcome, _) = frame::read_frame(&mut stream, frame::MAX_FRAME_LEN).unwrap();
+        assert!(matches!(outcome, frame::ReadOutcome::Eof), "{outcome:?}");
+    }
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.scalar("net.frame_errors"), Some(2));
+    // A current client is served as usual afterwards.
+    let client = TcpClient::new(server.local_addr().to_string());
+    client.open_session().unwrap().close().unwrap();
+    server.shutdown();
 }
 
 #[test]
@@ -229,7 +260,9 @@ fn tiny_thresholds_shed_explicitly() {
 
     // An impossible p99 target sheds traces on an already-open session:
     // the open and the first trace are admitted (no touch latencies yet),
-    // then the recorded latencies trip the pressure check.
+    // then the recorded latencies trip the pressure check. `RunTrace` is
+    // acked on enqueue, so a snapshot (a barrier) makes sure the first trace
+    // has run and recorded its latency before the second is offered.
     let (traffic_server, traffic_catalog, object2) = serve_scenario(
         2_000,
         ServerConfig::with_workers(1).with_shed(ShedConfig {
@@ -246,6 +279,7 @@ fn tiny_thresholds_shed_explicitly() {
     let view = traffic_catalog.data(object2).unwrap().base_view().clone();
     let trace = dbtouch::gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.2);
     session.run_trace(object2, trace.clone()).unwrap();
+    session.snapshot().unwrap();
     match session.run_trace(object2, trace) {
         Err(DbTouchError::Overloaded { retry_after_ms, .. }) => {
             assert_eq!(retry_after_ms, 11)

@@ -113,7 +113,6 @@ fn loopback_tracing_yields_well_formed_tail_sampled_trees() {
             let view = view.clone();
             std::thread::spawn(move || {
                 let mut session = client.open_session().unwrap();
-                assert_eq!(session.protocol_version(), dbtouch::net::PROTOCOL_VERSION);
                 for _ in 0..3 {
                     session
                         .run_trace(object, GestureSynthesizer::new(60.0).slide_down(&view, 0.4))
