@@ -10,6 +10,16 @@
 //! session claims morsels of its own batch, so progress never depends on a
 //! helper being free.
 //!
+//! **Hand-off.** Waking a parked helper costs a futex call and, when the
+//! helper sits on another CPU, an inter-processor interrupt — tens of
+//! microseconds under a hypervisor, more than a whole window of
+//! run-length-encoded segments takes to scan. So the submitter starts on its
+//! batch alone and publishes it to the helpers only once it has scanned for
+//! [`HELPER_WAKE_AFTER`] and segments are still unclaimed: a cheap window
+//! never leaves the submitting thread (its cost no longer depends on which
+//! CPU the scheduler happened to put a helper on), an expensive one fans out
+//! one wake-up's worth of time late.
+//!
 //! **Determinism.** Partial results land in a [`SegmentLedger`] — the same
 //! ordered-contribution log as `remote_exec::RefinementLedger`, generalized
 //! to segment slots — and are folded *in segment order* once the batch
@@ -39,6 +49,12 @@ use dbtouch_types::{DbTouchError, Result, RowRange};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long a submitter scans its own batch before it publishes the rest to
+/// the helpers: a few wake-ups' worth, so the hand-off is paid only by
+/// windows that outlast it.
+pub const HELPER_WAKE_AFTER: Duration = Duration::from_micros(50);
 
 /// The ordered per-segment contribution log of one fanned-out window:
 /// `remote_exec::RefinementLedger`'s ordered-slot discipline, generalized
@@ -162,7 +178,8 @@ impl ScanBatch {
     /// one `"segments"` span (child of the submitting gesture's service
     /// span) when the submitter carried one — each participating thread
     /// contributes one span per batch, `detail` = segments it claimed.
-    fn drain(&self, shared: &PoolShared, stolen: bool) {
+    /// `between` runs after every processed segment.
+    fn drain(&self, shared: &PoolShared, stolen: bool, mut between: impl FnMut()) {
         let spans = match (&self.telemetry, self.ctx) {
             (Some(telemetry), Some(ctx)) if ctx.span != 0 && telemetry.spans().is_enabled() => {
                 Some((telemetry, ctx))
@@ -174,6 +191,7 @@ impl ScanBatch {
         while let Some(segment) = self.claim() {
             self.process(segment, shared, stolen);
             claimed += 1;
+            between();
         }
         if claimed > 0 {
             if let (Some((telemetry, ctx)), Some(start)) = (spans, start) {
@@ -203,6 +221,8 @@ struct PoolQueue {
 struct PoolShared {
     queue: Mutex<PoolQueue>,
     available: Condvar,
+    /// See [`HELPER_WAKE_AFTER`]; a field so tests can publish at once.
+    wake_after: Duration,
     segments_scanned: AtomicU64,
     steals: AtomicU64,
     pruned_segments: AtomicU64,
@@ -233,9 +253,14 @@ impl MorselPool {
     /// Spawn a pool with `helpers` scan-helper threads (the submitting
     /// session is the +1 that makes `scan_parallelism` total workers).
     pub fn start(helpers: usize) -> MorselPool {
+        MorselPool::start_waking_after(helpers, HELPER_WAKE_AFTER)
+    }
+
+    fn start_waking_after(helpers: usize, wake_after: Duration) -> MorselPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue::default()),
             available: Condvar::new(),
+            wake_after,
             segments_scanned: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             pruned_segments: AtomicU64::new(0),
@@ -259,9 +284,10 @@ impl MorselPool {
         self.helpers.len()
     }
 
-    /// Fan one planned window out over the pool and block until every
-    /// segment resolved. The calling thread participates (it claims segments
-    /// like a helper), so the scan completes even on a saturated pool.
+    /// Scan one planned window and block until every segment resolved. The
+    /// calling thread starts on it alone and fans the rest out over the pool
+    /// once it has scanned for [`HELPER_WAKE_AFTER`]; it keeps claiming
+    /// segments like a helper, so the scan completes even on a saturated pool.
     /// Returns the in-order fold plus how many segments were index-answered.
     pub fn scan(
         &self,
@@ -283,13 +309,19 @@ impl MorselPool {
             telemetry,
         });
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.batches.push(Arc::clone(&batch));
-            self.shared.available.notify_all();
-        }
-        // Work on our own batch instead of idling behind the helpers.
-        batch.drain(&self.shared, false);
+        // Work on our own batch first; the helpers hear of it only if it
+        // outlasts the hand-off's cost (see the module docs).
+        let started = Instant::now();
+        let mut published = false;
+        batch.drain(&self.shared, false, || {
+            if !published && batch.has_work() && started.elapsed() >= self.shared.wake_after {
+                let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                queue.batches.push(Arc::clone(&batch));
+                self.shared.available.notify_all();
+                published = true;
+            }
+        });
+        // An unpublished batch was scanned here alone: already complete.
         let mut ledger = batch.ledger.lock().unwrap_or_else(|e| e.into_inner());
         while !ledger.is_complete() {
             ledger = batch.done.wait(ledger).unwrap_or_else(|e| e.into_inner());
@@ -298,7 +330,7 @@ impl MorselPool {
         let folded = ledger.fold();
         drop(ledger);
         self.shared.completed.fetch_add(1, Ordering::Relaxed);
-        {
+        if published {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             queue.batches.retain(|b| !Arc::ptr_eq(b, &batch));
         }
@@ -378,7 +410,7 @@ fn helper_loop(shared: &PoolShared) {
             Some(ctx) => set_trace_ctx_full(ctx),
             None => clear_trace_ctx(),
         }
-        batch.drain(shared, true);
+        batch.drain(shared, true, || {});
         clear_trace_ctx();
     }
 }
@@ -557,28 +589,36 @@ mod tests {
     #[test]
     fn pooled_scan_matches_inline_scan() {
         let data = object(200_000);
-        let pool = MorselPool::start(3);
         let range = RowRange::new(1_000, 180_000);
         let inline = scan(&data, range, 8192, None);
-        for _ in 0..4 {
-            let pooled = scan(&data, range, 8192, Some(&pool));
-            assert_eq!(pooled, inline);
+        // The default pool keeps a window this cheap on the submitter; a
+        // zero delay publishes after the first segment, so the helpers'
+        // path runs too.
+        for pool in [
+            MorselPool::start(3),
+            MorselPool::start_waking_after(3, Duration::ZERO),
+        ] {
+            for _ in 0..4 {
+                let pooled = scan(&data, range, 8192, Some(&pool));
+                assert_eq!(pooled, inline);
+            }
+            let metrics = pool.collect();
+            let counter = |name: &str| {
+                metrics
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| match v {
+                        MetricValue::Counter(c) => *c,
+                        MetricValue::Gauge(g) => *g,
+                        _ => panic!("unexpected metric shape"),
+                    })
+                    .unwrap()
+            };
+            assert_eq!(counter("segments_scanned"), 4 * inline.segments_scanned);
+            assert_eq!(counter("queue_depth"), 0);
+            assert_eq!(counter("pruned_segments"), 4 * inline.pruned_segments);
+            assert!(pool.shared.queue.lock().unwrap().batches.is_empty());
         }
-        let metrics = pool.collect();
-        let counter = |name: &str| {
-            metrics
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| match v {
-                    MetricValue::Counter(c) => *c,
-                    MetricValue::Gauge(g) => *g,
-                    _ => panic!("unexpected metric shape"),
-                })
-                .unwrap()
-        };
-        assert_eq!(counter("segments_scanned"), 4 * inline.segments_scanned);
-        assert_eq!(counter("queue_depth"), 0);
-        assert_eq!(counter("pruned_segments"), 4 * inline.pruned_segments);
         assert!(
             inline.pruned_segments > 0,
             "aligned segments must be answered"

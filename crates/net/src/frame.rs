@@ -8,9 +8,11 @@
 //! ```
 //!
 //! where the payload's first byte is the frame type tag and the checksum is
-//! FNV-1a 64 folded to 32 bits — the same hash family the session digests
-//! use, so a corrupted frame is caught at the transport boundary instead of
-//! surfacing as a digest mismatch three layers up.
+//! a 64-bit multiply-and-fold hash taken eight bytes at a time and folded to
+//! 32 bits ([`checksum`]), so a corrupted frame is caught at the transport
+//! boundary instead of surfacing as a digest mismatch three layers up. A
+//! frame leaves in one `write` — header, payload and trailer gathered — so a
+//! `TCP_NODELAY` socket sends it as one segment, not three.
 //!
 //! The reader distinguishes the failure modes the serving layer treats
 //! differently:
@@ -28,14 +30,15 @@
 //! None of these panic: every byte of the payload is attacker-controlled and
 //! the decoder above this layer is likewise total.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Protocol name carried in the JSON handshake frame.
 pub const PROTOCOL_NAME: &str = "dbtouch-net";
 /// The one protocol version, carried in the JSON handshake frame by both
 /// sides. A peer offering any other version is refused with an error frame:
-/// binary layouts (the session report, for one) differ between versions.
-pub const PROTOCOL_VERSION: u64 = 3;
+/// binary layouts (the session report, for one) and the frame checksum
+/// differ between versions.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;
@@ -45,7 +48,7 @@ pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 /// Frame type tags (first payload byte).
 pub mod tag {
-    /// Client → server: JSON `{"proto": "dbtouch-net", "version": 3}`.
+    /// Client → server: JSON `{"proto": "dbtouch-net", "version": 4}`.
     pub const HELLO: u8 = 0x01;
     /// Server → client: JSON echo of the accepted protocol and version.
     pub const HELLO_ACK: u8 = 0x02;
@@ -93,14 +96,36 @@ pub mod tag {
     pub const METRICS_TEXT_REPLY: u8 = 0x28;
 }
 
-/// FNV-1a 64 folded to 32 bits — the per-frame checksum.
+/// The per-frame checksum: the payload is consumed as little-endian 64-bit
+/// words (the last 1–7 bytes zero-padded into one more), each absorbed with
+/// one multiply and one fold of the high half into the low half; a last
+/// multiply spreads the state and its high half is the result. Every absorb
+/// step is a bijection of the 64-bit state, so payloads of one length that
+/// differ in one word never share a state — only the final halving can
+/// collide. The length seeds the state, so payloads that differ only in
+/// trailing zero bytes differ. Not `storage`'s page checksum: that one is
+/// fixed by the on-disk format.
 pub fn checksum(payload: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let absorb = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(MUL);
+        h ^ (h >> 32)
+    };
+    let mut h = absorb(0xcbf2_9ce4_8422_2325, payload.len() as u64);
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        h = absorb(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
     }
-    (h ^ (h >> 32)) as u32
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, u64::from_le_bytes(last));
+    }
+    (h.wrapping_mul(MUL) >> 32) as u32
 }
 
 /// A successfully read event from the stream.
@@ -215,14 +240,53 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<(ReadOutcome, u64
     Ok((ReadOutcome::Frame(payload), wire_bytes))
 }
 
-/// Write one frame; returns the number of wire bytes written.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
-    debug_assert!(!payload.is_empty(), "a frame must carry its type tag");
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&checksum(payload).to_le_bytes())?;
+/// Write one frame; returns the number of wire bytes written. An empty
+/// payload or one over [`MAX_FRAME_LEN`] is refused with
+/// [`ErrorKind::InvalidInput`] before a byte is written (the peer would
+/// answer `Empty`/`Oversize` and, for the latter, drop the connection).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
+    write_frame_within(w, payload, MAX_FRAME_LEN)
+}
+
+/// [`write_frame`] against an explicit payload limit.
+fn write_frame_within(w: &mut impl Write, payload: &[u8], max_len: usize) -> io::Result<u64> {
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if (1..=max_len).contains(&payload.len()) => len,
+        _ => {
+            return Err(io::Error::new(
+                ErrorKind::InvalidInput,
+                format!(
+                    "frame payload of {} bytes is outside 1..={max_len} (tag byte included)",
+                    payload.len()
+                ),
+            ))
+        }
+    };
+    let header = len.to_le_bytes();
+    let trailer = checksum(payload).to_le_bytes();
+    let total = 8 + payload.len();
+    // Header, payload and trailer gathered into one write: one syscall and
+    // one segment on a `TCP_NODELAY` socket. A short write resumes from
+    // where it stopped.
+    let mut sent = 0;
+    while sent < total {
+        // How much of a part that starts `starts_at` bytes into the frame
+        // has already gone out.
+        let done = |part: &[u8], starts_at: usize| sent.saturating_sub(starts_at).min(part.len());
+        let parts = [
+            IoSlice::new(&header[done(&header, 0)..]),
+            IoSlice::new(&payload[done(payload, 4)..]),
+            IoSlice::new(&trailer[done(&trailer, 4 + payload.len())..]),
+        ];
+        match w.write_vectored(&parts) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
-    Ok((8 + payload.len()) as u64)
+    Ok(total as u64)
 }
 
 #[cfg(test)]
@@ -247,13 +311,149 @@ mod tests {
         assert!(matches!(outcome, ReadOutcome::Eof));
     }
 
+    /// A payload of `len` bytes with a valid tag and a non-repeating body.
+    fn payload_of(len: usize) -> Vec<u8> {
+        let mut p: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        p[0] = tag::REPORT;
+        p
+    }
+
+    fn frames_of(lens: &[usize]) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let payloads: Vec<Vec<u8>> = lens.iter().map(|&len| payload_of(len)).collect();
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        (payloads, wire)
+    }
+
+    /// Read frames until EOF, retrying idle timeouts.
+    fn read_all(r: &mut impl Read) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(r, MAX_FRAME_LEN) {
+                Ok((ReadOutcome::Frame(p), n)) => {
+                    assert_eq!(n, 8 + p.len() as u64);
+                    frames.push(p);
+                }
+                Ok((ReadOutcome::Eof, _)) => return frames,
+                Err(FrameReadError::IdleTimeout) => {}
+                Err(e) => panic!("unexpected read error: {e}"),
+            }
+        }
+    }
+
+    /// Yields one byte per `read`, and — when `stall` is set — a
+    /// `WouldBlock` before every byte, so every frame is split at every byte
+    /// boundary and every boundary sees a timeout.
+    struct Trickle {
+        bytes: Vec<u8>,
+        pos: usize,
+        stall: bool,
+        stalled: bool,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.bytes.len() || buf.is_empty() {
+                return Ok(0);
+            }
+            if self.stall && !self.stalled {
+                self.stalled = true;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.stalled = false;
+            buf[0] = self.bytes[self.pos];
+            self.pos += 1;
+            Ok(1)
+        }
+    }
+
     #[test]
-    fn checksum_differs_on_flip() {
-        let a = checksum(b"hello frames");
-        let mut corrupted = b"hello frames".to_vec();
-        corrupted[3] ^= 0x40;
-        assert_ne!(a, checksum(&corrupted));
-        assert_ne!(checksum(b""), checksum(b"\0"));
+    fn frames_split_at_every_byte_boundary_decode_the_same() {
+        // Lengths straddle the checksum's 8-byte lanes.
+        let (payloads, wire) = frames_of(&[1, 7, 8, 9, 15, 16, 17, 300]);
+        for stall in [false, true] {
+            let mut trickle = Trickle {
+                bytes: wire.clone(),
+                pos: 0,
+                stall,
+                stalled: false,
+            };
+            assert_eq!(read_all(&mut trickle), payloads, "stall: {stall}");
+        }
+    }
+
+    /// Counts calls; accepts everything (`limit` = `usize::MAX`) or at most
+    /// `limit` bytes per call.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+        limit: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            let mut room = self.limit;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.limit - room)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        for len in [1, 4 << 10, 64 << 10] {
+            let (_, expected) = frames_of(&[len]);
+            let mut sink = CountingSink {
+                bytes: Vec::new(),
+                writes: 0,
+                limit: usize::MAX,
+            };
+            let written = write_frame(&mut sink, &payload_of(len)).unwrap();
+            assert_eq!(sink.writes, 1, "payload of {len} bytes");
+            assert_eq!(written, expected.len() as u64);
+            assert_eq!(sink.bytes, expected);
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        // 3 bytes per call splits header, payload and trailer mid-part.
+        let (_, expected) = frames_of(&[17]);
+        let mut sink = CountingSink {
+            bytes: Vec::new(),
+            writes: 0,
+            limit: 3,
+        };
+        write_frame(&mut sink, &payload_of(17)).unwrap();
+        assert_eq!(sink.bytes, expected);
+        assert_eq!(sink.writes, expected.len().div_ceil(3));
+    }
+
+    #[test]
+    fn unframeable_payloads_are_refused_before_a_byte_is_written() {
+        let mut sink = Vec::new();
+        let err = write_frame_within(&mut sink, &payload_of(65), 64).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        let err = write_frame(&mut sink, &[]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert!(sink.is_empty());
+        // At the limit is fine.
+        assert_eq!(
+            write_frame_within(&mut sink, &payload_of(64), 64).unwrap(),
+            72
+        );
     }
 
     #[test]

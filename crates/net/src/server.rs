@@ -20,8 +20,9 @@
 //!   backpressure propagates to the client as TCP flow control.
 //!
 //! Admission control runs *before* work is queued: `OpenSession` and
-//! `RunTrace` consult [`Admission`] against the live metrics snapshot and
-//! answer `Shed { retry_after_ms, reason }` when a threshold is tripped.
+//! `RunTrace` consult [`Admission`], which reads each configured threshold's
+//! signal from the telemetry hub by key (never a full scrape), and answer
+//! `Shed { retry_after_ms, reason }` when a threshold is tripped.
 //!
 //! **Graceful drain** ([`NetServer::shutdown`]): the acceptor stops
 //! accepting, every handler finishes the frame in flight, closes its session
@@ -30,20 +31,20 @@
 //! error until the client hangs up. Only then is the inner exploration
 //! server shut down.
 
-use crate::admission::{Admission, Verdict};
+use crate::admission::{Admission, ShedReason, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::{
     read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
     PROTOCOL_NAME, PROTOCOL_VERSION,
 };
 use crate::metrics::NetInstruments;
-use dbtouch_obs::TraceEventKind;
+use dbtouch_obs::{Telemetry, TraceEventKind};
 use dbtouch_server::{
     ExplorationServer, ServerConfig, ServerMetricsSnapshot, SessionHandle, SessionReport,
 };
 use dbtouch_types::json::{self, Json};
 use dbtouch_types::{DbTouchError, Result};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -90,18 +91,6 @@ pub(crate) fn check_hello(body: &[u8]) -> std::result::Result<(), String> {
     }
 }
 
-/// The `detail` code a `Shed` trace event carries (see
-/// [`TraceEventKind::Shed`]): derived from the admission reason text.
-fn shed_reason_code(reason: &str) -> u64 {
-    if reason.contains("drain") {
-        1
-    } else if reason.contains("connection") || reason.contains("backlog") {
-        2
-    } else {
-        0
-    }
-}
-
 struct Shared {
     server: ExplorationServer,
     instruments: Arc<NetInstruments>,
@@ -116,6 +105,23 @@ impl Shared {
         self.instruments
             .connections
             .set(self.live_connections.load(Ordering::SeqCst) as u64);
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        self.server.catalog().telemetry()
+    }
+
+    /// Account one shed decision — `net.shed` plus a `Shed` event stamped
+    /// with whatever trace context the calling thread carries — and build
+    /// the frame that tells the client why and when to retry.
+    fn shed(&self, retry_after_ms: u64, reason: &ShedReason) -> Response {
+        self.instruments.shed.inc();
+        self.telemetry()
+            .event(TraceEventKind::Shed, reason.event_detail());
+        Response::Shed {
+            retry_after_ms,
+            reason: reason.to_string(),
+        }
     }
 }
 
@@ -245,9 +251,18 @@ impl NetServer {
     }
 }
 
-/// Send a response frame, accounting bytes; false when the peer is gone.
+/// Send a response frame, accounting bytes; false when the peer is gone. A
+/// response too large to frame is answered with an `Error` frame instead of
+/// silence.
 fn send(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
-    match write_frame(stream, &encode_response(resp)) {
+    let written = match write_frame(stream, &encode_response(resp)) {
+        Err(e) if e.kind() == ErrorKind::InvalidInput => {
+            let refusal = Response::Error(format!("response not sent: {e}"));
+            write_frame(stream, &encode_response(&refusal))
+        }
+        other => other,
+    };
+    match written {
         Ok(n) => {
             shared.instruments.bytes_out.add(n);
             true
@@ -259,17 +274,8 @@ fn send(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
 /// Shed a connection before it is served: explicit `Shed` frame, then close.
 /// Pre-handshake sheds carry no trace context, but the decision itself is
 /// stamped into the event ring so operators can see it server-side.
-fn shed_connection(shared: &Shared, mut stream: TcpStream, reason: &str) {
-    shared.instruments.shed.inc();
-    shared
-        .server
-        .catalog()
-        .telemetry()
-        .event(TraceEventKind::Shed, shed_reason_code(reason));
-    let resp = Response::Shed {
-        retry_after_ms: shared.retry_after_ms,
-        reason: reason.into(),
-    };
+fn shed_connection(shared: &Shared, mut stream: TcpStream, reason: ShedReason) {
+    let resp = shared.shed(shared.retry_after_ms, &reason);
     let _ = write_frame(&mut stream, &encode_response(&resp));
 }
 
@@ -287,13 +293,13 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 shared.instruments.accepted.inc();
                 if shared.live_connections.load(Ordering::SeqCst) >= max_connections {
-                    shed_connection(shared, stream, "connection limit reached");
+                    shed_connection(shared, stream, ShedReason::ConnectionLimit);
                     continue;
                 }
                 match tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(stream)) => {
-                        shed_connection(shared, stream, "accept backlog full");
+                        shed_connection(shared, stream, ShedReason::AcceptBacklogFull);
                     }
                     Err(TrySendError::Disconnected(_)) => return,
                 }
@@ -450,25 +456,12 @@ fn serve_request(
             if session.is_some() {
                 Response::Error("a session is already open on this connection".into())
             } else {
-                match shared
-                    .admission
-                    .admit_open(&shared.server.metrics_snapshot())
-                {
+                let hub = shared.telemetry();
+                match shared.admission.admit_open_with(|key| hub.metric(key)) {
                     Verdict::Shed {
                         retry_after_ms,
                         reason,
-                    } => {
-                        shared.instruments.shed.inc();
-                        shared
-                            .server
-                            .catalog()
-                            .telemetry()
-                            .event(TraceEventKind::Shed, shed_reason_code(&reason));
-                        Response::Shed {
-                            retry_after_ms,
-                            reason,
-                        }
-                    }
+                    } => shared.shed(retry_after_ms, &reason),
                     Verdict::Admit => {
                         let handle = shared.server.open_session();
                         let id = handle.id();
@@ -487,7 +480,7 @@ fn serve_request(
         },
         Request::RunTrace(object, trace, wire) => match session {
             Some(s) => {
-                let hub = shared.server.catalog().telemetry();
+                let hub = shared.telemetry();
                 // Continue the client's span across the server: the root
                 // opens backdated to when the frame hit the decoder, and the
                 // decode itself becomes the tree's first child span. (The
@@ -509,15 +502,11 @@ fn serve_request(
                     );
                 }
                 let admit_started = hub.now_nanos();
-                match shared
-                    .admission
-                    .admit_trace(&shared.server.metrics_snapshot())
-                {
+                match shared.admission.admit_trace_with(|key| hub.metric(key)) {
                     Verdict::Shed {
                         retry_after_ms,
                         reason,
                     } => {
-                        shared.instruments.shed.inc();
                         // Stamp the shed decision with the rejected trace
                         // context so client-side `Overloaded` errors
                         // correlate with server state; the partial span
@@ -525,17 +514,12 @@ fn serve_request(
                         match wire {
                             Some(w) => {
                                 hub.adopt_trace(s.id(), w.trace);
-                                hub.event(TraceEventKind::Shed, shed_reason_code(&reason));
+                                let resp = shared.shed(retry_after_ms, &reason);
                                 hub.end_trace();
                                 hub.spans().trace_abort(s.id(), w.trace);
+                                resp
                             }
-                            None => {
-                                hub.event(TraceEventKind::Shed, shed_reason_code(&reason));
-                            }
-                        }
-                        Response::Shed {
-                            retry_after_ms,
-                            reason,
+                            None => shared.shed(retry_after_ms, &reason),
                         }
                     }
                     // Acked only after the bounded session queue accepted the
@@ -589,7 +573,7 @@ fn serve_request(
         }
         Request::DumpTraces => {
             shared.instruments.traces_dumped.inc();
-            let retained = shared.server.catalog().telemetry().spans().retained();
+            let retained = shared.telemetry().spans().retained();
             Response::TracesJson(dbtouch_obs::chrome_trace_text(&retained))
         }
     };
@@ -677,5 +661,67 @@ pub(crate) fn client_handshake(stream: &mut TcpStream) -> Result<()> {
             Err(FrameReadError::IdleTimeout) => continue,
             Err(e) => return Err(DbTouchError::Io(format!("handshake read: {e}"))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::TcpClient;
+    use dbtouch_server::{ExplorationClient, ShedConfig};
+
+    /// The `detail` codes of the `Shed` events in the ring, oldest first.
+    fn shed_details(server: &NetServer) -> Vec<u64> {
+        server
+            .shared
+            .telemetry()
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Shed)
+            .map(|e| e.detail)
+            .collect()
+    }
+
+    #[test]
+    fn shed_events_carry_the_typed_reason() {
+        let shed = ShedConfig {
+            max_remote_backlog: Some(0),
+            ..ShedConfig::default()
+        };
+        let server = NetServer::serve(
+            ServerConfig::with_workers(1)
+                .with_shed(shed)
+                .with_listen_addr("127.0.0.1:0"),
+        )
+        .unwrap();
+
+        // A remote-executor backlog shed is overload (0), though its text
+        // says "backlog".
+        match TcpClient::new(server.local_addr().to_string()).open_session() {
+            Err(DbTouchError::Overloaded { reason, .. }) => {
+                assert_eq!(reason, "remote executor backlog 0 at or above limit 0")
+            }
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        assert_eq!(shed_details(&server), [0]);
+
+        // An accept-backlog shed is a connection limit (2). The queue never
+        // fills on an idle server, so hand the acceptor's shed path a
+        // connection directly.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        shed_connection(&server.shared, accepted, ShedReason::AcceptBacklogFull);
+        match read_frame(&mut peer, MAX_FRAME_LEN).unwrap() {
+            (ReadOutcome::Frame(p), _) => match crate::codec::decode_response(&p).unwrap() {
+                Response::Shed { reason, .. } => assert_eq!(reason, "accept backlog full"),
+                other => panic!("expected Shed, got {other:?}"),
+            },
+            other => panic!("expected a frame, got {other:?}"),
+        }
+        assert_eq!(shed_details(&server), [0, 2]);
+        assert_eq!(server.instruments().shed.get(), 2);
+        server.shutdown();
     }
 }

@@ -49,10 +49,11 @@ pub enum TraceEventKind {
     EpochPublished,
     /// A gesture trace finished (`detail` = total nanos).
     TraceFinished,
-    /// Admission control rejected work (`detail` = shed-reason code:
-    /// 0 = overloaded, 1 = draining, 2 = connection limit). Stamped with the
-    /// rejected request's trace context when the client sent one, so
-    /// client-side `Overloaded` errors correlate with server state.
+    /// Admission control rejected work (`detail` = shed-reason code, set
+    /// from the typed reason at the decision: 0 = overloaded, 2 = connection
+    /// limit; 1 = draining is reserved — drains answer `GoAway`). Stamped
+    /// with the rejected request's trace context when the client sent one,
+    /// so client-side `Overloaded` errors correlate with server state.
     Shed,
 }
 

@@ -7,6 +7,7 @@
 //! call chains — the snapshot is assembled on demand, mid-run, without
 //! quiescing anything.
 
+use crate::counter::Counter;
 use crate::ctx::trace_ctx;
 use crate::events::{EventRing, TraceEvent, TraceEventKind};
 use crate::histogram::HistogramSnapshot;
@@ -146,6 +147,8 @@ pub struct Telemetry {
     ring: EventRing,
     spans: SpanStore,
     next_trace: AtomicU64,
+    /// Full scrapes taken ([`Telemetry::snapshot`] calls) — `obs.scrapes`.
+    scrapes: Counter,
     sources: RwLock<Vec<Arc<dyn MetricSource>>>,
 }
 
@@ -167,6 +170,7 @@ impl Telemetry {
             ring: EventRing::new(ring_capacity),
             spans: SpanStore::new(spans),
             next_trace: AtomicU64::new(1),
+            scrapes: Counter::new(),
             sources: RwLock::new(Vec::new()),
         }
     }
@@ -180,6 +184,7 @@ impl Telemetry {
             ring: EventRing::new(0),
             spans: SpanStore::new(SpanConfig::disabled()),
             next_trace: AtomicU64::new(1),
+            scrapes: Counter::new(),
             sources: RwLock::new(Vec::new()),
         }
     }
@@ -277,9 +282,54 @@ impl Telemetry {
         });
     }
 
+    /// The hub's own health under the `obs.` prefix: scrape count, ring
+    /// saturation and span-sampler activity.
+    fn own_metrics(&self) -> [(&'static str, MetricValue); 6] {
+        [
+            ("scrapes", MetricValue::Counter(self.scrapes.get())),
+            ("events_dropped", MetricValue::Counter(self.ring.dropped())),
+            (
+                "traces_finished",
+                MetricValue::Counter(self.spans.traces_finished()),
+            ),
+            (
+                "traces_tail_sampled",
+                MetricValue::Counter(self.spans.tail_sampled()),
+            ),
+            (
+                "traces_head_sampled",
+                MetricValue::Counter(self.spans.head_sampled()),
+            ),
+            (
+                "spans_truncated",
+                MetricValue::Counter(self.spans.spans_truncated()),
+            ),
+        ]
+    }
+
+    /// Read one metric by its full `"{source}.{metric}"` key without taking
+    /// a scrape: only the named source is collected — no key map, no copy of
+    /// the event ring or the retained span trees. The value equals what
+    /// [`Telemetry::snapshot`] would report under the same key at the same
+    /// instant. This is the read admission control takes per request.
+    pub fn metric(&self, key: &str) -> Option<MetricValue> {
+        let (prefix, name) = key.split_once('.')?;
+        let values = if prefix == "obs" {
+            self.own_metrics().to_vec()
+        } else {
+            let sources = self.sources.read().unwrap();
+            sources
+                .iter()
+                .find(|s| s.source_name() == prefix)?
+                .collect()
+        };
+        values.into_iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
     /// Scrape all sources and the event ring into a snapshot. Runs
     /// concurrently with writers; no quiescing.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.scrapes.inc();
         let mut metrics = BTreeMap::new();
         for source in self.sources.read().unwrap().iter() {
             let prefix = source.source_name();
@@ -287,27 +337,9 @@ impl Telemetry {
                 metrics.insert(format!("{prefix}.{name}"), value);
             }
         }
-        // The hub's own health: ring saturation and span-sampler activity.
-        metrics.insert(
-            "obs.events_dropped".to_string(),
-            MetricValue::Counter(self.ring.dropped()),
-        );
-        metrics.insert(
-            "obs.traces_finished".to_string(),
-            MetricValue::Counter(self.spans.traces_finished()),
-        );
-        metrics.insert(
-            "obs.traces_tail_sampled".to_string(),
-            MetricValue::Counter(self.spans.tail_sampled()),
-        );
-        metrics.insert(
-            "obs.traces_head_sampled".to_string(),
-            MetricValue::Counter(self.spans.head_sampled()),
-        );
-        metrics.insert(
-            "obs.spans_truncated".to_string(),
-            MetricValue::Counter(self.spans.spans_truncated()),
-        );
+        for (name, value) in self.own_metrics() {
+            metrics.insert(format!("obs.{name}"), value);
+        }
         MetricsSnapshot {
             metrics,
             events: self.ring.snapshot(),
@@ -369,6 +401,28 @@ mod tests {
             1
         );
         assert_eq!(snap.scalar("obs.events_dropped"), Some(0));
+    }
+
+    #[test]
+    fn metric_reads_one_key_without_scraping() {
+        let hub = Telemetry::new(64, 1);
+        let src = Arc::new(FakeSource {
+            hits: Counter::new(),
+        });
+        hub.register(src.clone());
+        src.hits.add(7);
+        assert_eq!(hub.metric("fake.hits"), Some(MetricValue::Counter(7)));
+        assert_eq!(hub.metric("fake.misses"), None);
+        assert_eq!(hub.metric("nosuch.hits"), None);
+        assert_eq!(hub.metric("nodot"), None);
+        // Narrow reads are not scrapes; snapshots are, and both readers
+        // agree on every key.
+        assert_eq!(hub.metric("obs.scrapes"), Some(MetricValue::Counter(0)));
+        let snap = hub.snapshot();
+        assert_eq!(hub.metric("obs.scrapes"), Some(MetricValue::Counter(1)));
+        for (key, value) in &snap.metrics {
+            assert_eq!(hub.metric(key).as_ref(), Some(value), "{key}");
+        }
     }
 
     #[test]

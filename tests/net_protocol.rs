@@ -120,7 +120,8 @@ fn read_response(stream: &mut TcpStream) -> Vec<u8> {
 #[test]
 fn other_protocol_versions_are_refused_with_a_typed_error() {
     let (server, _catalog, _object) = serve_scenario(2_000, ServerConfig::with_workers(1));
-    for version in [2, frame::PROTOCOL_VERSION + 1] {
+    let refused = [2, frame::PROTOCOL_VERSION - 1, frame::PROTOCOL_VERSION + 1];
+    for version in refused {
         let (mut stream, answer) = raw_hello(&server, version);
         match decode_response(&answer).unwrap() {
             Response::Error(reason) => assert!(
@@ -134,7 +135,7 @@ fn other_protocol_versions_are_refused_with_a_typed_error() {
         assert!(matches!(outcome, frame::ReadOutcome::Eof), "{outcome:?}");
     }
     let snap = server.metrics_snapshot();
-    assert_eq!(snap.scalar("net.frame_errors"), Some(2));
+    assert_eq!(snap.scalar("net.frame_errors"), Some(refused.len() as u64));
     // A current client is served as usual afterwards.
     let client = TcpClient::new(server.local_addr().to_string());
     client.open_session().unwrap().close().unwrap();
@@ -290,6 +291,40 @@ fn tiny_thresholds_shed_explicitly() {
 
     server.shutdown();
     traffic_server.shutdown();
+}
+
+/// Admission reads its signals from the live instruments by key: serving
+/// opens and traces never takes a `metrics_snapshot()` scrape, whether no
+/// threshold is configured (nothing is read) or one is (one source is read).
+#[test]
+fn admission_takes_no_scrape_per_request() {
+    for shed in [
+        ShedConfig::default(),
+        ShedConfig {
+            max_touch_p99_nanos: Some(u64::MAX),
+            ..ShedConfig::default()
+        },
+    ] {
+        let (server, catalog, object) =
+            serve_scenario(5_000, ServerConfig::with_workers(2).with_shed(shed));
+        // `metric` is itself scrape-free, so the counter can be watched
+        // without moving it.
+        let scrapes = || catalog.telemetry().metric("obs.scrapes");
+        let before = scrapes();
+        assert!(before.is_some());
+
+        let client = TcpClient::new(server.local_addr().to_string());
+        let plans = plan_explorers(&catalog, object, 3, 4, 99).unwrap();
+        let reports = drive_plans_over(&client, object, &plans).unwrap();
+        assert_eq!(reports.iter().map(|r| r.traces_run()).sum::<usize>(), 12);
+        assert_eq!(scrapes(), before);
+
+        // A scrape moves it — by exactly one.
+        let snap = server.metrics_snapshot();
+        assert_eq!(snap.scalar("net.shed"), Some(0));
+        assert_ne!(scrapes(), before);
+        server.shutdown();
+    }
 }
 
 #[test]
