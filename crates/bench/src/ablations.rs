@@ -5,8 +5,8 @@
 //! prefetching, caching, non-blocking joins, incremental layout rotation, a
 //! per-touch response budget). Each function here isolates one of those
 //! mechanisms and measures the quantity it is supposed to improve, with the
-//! mechanism switched on and off. DESIGN.md maps these to experiment ids
-//! A1–A6.
+//! mechanism switched on and off. The README's "Paper experiment harnesses"
+//! section maps the experiment ids A1–A6 to their paper sections.
 
 use dbtouch_core::kernel::{Kernel, TouchAction};
 use dbtouch_core::operators::aggregate::AggregateKind;

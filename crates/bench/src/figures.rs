@@ -15,9 +15,10 @@
 //!   entries returned, which grows with the object size.
 //!
 //! We do not try to match the absolute counts of the 2012 iPad 1 (its touch
-//! delivery rate while doing work was far below 60 Hz); EXPERIMENTS.md records
-//! both a 60 Hz run and a 15 Hz run, and the *shape* (roughly linear growth) is
-//! the reproduction target.
+//! delivery rate while doing work was far below 60 Hz); the README's "Paper
+//! experiment harnesses" section gives the commands for both a 60 Hz run and a
+//! 15 Hz run, and the *shape* (roughly linear growth) is the reproduction
+//! target.
 
 use dbtouch_core::kernel::{Kernel, TouchAction};
 use dbtouch_core::operators::aggregate::AggregateKind;
@@ -93,7 +94,9 @@ pub struct Figure4Report {
     pub points: Vec<Figure4Point>,
 }
 
-fn build_kernel(config: &FigureConfig) -> Result<(Kernel, dbtouch_core::kernel::ObjectId)> {
+pub(crate) fn build_kernel(
+    config: &FigureConfig,
+) -> Result<(Kernel, dbtouch_core::kernel::ObjectId)> {
     let kernel_config = KernelConfig::figure4()
         .with_touch_sample_rate(config.touch_rate_hz)
         .with_summary_half_window(config.summary_half_window);

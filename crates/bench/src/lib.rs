@@ -1,46 +1,28 @@
 //! # dbtouch-bench
 //!
-//! The experiment harness: code that regenerates every figure of the paper's
-//! evaluation (Section 3), the Appendix A exploration contest, and the ablation
-//! studies for the design choices called out in DESIGN.md.
+//! The experiments `touch_budget` (the repo's benchmark, in `touch_budget/`)
+//! cannot state, behind one `dbtouch-bench <subcommand>` binary:
 //!
-//! Each experiment is a plain function returning a serializable report, so it
-//! can be driven three ways:
+//! * the paper's own evaluation — Figure 4(a)/(b), the Appendix A
+//!   exploration contest, the ablations A1–A6 of the mechanisms Sections
+//!   2.6–2.9 and 4 argue for, and the two parameter sweeps (the README's
+//!   "Paper experiment harnesses" section maps each to its paper section);
+//! * verdicts that need something a `touch_budget` workload does not have:
+//!   an observer switched off ([`overhead`]), a simulated WAN
+//!   ([`remote_overlap`]), a second process (the `wire-two-process` and
+//!   `persistence` subcommands in `src/main.rs`).
 //!
-//! * the `fig4a`, `fig4b`, `contest` and `ablations` binaries print the same
-//!   rows/series the paper reports (see EXPERIMENTS.md),
-//! * the Criterion benches in `benches/` measure the underlying per-touch and
-//!   per-query costs,
-//! * the integration tests run reduced-scale versions to keep CI fast.
+//! Serving-path numbers — throughput, latency, cache, pager, morsel and
+//! encoding counters — come from `touch_budget` and nowhere else. Each
+//! experiment here is a plain function returning a report; `src/main.rs`
+//! prints it and ends with the `{correct, attempted, failed, metrics}` line
+//! of [`report::Verdict`], and `tests/figure_shapes.rs` at the repo root
+//! asserts the paper's shapes on the same functions at reduced scale.
 
 pub mod ablations;
-pub mod cache_effectiveness;
-pub mod catalog_churn;
-pub mod cold_start;
-pub mod compression;
-pub mod concurrency;
 pub mod contest;
 pub mod figures;
-pub mod net_throughput;
+pub mod overhead;
 pub mod remote_overlap;
 pub mod report;
-pub mod segment_scan;
 pub mod sweeps;
-pub mod telemetry_overhead;
-pub mod trace_overhead;
-
-pub use cache_effectiveness::{
-    run_cache_effectiveness_sweep, CacheEffectivenessPoint, CacheEffectivenessReport,
-};
-pub use catalog_churn::{run_catalog_churn_sweep, CatalogChurnPoint, CatalogChurnReport};
-pub use cold_start::{run_cold_start_sweep, ColdStartPoint, ColdStartReport};
-pub use compression::{run_compression_sweep, CompressionPoint, CompressionReport};
-pub use concurrency::{run_concurrency_sweep, ConcurrencyPoint, ConcurrencyReport};
-pub use contest::{run_contest, ContestReport};
-pub use figures::{run_figure4a, run_figure4b, Figure4Point, Figure4Report, FigureConfig};
-pub use net_throughput::{run_net_throughput_sweep, NetThroughputPoint, NetThroughputReport};
-pub use remote_overlap::{run_remote_overlap_sweep, RemoteOverlapPoint, RemoteOverlapReport};
-pub use segment_scan::{run_segment_scan_sweep, SegmentScanPoint, SegmentScanReport};
-pub use sweeps::{sweep_summary_window, sweep_touch_rate, SweepPoint, SweepReport};
-pub use telemetry_overhead::{run_telemetry_overhead, TelemetryOverheadReport};
-pub use trace_overhead::{run_trace_overhead, TraceOverheadReport};

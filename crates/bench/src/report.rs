@@ -1,25 +1,58 @@
-//! Small plain-text table rendering for experiment reports, plus the
-//! `BENCH_<name>.json` emitter CI uploads as per-PR artifacts.
+//! What every `dbtouch-bench` subcommand prints: aligned plain-text tables
+//! for people, and one machine-readable result line — the same
+//! `{correct, attempted, failed, metrics}` shape `touch_budget` ends with.
 
-use dbtouch_types::json::Json;
-use std::path::PathBuf;
+/// The verdict of one subcommand run: how many checks it made (digest
+/// comparisons, shape checks, gates), how many failed, and the numbers it
+/// measured, each with a name and a unit.
+#[derive(Debug, Clone, Default)]
+pub struct Verdict {
+    /// Checks made.
+    pub attempted: u64,
+    /// Checks that did not hold.
+    pub failed: u64,
+    /// `(name, value, unit)` of every reported number, in print order.
+    pub metrics: Vec<(String, f64, &'static str)>,
+}
 
-/// Build a JSON object from `(key, value)` pairs; see
-/// [`dbtouch_types::json::object`].
-pub use dbtouch_types::json::object as json_object;
+impl Verdict {
+    /// Record one check.
+    pub fn check(&mut self, held: bool) {
+        self.attempted += 1;
+        self.failed += u64::from(!held);
+    }
 
-/// Write a benchmark's machine-readable output as `BENCH_<name>.json` into
-/// `$DBTOUCH_BENCH_OUT` (or the working directory), returning the path. CI
-/// uploads these files as artifacts so benchmark trajectories are collected
-/// per PR.
-pub fn write_bench_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let dir = std::env::var_os("DBTOUCH_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.pretty())?;
-    Ok(path)
+    /// Record one measured number.
+    pub fn metric(&mut self, name: impl Into<String>, value: f64, unit: &'static str) {
+        self.metrics.push((name.into(), value, unit));
+    }
+
+    /// True when at least one check ran and none failed.
+    pub fn correct(&self) -> bool {
+        self.failed == 0 && self.attempted > 0
+    }
+
+    /// The result line (one line of JSON, the last thing a subcommand writes
+    /// to stdout).
+    pub fn line(&self) -> String {
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(name, value, unit)| {
+                // JSON has no NaN or infinity; a metric without a finite
+                // value is a harness bug worth a loud number.
+                let value = if value.is_finite() { *value } else { f64::MAX };
+                format!("\"{name}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")
+            })
+            .collect();
+        format!(
+            "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
+            self.correct(),
+            self.attempted,
+            self.failed,
+            metrics.join(", ")
+        )
+    }
 }
 
 /// Render an aligned plain-text table with a header row.
@@ -81,6 +114,7 @@ pub fn fmt_count(v: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtouch_types::json::Json;
 
     #[test]
     fn table_alignment() {
@@ -104,6 +138,28 @@ mod tests {
         assert_eq!(fmt_count(999), "999");
         assert_eq!(fmt_count(1_000), "1,000");
         assert_eq!(fmt_count(10_000_000), "10,000,000");
+    }
+
+    #[test]
+    fn verdict_line_is_one_json_object_with_the_four_keys() {
+        let mut verdict = Verdict::default();
+        assert!(!verdict.correct(), "no check ran, so nothing is proven");
+        verdict.check(true);
+        assert!(verdict.correct());
+        verdict.check(false);
+        verdict.metric("speedup[4]", 2.5, "x");
+        verdict.metric("unmeasured", f64::NAN, "us");
+        let line = verdict.line();
+        assert_eq!(line.lines().count(), 1);
+        let doc = dbtouch_types::json::parse(&line).unwrap();
+        assert_eq!(doc.get("correct"), Some(&Json::Bool(false)));
+        assert_eq!(doc.get("attempted").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("failed").and_then(Json::as_u64), Some(1));
+        let metrics = doc.get("metrics").unwrap();
+        let speedup = metrics.get("speedup[4]").unwrap();
+        assert_eq!(speedup.get("value").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(speedup.get("unit").and_then(Json::as_str), Some("x"));
+        assert!(metrics.get("unmeasured").is_some());
     }
 
     #[test]

@@ -12,11 +12,9 @@
 //!   grow roughly linearly with the rate until the touch-resolution limit of
 //!   the object is reached.
 
-use crate::figures::FigureConfig;
-use dbtouch_core::kernel::{Kernel, TouchAction};
-use dbtouch_core::operators::aggregate::AggregateKind;
+use crate::figures::{build_kernel, FigureConfig};
 use dbtouch_gesture::synthesizer::GestureSynthesizer;
-use dbtouch_types::{KernelConfig, Result, SizeCm};
+use dbtouch_types::Result;
 use serde::{Deserialize, Serialize};
 
 /// One point of a parameter sweep.
@@ -49,16 +47,12 @@ fn run_slide(
     half_window: u64,
     slide_seconds: f64,
 ) -> Result<SweepPoint> {
-    let config = KernelConfig::figure4().with_touch_sample_rate(touch_rate_hz);
-    let mut kernel = Kernel::new(config);
-    let id = kernel.load_column("sweep", (0..rows as i64).collect(), SizeCm::new(2.0, 10.0))?;
-    kernel.set_action(
-        id,
-        TouchAction::Summary {
-            half_window: Some(half_window),
-            kind: AggregateKind::Avg,
-        },
-    )?;
+    let (mut kernel, id) = build_kernel(&FigureConfig {
+        rows,
+        touch_rate_hz,
+        summary_half_window: half_window,
+        ..FigureConfig::default()
+    })?;
     let view = kernel.view(id)?;
     let trace = GestureSynthesizer::new(touch_rate_hz).slide_down(&view, slide_seconds);
     let outcome = kernel.run_trace(id, &trace)?;
@@ -145,12 +139,6 @@ pub fn render_sweep(report: &SweepReport) -> String {
     )
 }
 
-/// Keep `FigureConfig` in the module's public API surface so sweep users can
-/// reuse the figure defaults when picking data sizes.
-pub fn default_rows() -> u64 {
-    FigureConfig::default().rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +166,5 @@ mod tests {
         let text = render_sweep(&report);
         assert!(text.contains("half-window k"));
         assert_eq!(text.lines().count(), 5);
-    }
-
-    #[test]
-    fn default_rows_matches_figure_config() {
-        assert_eq!(default_rows(), 10_000_000);
     }
 }

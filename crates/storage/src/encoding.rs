@@ -639,6 +639,12 @@ mod tests {
         assert!(
             pack_row_bytes(&i64_bytes(&unique), 8, 29, 232, &EncodingPolicy::default()).is_none()
         );
+        // A noisy high-cardinality reading (what `cold_raw_sweep` stores) is
+        // declined as well: it is persisted byte-identical to the raw column.
+        let noisy: Vec<i64> = (0..5000i64).map(|i| i * 2654435761 % 100_003).collect();
+        assert!(
+            pack_row_bytes(&i64_bytes(&noisy), 8, 29, 232, &EncodingPolicy::default()).is_none()
+        );
         // A column that already fits one page is never packed.
         let tiny = i64_bytes(&[1i64; 20]);
         assert!(pack_row_bytes(&tiny, 8, 29, 232, &EncodingPolicy::default()).is_none());

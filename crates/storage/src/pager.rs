@@ -961,6 +961,12 @@ mod tests {
         assert_reads_match(&raw, &packed, 4000);
         assert!(packed.pager.encoding_stats().rle_pages() > 0);
         assert!(packed.pager.encoding_stats().bytes_saved() > 0);
+        // A debounced six-level reading (constant runs of uneven length, the
+        // shape `banded_sweep` stores) packs to at most half the raw pages
+        // too — `packed_pair` asserts the 2x — and reads back identically.
+        let banded: Vec<i64> = (0..4000i64).map(|i| (i / 37 + i / 211) % 6).collect();
+        let (raw, packed) = packed_pair("packed-band", DataType::Int64, 4000, &i64_bytes(&banded));
+        assert_reads_match(&raw, &packed, 4000);
     }
 
     #[test]

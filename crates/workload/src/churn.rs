@@ -12,8 +12,9 @@
 //! Because the churn table is disjoint from the explored object, the
 //! explorers' results must be bit-identical to a churn-free sequential
 //! replay: restructures move the catalog epoch, never other sessions'
-//! answers. The `catalog_churn` bench in `dbtouch-bench` measures what the
-//! churn *does* cost (checkout and touch latency) across mutator counts.
+//! answers. The `mixed_restructure` workload of `touch_budget` measures what
+//! the churn *does* cost (`core.catalog.checkout_ns`,
+//! `core.catalog.restructure_us_p50`, `gesture_p50_us`).
 
 use crate::concurrent::{drive_plans, ConcurrentRunReport, ExplorerPlan};
 use crate::scenarios::Scenario;
@@ -216,6 +217,12 @@ mod tests {
         assert_eq!(outcome.run.total_restructures_seen(), 0);
         let sequential = run_sequential(&catalog, signal, &plans).unwrap();
         assert_eq!(outcome.run.digests(), sequential);
+        // With no mutator nothing publishes: same digests, epoch unmoved.
+        let quiet = ServerConfig::with_workers(2);
+        let still = run_concurrent_with_churn(&catalog, signal, &plans, quiet, churn, 0).unwrap();
+        assert_eq!(still.restructures, 0);
+        assert_eq!(still.final_epoch, still.first_epoch);
+        assert_eq!(still.run.digests(), sequential);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Seeded synthetic data generators.
 //!
-//! All generators are deterministic given a seed so that every experiment in
-//! EXPERIMENTS.md can be regenerated exactly.
+//! All generators are deterministic given a seed so that every experiment
+//! listed under the README's "Paper experiment harnesses" can be regenerated
+//! exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
