@@ -4,7 +4,7 @@
 //! determine how many tuples one touch should cover ("the slide speed
 //! determines the granularity of the data observed"), and the kernel should
 //! "depending on the object size and gesture speed feed from the proper copy
-//! [sample], minimizing the auxiliary data reads".
+//! \[sample\], minimizing the auxiliary data reads".
 //!
 //! [`GranularityPolicy`] turns the observable quantities — object size, tuple
 //! count, touch resolution, current gesture speed and sampling rate — into a

@@ -223,6 +223,7 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 let drops = Arc::clone(&drops);
                 std::thread::spawn(move || {
+                    let mut rejected = 0;
                     for _ in 0..PUBLISHES {
                         loop {
                             let current = cell.load();
@@ -233,8 +234,10 @@ mod tests {
                             if cell.publish_if_current(&current, next) {
                                 break;
                             }
+                            rejected += 1;
                         }
                     }
+                    rejected
                 })
             })
             .collect();
@@ -253,9 +256,7 @@ mod tests {
                 })
             })
             .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
+        let rejected: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
         for r in readers {
             r.join().unwrap();
         }
@@ -263,8 +264,9 @@ mod tests {
         // every successful publish.
         assert_eq!(cell.load().value as usize, WRITERS * PUBLISHES);
         drop(cell);
-        // One initial snapshot + one per publish, all reclaimed.
-        assert_eq!(drops.load(SeqCst), WRITERS * PUBLISHES + 1);
+        // One initial snapshot, one per publish and one per rejected
+        // attempt (dropped on the spot), all reclaimed.
+        assert_eq!(drops.load(SeqCst), WRITERS * PUBLISHES + 1 + rejected);
     }
 
     #[test]

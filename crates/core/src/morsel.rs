@@ -6,9 +6,9 @@
 //! [`Segment`]s (fixed-row partitions at absolute boundaries, see
 //! [`dbtouch_storage::segment`]), the segments become *morsels* on a shared
 //! work queue, and a small pool of scan helpers — sized by
-//! [`KernelConfig::scan_parallelism`] — steals them while the submitting
-//! session claims morsels of its own batch, so progress never depends on a
-//! helper being free.
+//! [`KernelConfig::scan_parallelism`](dbtouch_types::KernelConfig::scan_parallelism)
+//! — steals them while the submitting session claims morsels of its own
+//! batch, so progress never depends on a helper being free.
 //!
 //! **Hand-off.** Waking a parked helper costs a futex call and, when the
 //! helper sits on another CPU, an inter-processor interrupt — tens of

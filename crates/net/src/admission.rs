@@ -173,12 +173,14 @@ impl Admission {
         self.admit_trace_with(lookup)
     }
 
-    /// [`Admission::admit_open_with`] over a scrape already in hand.
+    /// The session-open decision (live-session cap, then the pressure
+    /// checks) over a scrape already in hand.
     pub fn admit_open(&self, snapshot: &ServerMetricsSnapshot) -> Verdict {
         self.admit_open_with(|key| snapshot.inner.get(key).cloned())
     }
 
-    /// [`Admission::admit_trace_with`] over a scrape already in hand.
+    /// The trace-submission decision (the pressure checks) over a scrape
+    /// already in hand.
     pub fn admit_trace(&self, snapshot: &ServerMetricsSnapshot) -> Verdict {
         self.admit_trace_with(|key| snapshot.inner.get(key).cloned())
     }

@@ -8,19 +8,22 @@
 //! connection, so the session's ordering and backpressure guarantees map
 //! one-to-one onto the TCP stream.
 //!
-//! Load shedding surfaces as [`DbTouchError::Overloaded`] with the server's
-//! suggested backoff; a graceful server drain surfaces as
-//! [`DbTouchError::Remote`], with the final session report (delivered in
-//! the server's `GoAway`) retrievable via [`TcpSession::take_goaway_report`]
-//! so no completed work is lost.
+//! Every answer passes through one translation of the refusals: load
+//! shedding surfaces as [`DbTouchError::Overloaded`] with the server's
+//! suggested backoff, an `Error` frame as [`DbTouchError::Remote`], and a
+//! graceful server drain as [`DbTouchError::Remote`], with the final session
+//! report (delivered in the server's `GoAway`) retrievable via
+//! [`TcpSession::take_goaway_report`] so no completed work is lost.
 //!
 //! [`ExplorationServer`]: dbtouch_server::ExplorationServer
 //! [`ExplorationClient`]: dbtouch_server::ExplorationClient
 //! [`ClientSession`]: dbtouch_server::ClientSession
 
 use crate::codec::{decode_response, encode_request, Request, Response};
-use crate::frame::{read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN};
-use crate::server::client_handshake;
+use crate::frame::{
+    read_frame, tag, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
+};
+use crate::server::{check_hello, hello_frame};
 use dbtouch_core::kernel::{ObjectId, TouchAction};
 use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_obs::{WireTraceContext, CLIENT_ID_BIT};
@@ -83,29 +86,30 @@ impl TcpClient {
         let mut stream = TcpStream::connect(&self.addr)
             .map_err(|e| DbTouchError::Io(format!("connect {}: {e}", self.addr)))?;
         let _ = stream.set_nodelay(true);
-        client_handshake(&mut stream)?;
+        handshake(&mut stream)?;
         Ok(stream)
+    }
+
+    /// Dial a connection for one request and return its answer.
+    fn one_shot(&self, req: &Request) -> Result<Response> {
+        answer(request(&mut self.dial()?, req)?, &mut None)
     }
 
     /// Fetch the server's retained span trees as Chrome trace-event JSON
     /// (loadable in Perfetto / `chrome://tracing`).
     pub fn dump_traces(&self) -> Result<Json> {
-        let mut stream = self.dial()?;
-        match request(&mut stream, &Request::DumpTraces)? {
+        match self.one_shot(&Request::DumpTraces)? {
             Response::TracesJson(text) => {
                 json::parse(&text).map_err(|e| DbTouchError::Remote(format!("bad trace JSON: {e}")))
             }
-            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
             other => Err(unexpected("TracesJson", &other)),
         }
     }
 
     /// Fetch the metrics snapshot in Prometheus-style text exposition.
     pub fn metrics_text(&self) -> Result<String> {
-        let mut stream = self.dial()?;
-        match request(&mut stream, &Request::MetricsText)? {
+        match self.one_shot(&Request::MetricsText)? {
             Response::MetricsText(text) => Ok(text),
-            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
             other => Err(unexpected("MetricsText", &other)),
         }
     }
@@ -122,13 +126,11 @@ pub struct TcpSession {
     goaway_report: Option<SessionReport>,
 }
 
-/// Send one request and read its response.
-fn request(stream: &mut TcpStream, req: &Request) -> Result<Response> {
-    write_frame(stream, &encode_request(req))
-        .map_err(|e| DbTouchError::Io(format!("send: {e}")))?;
+/// Read the next frame payload of at most `max_len` bytes.
+fn receive(stream: &mut TcpStream, max_len: usize) -> Result<Vec<u8>> {
     loop {
-        match read_frame(stream, MAX_FRAME_LEN) {
-            Ok((ReadOutcome::Frame(p), _)) => return decode_response(&p),
+        match read_frame(stream, max_len) {
+            Ok((ReadOutcome::Frame(p), _)) => return Ok(p),
             Ok((ReadOutcome::Eof, _)) => {
                 return Err(DbTouchError::Io("connection closed by server".into()))
             }
@@ -140,28 +142,58 @@ fn request(stream: &mut TcpStream, req: &Request) -> Result<Response> {
     }
 }
 
-impl TcpSession {
-    /// Dispatch one request, translating the error-ish responses: `Shed` →
-    /// [`DbTouchError::Overloaded`], `Error` → [`DbTouchError::Remote`],
-    /// `GoAway` → [`DbTouchError::Remote`] with the final report stashed.
-    fn call(&mut self, req: &Request) -> Result<Response> {
-        match request(&mut self.stream, req)? {
-            Response::Shed {
-                retry_after_ms,
-                reason,
-            } => Err(DbTouchError::Overloaded {
-                retry_after_ms,
-                reason,
-            }),
-            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
-            Response::GoAway(report) => {
-                self.goaway_report = report;
-                Err(DbTouchError::Remote(
-                    "server is draining; final report delivered via GoAway".into(),
-                ))
-            }
-            other => Ok(other),
+/// Send one request and read its response.
+fn request(stream: &mut TcpStream, req: &Request) -> Result<Response> {
+    write_frame(stream, &encode_request(req))
+        .map_err(|e| DbTouchError::Io(format!("send: {e}")))?;
+    decode_response(&receive(stream, MAX_FRAME_LEN)?)
+}
+
+/// Offer [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) on a fresh stream and
+/// require the server to ack the same. Any other frame is a response, and a
+/// refusal (`Shed` before the session, `GoAway` during a drain) is its error.
+fn handshake(stream: &mut TcpStream) -> Result<()> {
+    write_frame(stream, &hello_frame(tag::HELLO))
+        .map_err(|e| DbTouchError::Io(format!("handshake send: {e}")))?;
+    let reply = receive(stream, MAX_HANDSHAKE_LEN)?;
+    if reply.first() == Some(&tag::HELLO_ACK) {
+        return check_hello(&reply[1..]).map_err(DbTouchError::Remote);
+    }
+    let other = answer(decode_response(&reply)?, &mut None)?;
+    Err(unexpected("HelloAck", &other))
+}
+
+/// The one translation of the refusals: `Shed` →
+/// [`DbTouchError::Overloaded`], `Error` → [`DbTouchError::Remote`], `GoAway`
+/// → [`DbTouchError::Remote`] with its final report (if any) moved into
+/// `goaway`. Every other response is the answer.
+fn answer(resp: Response, goaway: &mut Option<SessionReport>) -> Result<Response> {
+    match resp {
+        Response::Shed {
+            retry_after_ms,
+            reason,
+        } => Err(DbTouchError::Overloaded {
+            retry_after_ms,
+            reason,
+        }),
+        Response::Error(msg) => Err(DbTouchError::Remote(msg)),
+        Response::GoAway(report) => {
+            *goaway = report;
+            Err(DbTouchError::Remote("server is draining".into()))
         }
+        other => Ok(other),
+    }
+}
+
+fn unexpected(wanted: &str, got: &Response) -> DbTouchError {
+    DbTouchError::Remote(format!("expected {wanted} response, got {}", got.name()))
+}
+
+impl TcpSession {
+    /// Dispatch one request on the session's connection; a `GoAway`'s final
+    /// report is kept for [`TcpSession::take_goaway_report`].
+    fn call(&mut self, req: &Request) -> Result<Response> {
+        answer(request(&mut self.stream, req)?, &mut self.goaway_report)
     }
 
     /// The final [`SessionReport`] a draining server delivered in its
@@ -226,52 +258,26 @@ impl ClientSession for TcpSession {
     }
 }
 
-fn unexpected(wanted: &str, got: &Response) -> DbTouchError {
-    let got = match got {
-        Response::SessionOpened(_) => "SessionOpened",
-        Response::Ack => "Ack",
-        Response::Report(_) => "Report",
-        Response::MetricsJson(_) => "MetricsJson",
-        Response::MetricsText(_) => "MetricsText",
-        Response::TracesJson(_) => "TracesJson",
-        Response::Error(_) => "Error",
-        Response::Shed { .. } => "Shed",
-        Response::GoAway(_) => "GoAway",
-    };
-    DbTouchError::Remote(format!("expected {wanted} response, got {got}"))
-}
-
 impl ExplorationClient for TcpClient {
     type Session = TcpSession;
 
     fn open_session(&self) -> Result<TcpSession> {
         let mut stream = self.dial()?;
-        match request(&mut stream, &Request::OpenSession)? {
+        match answer(request(&mut stream, &Request::OpenSession)?, &mut None)? {
             Response::SessionOpened(id) => Ok(TcpSession {
                 stream,
                 id,
                 stamped_traces: Vec::new(),
                 goaway_report: None,
             }),
-            Response::Shed {
-                retry_after_ms,
-                reason,
-            } => Err(DbTouchError::Overloaded {
-                retry_after_ms,
-                reason,
-            }),
-            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
-            Response::GoAway(_) => Err(DbTouchError::Remote("server is draining".into())),
             other => Err(unexpected("SessionOpened", &other)),
         }
     }
 
     fn metrics_json(&self) -> Result<Json> {
-        let mut stream = self.dial()?;
-        match request(&mut stream, &Request::Metrics)? {
+        match self.one_shot(&Request::Metrics)? {
             Response::MetricsJson(text) => json::parse(&text)
                 .map_err(|e| DbTouchError::Remote(format!("bad metrics JSON: {e}"))),
-            Response::Error(msg) => Err(DbTouchError::Remote(msg)),
             other => Err(unexpected("MetricsJson", &other)),
         }
     }

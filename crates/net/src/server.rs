@@ -6,7 +6,7 @@
 //! listens on `config.listen_addr`:
 //!
 //! * the **acceptor** thread accepts sockets and pushes them into a bounded
-//!   queue of [`ACCEPT_BACKLOG`] entries — an accept burst beyond the
+//!   queue of `ACCEPT_BACKLOG` entries — an accept burst beyond the
 //!   queue (or beyond `config.max_connections` live connections) receives an
 //!   explicit `Shed` frame and is closed, counted in `net.shed`;
 //! * the **dispatcher** thread drains the queue and spawns one handler
@@ -34,7 +34,7 @@
 use crate::admission::{Admission, ShedReason, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::{
-    read_frame, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
+    read_frame, tag, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
     PROTOCOL_NAME, PROTOCOL_VERSION,
 };
 use crate::metrics::NetInstruments;
@@ -65,13 +65,15 @@ const ACCEPT_BACKLOG: usize = 64;
 /// (flush traces, deliver final reports) before giving up on the stragglers.
 const DRAIN_TIMEOUT: Duration = Duration::from_millis(5_000);
 
-/// The JSON handshake payload both sides send: protocol name and version.
-fn hello_json() -> String {
-    json::object([
+/// The handshake frame both sides send, `HELLO` or `HELLO_ACK` by `frame_tag`:
+/// the tag byte, then JSON naming the protocol and its version.
+pub(crate) fn hello_frame(frame_tag: u8) -> Vec<u8> {
+    let hello = json::object([
         ("proto", Json::String(PROTOCOL_NAME.into())),
         ("version", Json::Number(PROTOCOL_VERSION as f64)),
     ])
-    .pretty()
+    .pretty();
+    [&[frame_tag], hello.as_bytes()].concat()
 }
 
 /// Validate a received handshake payload (JSON text after the tag byte):
@@ -214,7 +216,7 @@ impl NetServer {
     /// Graceful drain: stop accepting, let every connection flush its
     /// in-flight traces and receive its final report via `GoAway`, then shut
     /// the inner exploration server down. Connections that have not finished
-    /// within [`DRAIN_TIMEOUT`] are abandoned (their handler threads
+    /// within `DRAIN_TIMEOUT` are abandoned (their handler threads
     /// die with the process).
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
@@ -365,7 +367,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             }
         }
     };
-    if hello.first() != Some(&crate::frame::tag::HELLO) {
+    if hello.first() != Some(&tag::HELLO) {
         shared.instruments.frame_errors.inc();
         let _ = send(
             shared,
@@ -379,9 +381,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         let _ = send(shared, &mut stream, &Response::Error(reason));
         return;
     }
-    let mut ack = crate::codec::WireWriter::with_tag(crate::frame::tag::HELLO_ACK);
-    ack.raw(hello_json().as_bytes());
-    match write_frame(&mut stream, &ack.into_bytes()) {
+    match write_frame(&mut stream, &hello_frame(tag::HELLO_ACK)) {
         Ok(n) => shared.instruments.bytes_out.add(n),
         Err(_) => return,
     }
@@ -393,12 +393,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             Ok((ReadOutcome::Frame(payload), n)) => {
                 shared.instruments.bytes_in.add(n);
                 let started = Instant::now();
-                let (resp, close_after) = serve_request(shared, &payload, &mut session);
+                let resp = serve_request(shared, &payload, &mut session);
                 shared
                     .instruments
                     .frame_nanos
                     .record(started.elapsed().as_nanos() as u64);
-                if !send(shared, &mut stream, &resp) || close_after {
+                if !send(shared, &mut stream, &resp) {
                     break;
                 }
             }
@@ -435,23 +435,20 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Serve one decoded request. Returns the response and whether the
-/// connection must close afterwards.
-fn serve_request(
-    shared: &Shared,
-    payload: &[u8],
-    session: &mut Option<SessionHandle>,
-) -> (Response, bool) {
+/// Decode and serve one request frame.
+fn serve_request(shared: &Shared, payload: &[u8], session: &mut Option<SessionHandle>) -> Response {
     let decode_started = Instant::now();
     let request = match decode_request(payload) {
         Ok(r) => r,
         Err(e) => {
             shared.instruments.frame_errors.inc();
-            return (Response::Error(e.to_string()), false);
+            return Response::Error(e.to_string());
         }
     };
     let decode_nanos = decode_started.elapsed().as_nanos() as u64;
-    let resp = match request {
+    let name = request.name();
+    let no_session = || Response::Error(format!("{name} needs an open session"));
+    match request {
         Request::OpenSession => {
             if session.is_some() {
                 Response::Error("a session is already open on this connection".into())
@@ -476,7 +473,7 @@ fn serve_request(
                 Ok(()) => Response::Ack,
                 Err(e) => Response::Error(e.to_string()),
             },
-            None => Response::Error("no session open".into()),
+            None => no_session(),
         },
         Request::RunTrace(object, trace, wire) => match session {
             Some(s) => {
@@ -549,21 +546,21 @@ fn serve_request(
                     }
                 }
             }
-            None => Response::Error("no session open".into()),
+            None => no_session(),
         },
         Request::Snapshot => match session {
             Some(s) => match s.snapshot() {
                 Ok(report) => Response::Report(report),
                 Err(e) => Response::Error(e.to_string()),
             },
-            None => Response::Error("no session open".into()),
+            None => no_session(),
         },
         Request::CloseSession => match session.take() {
             Some(s) => match s.close() {
                 Ok(report) => Response::Report(report),
                 Err(e) => Response::Error(e.to_string()),
             },
-            None => Response::Error("no session open".into()),
+            None => no_session(),
         },
         Request::Metrics => {
             Response::MetricsJson(shared.server.metrics_snapshot().to_json().pretty())
@@ -576,8 +573,7 @@ fn serve_request(
             let retained = shared.telemetry().spans().retained();
             Response::TracesJson(dbtouch_obs::chrome_trace_text(&retained))
         }
-    };
-    (resp, false)
+    }
 }
 
 /// Graceful drain of one connection: close the session (a barrier — every
@@ -612,54 +608,6 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
                 }
             }
             Err(_) => return,
-        }
-    }
-}
-
-/// Client-side handshake over a fresh stream (shared with
-/// [`crate::client::TcpClient`]): offer [`PROTOCOL_VERSION`], require the
-/// server to ack the same.
-pub(crate) fn client_handshake(stream: &mut TcpStream) -> Result<()> {
-    let mut hello = crate::codec::WireWriter::with_tag(crate::frame::tag::HELLO);
-    hello.raw(hello_json().as_bytes());
-    write_frame(stream, &hello.into_bytes())
-        .map_err(|e| DbTouchError::Io(format!("handshake send: {e}")))?;
-    loop {
-        match read_frame(stream, MAX_HANDSHAKE_LEN) {
-            Ok((ReadOutcome::Frame(p), _)) => {
-                return match p.first() {
-                    Some(&crate::frame::tag::HELLO_ACK) => {
-                        check_hello(&p[1..]).map_err(DbTouchError::Remote)
-                    }
-                    Some(&crate::frame::tag::SHED) => match crate::codec::decode_response(&p)? {
-                        Response::Shed {
-                            retry_after_ms,
-                            reason,
-                        } => Err(DbTouchError::Overloaded {
-                            retry_after_ms,
-                            reason,
-                        }),
-                        _ => Err(DbTouchError::Remote("malformed shed frame".into())),
-                    },
-                    Some(&crate::frame::tag::ERROR) => match crate::codec::decode_response(&p)? {
-                        Response::Error(msg) => Err(DbTouchError::Remote(msg)),
-                        _ => Err(DbTouchError::Remote("malformed error frame".into())),
-                    },
-                    Some(&crate::frame::tag::GO_AWAY) => {
-                        Err(DbTouchError::Remote("server is draining".into()))
-                    }
-                    _ => Err(DbTouchError::Remote(
-                        "unexpected frame during handshake".into(),
-                    )),
-                };
-            }
-            Ok((ReadOutcome::Eof, _)) => {
-                return Err(DbTouchError::Io(
-                    "connection closed during handshake".into(),
-                ))
-            }
-            Err(FrameReadError::IdleTimeout) => continue,
-            Err(e) => return Err(DbTouchError::Io(format!("handshake read: {e}"))),
         }
     }
 }

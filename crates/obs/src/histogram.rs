@@ -207,7 +207,7 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// The raw per-bucket counts, indexed by [`bucket_of`]'s scheme (bucket 0
+    /// The raw per-bucket counts, indexed by `bucket_of`'s scheme (bucket 0
     /// holds exact zeros, bucket `i >= 1` holds `[2^(i-1), 2^i - 1]`). The
     /// binary wire codec reads these directly so a histogram round-trips
     /// bit-for-bit; human-facing exposition should prefer

@@ -2,7 +2,7 @@
 //! metrics snapshot [`ExplorationServer::metrics_snapshot`] returns.
 //!
 //! Workers fold a trace's [`SessionStats`] into the shared
-//! [`ServerInstruments`] once per completed trace — not per touch — so the
+//! `ServerInstruments` once per completed trace — not per touch — so the
 //! per-touch hot path stays instrumentation-free and the counters stay
 //! wait-free (striped relaxed atomics, aggregated only on scrape).
 //!

@@ -7,7 +7,7 @@
 //!
 //! * **Fixed-width dense arrays / matrixes** — every attribute is stored with a
 //!   fixed width so that mapping a touch location to a tuple identifier (and the
-//!   identifier to a byte offset) is pure arithmetic. See [`column`] and
+//!   identifier to a byte offset) is pure arithmetic. See [`column`](mod@column) and
 //!   [`matrix`].
 //! * **Row-store, column-store and hybrid layouts** with **incremental
 //!   rotation** between them, driven by the rotate gesture (Section 2.8). See

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The payload is raw fixed-width row data: rows of one column stored
-//! back-to-back in the column's [`DataType`] encoding (the same little-endian
+//! back-to-back in the column's [`DataType`](dbtouch_types::DataType) encoding (the same little-endian
 //! encoding `Value::encode` uses for row-major matrixes). Whole rows never
 //! straddle pages — a page holds `floor(payload_capacity / width)` rows — so
 //! a row read touches exactly one page.

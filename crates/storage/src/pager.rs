@@ -58,8 +58,9 @@ pub struct ColumnExtent {
     /// page-geometry row count.
     pub packed_rows_per_page: Option<u64>,
     /// Actual persisted payload bytes across the extent's pages (for raw
-    /// extents this is simply `rows × width`). What [`Column::byte_size`]
-    /// (`crate::column`) reports for paged columns.
+    /// extents this is simply `rows × width`). What
+    /// [`Column::byte_size`](crate::Column::byte_size) reports for paged
+    /// columns.
     pub payload_bytes: u64,
 }
 
