@@ -8,8 +8,8 @@
 //! ```
 //!
 //! where the payload's first byte is the frame type tag and the checksum is
-//! a 64-bit multiply-and-fold hash taken eight bytes at a time and folded to
-//! 32 bits ([`checksum`]), so a corrupted frame is caught at the transport
+//! the high half of the same 64-bit hash that guards pages and manifests
+//! ([`checksum`]), so a corrupted frame is caught at the transport
 //! boundary instead of surfacing as a digest mismatch three layers up. A
 //! frame leaves in one `write` — header, payload and trailer gathered — so a
 //! `TCP_NODELAY` socket sends it as one segment, not three.
@@ -30,6 +30,7 @@
 //! None of these panic: every byte of the payload is attacker-controlled and
 //! the decoder above this layer is likewise total.
 
+use dbtouch_types::checksum::checksum64;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Protocol name carried in the JSON handshake frame.
@@ -96,36 +97,11 @@ pub mod tag {
     pub const METRICS_TEXT_REPLY: u8 = 0x28;
 }
 
-/// The per-frame checksum: the payload is consumed as little-endian 64-bit
-/// words (the last 1–7 bytes zero-padded into one more), each absorbed with
-/// one multiply and one fold of the high half into the low half; a last
-/// multiply spreads the state and its high half is the result. Every absorb
-/// step is a bijection of the 64-bit state, so payloads of one length that
-/// differ in one word never share a state — only the final halving can
-/// collide. The length seeds the state, so payloads that differ only in
-/// trailing zero bytes differ. Not `storage`'s page checksum: that one is
-/// fixed by the on-disk format.
+/// The per-frame checksum: the high half of the repo's one integrity hash,
+/// [`checksum64`]. Payloads of one length that differ in one word never
+/// share its 64-bit state, so only this halving can collide.
 pub fn checksum(payload: &[u8]) -> u32 {
-    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
-    let absorb = |h: u64, word: u64| {
-        let h = (h ^ word).wrapping_mul(MUL);
-        h ^ (h >> 32)
-    };
-    let mut h = absorb(0xcbf2_9ce4_8422_2325, payload.len() as u64);
-    let mut words = payload.chunks_exact(8);
-    for word in &mut words {
-        h = absorb(
-            h,
-            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
-        );
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        h = absorb(h, u64::from_le_bytes(last));
-    }
-    (h.wrapping_mul(MUL) >> 32) as u32
+    (checksum64(payload) >> 32) as u32
 }
 
 /// A successfully read event from the stream.

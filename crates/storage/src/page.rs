@@ -11,7 +11,7 @@
 //!      0     4  magic "DBTP"
 //!      4     8  page id (little endian) — the page's index in the page file
 //!     12     4  payload length in bytes (little endian)
-//!     16     8  FNV-1a checksum of the payload (little endian)
+//!     16     8  checksum64 of the payload (little endian)
 //! ```
 //!
 //! The payload is raw fixed-width row data: rows of one column stored
@@ -20,10 +20,13 @@
 //! straddle pages — a page holds `floor(payload_capacity / width)` rows — so
 //! a row read touches exactly one page.
 //!
-//! Checksums are verified when a page faults into the buffer pool, turning
-//! torn writes and bit rot into recoverable [`DbTouchError::Corrupt`] errors
-//! instead of silent wrong answers.
+//! Checksums ([`checksum64`], the repo's one integrity hash) are verified
+//! when a page faults into the buffer pool, turning torn writes and bit rot
+//! into recoverable [`DbTouchError::Corrupt`] errors instead of silent wrong
+//! answers. The layout is part of the store format, `MANIFEST_FORMAT` in
+//! [`crate::persist`].
 
+use dbtouch_types::checksum::checksum64;
 use dbtouch_types::{DbTouchError, Result};
 
 /// `"DBTP"`: dbTouch page.
@@ -41,18 +44,6 @@ pub const DEFAULT_PAGE_SIZE: usize = 8192;
 /// (8-byte numerics; wider fixed strings need proportionally larger pages).
 pub const MIN_PAGE_SIZE: usize = PAGE_HEADER_BYTES + 8;
 
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty for torn-write detection
-/// (this is an integrity check against accidents, not an authenticity check
-/// against adversaries).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The header at the start of every on-disk page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageHeader {
@@ -60,7 +51,7 @@ pub struct PageHeader {
     pub page_id: u64,
     /// Number of payload bytes actually used in this page.
     pub payload_len: u32,
-    /// FNV-1a checksum of the used payload bytes.
+    /// [`checksum64`] of the used payload bytes.
     pub checksum: u64,
 }
 
@@ -131,7 +122,7 @@ pub fn encode_page(page_id: u64, payload: &[u8], page_size: usize) -> Result<Vec
     let header = PageHeader {
         page_id,
         payload_len: payload.len() as u32,
-        checksum: checksum(payload),
+        checksum: checksum64(payload),
     };
     let mut image = vec![0u8; page_size];
     image[..PAGE_HEADER_BYTES].copy_from_slice(&header.encode());
@@ -156,7 +147,7 @@ pub fn verify_page(image: &[u8], expected_id: u64, page_size: usize) -> Result<&
         )));
     }
     let payload = &image[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + header.payload_len as usize];
-    if checksum(payload) != header.checksum {
+    if checksum64(payload) != header.checksum {
         return Err(DbTouchError::Corrupt(format!(
             "page {expected_id} payload checksum mismatch"
         )));
@@ -230,12 +221,5 @@ mod tests {
         );
         assert_eq!(rows_per_page(8192, 0), 0);
         assert!(encode_page(0, &vec![0u8; 600], 512).is_err());
-    }
-
-    #[test]
-    fn checksum_is_stable_and_sensitive() {
-        assert_eq!(checksum(b"abc"), checksum(b"abc"));
-        assert_ne!(checksum(b"abc"), checksum(b"abd"));
-        assert_ne!(checksum(b""), checksum(b"\0"));
     }
 }

@@ -30,7 +30,7 @@ use dbtouch_obs::{MetricSource, MetricValue, Telemetry, TraceEventKind};
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -136,7 +136,10 @@ impl Pool {
 pub struct Pager {
     path: PathBuf,
     page_size: usize,
-    file: Mutex<File>,
+    /// Shared by every reader: a fault is one positioned read, no lock.
+    file: File,
+    /// Serializes appends (the id source `len_pages` and the writes).
+    append: Mutex<()>,
     pool: Mutex<Pool>,
     /// Pages currently in the file (committed or not); the id source for
     /// appends.
@@ -190,7 +193,8 @@ impl Pager {
         Ok(Pager {
             path,
             page_size,
-            file: Mutex::new(file),
+            file,
+            append: Mutex::new(()),
             pool: Mutex::new(Pool {
                 capacity: pool_pages.max(1),
                 map: HashMap::new(),
@@ -246,20 +250,24 @@ impl Pager {
         }
     }
 
+    /// Fill `buf` from the start of page `page_id` with one positioned read.
+    fn read_at(&self, page_id: u64, buf: &mut [u8]) -> Result<()> {
+        self.file
+            .read_exact_at(buf, page_id * self.page_size as u64)
+            .map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    DbTouchError::Corrupt(format!(
+                        "page {page_id} lies beyond the end of the page file"
+                    ))
+                } else {
+                    io_err("read page", e)
+                }
+            })
+    }
+
     fn read_image(&self, page_id: u64) -> Result<Vec<u8>> {
         let mut image = vec![0u8; self.page_size];
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(page_id * self.page_size as u64))
-            .map_err(|e| io_err("seek page", e))?;
-        file.read_exact(&mut image).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                DbTouchError::Corrupt(format!(
-                    "page {page_id} lies beyond the end of the page file"
-                ))
-            } else {
-                io_err("read page", e)
-            }
-        })?;
+        self.read_at(page_id, &mut image)?;
         Ok(image)
     }
 
@@ -277,9 +285,14 @@ impl Pager {
         }
         // Fault outside the pool lock so concurrent sessions faulting other
         // pages are not serialized behind this read. Two sessions faulting
-        // the same page concurrently both read it; one insert wins.
-        let image = self.read_image(page_id)?;
-        let payload = Arc::new(verify_page(&image, page_id, self.page_size)?.to_vec());
+        // the same page concurrently both read it; one insert wins. The
+        // verified payload moves to the front of the image it was read
+        // into: one allocation per fault, no second copy.
+        let mut image = self.read_image(page_id)?;
+        let len = verify_page(&image, page_id, self.page_size)?.len();
+        image.copy_within(PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + len, 0);
+        image.truncate(len);
+        let payload = Arc::new(image);
         self.faults.fetch_add(1, Ordering::Relaxed);
         if let Some(hub) = self.telemetry.get() {
             hub.event(TraceEventKind::PageFault, page_id);
@@ -306,14 +319,13 @@ impl Pager {
     /// a store-wide lock) and for [`sync`](Pager::sync)ing before publishing
     /// a manifest that references the new pages.
     pub fn append_payloads<'a>(&self, payloads: impl IntoIterator<Item = &'a [u8]>) -> Result<u64> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let _append = self.append.lock().unwrap_or_else(|e| e.into_inner());
         let first = self.len_pages.load(Ordering::Acquire);
-        file.seek(SeekFrom::Start(first * self.page_size as u64))
-            .map_err(|e| io_err("seek append", e))?;
         let mut next = first;
         for payload in payloads {
             let image = encode_page(next, payload, self.page_size)?;
-            file.write_all(&image)
+            self.file
+                .write_all_at(&image, next * self.page_size as u64)
                 .map_err(|e| io_err("append page", e))?;
             next += 1;
         }
@@ -323,8 +335,9 @@ impl Pager {
 
     /// Flush appended pages to stable storage.
     pub fn sync(&self) -> Result<()> {
-        let file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.sync_data().map_err(|e| io_err("sync page file", e))
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("sync page file", e))
     }
 
     /// Stream-verify every page of an extent without populating the pool:
@@ -346,19 +359,8 @@ impl Pager {
     /// cheap; payload checksums are still verified lazily on every fault.
     pub fn verify_extent_headers(&self, extent: &ColumnExtent) -> Result<()> {
         let mut header = [0u8; PAGE_HEADER_BYTES];
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         for page_id in extent.start_page..extent.start_page + extent.page_count {
-            file.seek(SeekFrom::Start(page_id * self.page_size as u64))
-                .map_err(|e| io_err("seek page header", e))?;
-            file.read_exact(&mut header).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    DbTouchError::Corrupt(format!(
-                        "page {page_id} lies beyond the end of the page file"
-                    ))
-                } else {
-                    io_err("read page header", e)
-                }
-            })?;
+            self.read_at(page_id, &mut header)?;
             let decoded = crate::page::PageHeader::decode(&header, self.page_size)?;
             if decoded.page_id != page_id {
                 return Err(DbTouchError::Corrupt(format!(
@@ -846,6 +848,46 @@ mod tests {
         let stats = pager.stats();
         assert_eq!(stats.faults, 1);
         assert!(stats.pool_hits >= 9);
+    }
+
+    #[test]
+    fn concurrent_faults_read_every_value_and_count_every_read() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 8;
+        let pager = Arc::new(Pager::open_or_create(temp_file("concurrent"), 256, 4).unwrap());
+        let values: Vec<i64> = (0..29 * 16).map(|i| i * 31 - 5).collect();
+        let extent = append_row_bytes(
+            &pager,
+            DataType::Int64,
+            values.len() as u64,
+            &i64_bytes(&values),
+        )
+        .unwrap();
+        assert_eq!(extent.page_count, 16);
+        let col = PagedColumn::new(Arc::clone(&pager), extent).unwrap();
+        let rpp = col.rows_per_page();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (col, values) = (&col, &values);
+                // Thread `t` owns pages t, t + 4, …: disjoint from the others,
+                // and together 16 pages through a 4-page pool.
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        for page in (t..extent.page_count).step_by(THREADS as usize) {
+                            let row = page * rpp + round * 3 % rpp;
+                            assert_eq!(
+                                col.value_at(RowId(row)).unwrap(),
+                                Value::Int(values[row as usize])
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        let stats = pager.stats();
+        assert_eq!(stats.faults + stats.pool_hits, ROUNDS * extent.page_count);
+        assert!(stats.faults >= extent.page_count, "{stats:?}");
+        assert!(pager.pool.lock().unwrap().map.len() <= 4);
     }
 
     #[test]

@@ -20,13 +20,19 @@
 //! never to an empty catalog.
 //!
 //! **Open-time validation.** [`CatalogStore::open`] walks manifests newest
-//! first and picks the first one that (a) parses and matches its embedded
+//! first and picks the first one that (a) parses, declares this build's
+//! [`MANIFEST_FORMAT`] and matches its embedded
 //! whole-file checksum, (b) references only pages inside the committed bound,
 //! and (c) passes a page-*header* scan of every referenced extent (magic +
 //! page id, `PAGE_HEADER_BYTES` per page — cheap even for large catalogs).
 //! Payload checksums are verified lazily when a page faults into the buffer
 //! pool, keeping open-to-first-touch latency independent of payload size
 //! while still turning bit rot into errors rather than wrong answers.
+//!
+//! **One format, no migration.** A manifest that declares another
+//! [`MANIFEST_FORMAT`] is not rot: the whole store was written by another
+//! build. `open` refuses it at once with an error naming both formats,
+//! instead of recovering an older epoch or creating an empty store.
 //!
 //! The manifest's object records carry everything `dbtouch-core` needs to
 //! rebuild `ObjectData` lazily: name, schema (from the extents), on-screen
@@ -37,6 +43,7 @@
 use crate::index::ZoneMapIndex;
 use crate::page::PAGE_HEADER_BYTES;
 use crate::pager::{io_err, ColumnExtent, Pager};
+use dbtouch_types::checksum::checksum64;
 use dbtouch_types::json::{self, Json};
 use dbtouch_types::{DataType, DbTouchError, Result};
 use std::collections::BTreeMap;
@@ -46,8 +53,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Manifest format version, bumped on incompatible layout changes.
-pub const MANIFEST_FORMAT: u64 = 1;
+/// Store format version, bumped on any change to the bytes a store writes:
+/// the manifest, the page layout (`crate::page`), a span encoding or the
+/// checksum. `tests/disk_golden.rs` pins the bytes of this version. Format 2
+/// checksums pages and manifests with [`checksum64`]; format 1 used FNV-1a.
+pub const MANIFEST_FORMAT: u64 = 2;
 
 /// Default retention window of epoch manifests (the `KernelConfig::manifest_keep`
 /// knob overrides it per store). One would suffice for clean shutdowns; a
@@ -343,14 +353,28 @@ fn object_from_json(j: &Json) -> Result<ObjectRecord> {
     Ok(record)
 }
 
+/// Why one epoch's manifest cannot be opened.
+enum Rejected {
+    /// The store was written in another format: no epoch of it is readable.
+    Foreign(DbTouchError),
+    /// This epoch is torn, rotted or inconsistent: an older one may be fine.
+    Invalid(DbTouchError),
+}
+
+impl From<DbTouchError> for Rejected {
+    fn from(e: DbTouchError) -> Rejected {
+        Rejected::Invalid(e)
+    }
+}
+
 impl StoreManifest {
     /// Serialize to the manifest file text: the body JSON plus an embedded
-    /// FNV-1a checksum of the body's canonical rendering, so any truncation
+    /// [`checksum64`] of the body's canonical rendering, so any truncation
     /// or edit of the file itself is detected before its contents are
     /// believed.
     pub fn to_text(&self) -> String {
         let body = self.body_json();
-        let digest = crate::page::checksum(body.pretty().as_bytes());
+        let digest = checksum64(body.pretty().as_bytes());
         let mut outer = BTreeMap::new();
         outer.insert("body".to_string(), body);
         outer.insert(
@@ -379,23 +403,29 @@ impl StoreManifest {
         Json::Object(m)
     }
 
-    /// Parse and checksum-verify a manifest file's text.
+    /// Parse and checksum-verify a manifest file's text. The format is read
+    /// first: another format's checksum is not this build's to check.
     pub fn from_text(text: &str) -> Result<StoreManifest> {
+        Self::parse(text).map_err(|(Rejected::Foreign(e) | Rejected::Invalid(e))| e)
+    }
+
+    fn parse(text: &str) -> std::result::Result<StoreManifest, Rejected> {
         let outer =
             json::parse(text).map_err(|e| DbTouchError::Corrupt(format!("manifest parse: {e}")))?;
         let body = outer
             .get("body")
             .ok_or_else(|| DbTouchError::Corrupt("manifest: missing body".into()))?;
-        let stored = get_str(&outer, "checksum")?;
-        let digest = crate::page::checksum(body.pretty().as_bytes());
-        if stored != format!("{digest:016x}") {
-            return Err(DbTouchError::Corrupt("manifest checksum mismatch".into()));
-        }
         let format = get_u64(body, "format")?;
         if format != MANIFEST_FORMAT {
-            return Err(DbTouchError::Corrupt(format!(
-                "manifest format {format} not supported (expected {MANIFEST_FORMAT})"
-            )));
+            return Err(Rejected::Foreign(DbTouchError::Corrupt(format!(
+                "store format {format} cannot be read: this build reads format \
+                 {MANIFEST_FORMAT} only, and stores are not migrated"
+            ))));
+        }
+        let stored = get_str(&outer, "checksum")?;
+        let digest = checksum64(body.pretty().as_bytes());
+        if stored != format!("{digest:016x}") {
+            return Err(DbTouchError::Corrupt("manifest checksum mismatch".into()).into());
         }
         let slots = get_array(body, "slots")?
             .iter()
@@ -556,7 +586,9 @@ impl CatalogStore {
     /// `create_page_size`-byte pages and returns `Ok(None)`; an existing
     /// store always uses the page size recorded in its manifest. With
     /// manifests present but none valid, the directory is unrecoverable and
-    /// `open` errors rather than silently serving an empty catalog.
+    /// `open` errors rather than silently serving an empty catalog. A
+    /// manifest of another [`MANIFEST_FORMAT`] fails `open` at once, naming
+    /// both formats.
     pub fn open(
         dir: impl AsRef<Path>,
         pool_pages: usize,
@@ -588,7 +620,8 @@ impl CatalogStore {
         for epoch in &epochs {
             match Self::try_open_epoch(&dir, *epoch, pool_pages, manifest_keep) {
                 Ok(opened) => return Ok(opened),
-                Err(e) => last_error = Some(e),
+                Err(Rejected::Foreign(e)) => return Err(e),
+                Err(Rejected::Invalid(e)) => last_error = Some(e),
             }
         }
         Err(DbTouchError::Corrupt(format!(
@@ -604,15 +637,16 @@ impl CatalogStore {
         epoch: u64,
         pool_pages: usize,
         manifest_keep: usize,
-    ) -> Result<(CatalogStore, Option<StoreManifest>)> {
+    ) -> std::result::Result<(CatalogStore, Option<StoreManifest>), Rejected> {
         let text = fs::read_to_string(manifest_path(dir, epoch))
             .map_err(|e| io_err("read manifest", e))?;
-        let manifest = StoreManifest::from_text(&text)?;
+        let manifest = StoreManifest::parse(&text)?;
         if manifest.epoch != epoch {
             return Err(DbTouchError::Corrupt(format!(
                 "manifest file for epoch {epoch} claims epoch {}",
                 manifest.epoch
-            )));
+            ))
+            .into());
         }
         manifest.extents_in_bounds()?;
         let pager = Arc::new(Pager::open_or_create(
@@ -625,7 +659,8 @@ impl CatalogStore {
                 "page file holds {} pages, manifest commits {}",
                 pager.len_pages(),
                 manifest.committed_pages
-            )));
+            ))
+            .into());
         }
         for extent in manifest.referenced_extents() {
             pager.verify_extent_headers(&extent)?;

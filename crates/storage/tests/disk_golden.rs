@@ -18,7 +18,7 @@ use dbtouch_types::json::Json;
 use std::path::PathBuf;
 
 /// The manifest format the bytes below were generated under.
-pub const GOLDEN_STORAGE_FORMAT: u64 = 1;
+pub const GOLDEN_STORAGE_FORMAT: u64 = 2;
 
 /// Page size of the golden store: small, so the hex stays short.
 const PAGE_SIZE: usize = 256;
@@ -83,7 +83,7 @@ fn persist_golden_catalog() -> (Vec<u8>, String, StoreManifest) {
 
 /// Every page image of the golden store, in page-id order, as lowercase hex.
 pub const GOLDEN_PAGES: &[&str] = &[
-    "444254500000000000000000e800000056ff930c7de3a911f9ffffffffffffff\
+    "444254500000000000000000e800000090536bdbcdb3d416f9ffffffffffffff\
      3c420f00000000007f841e0000000000c2c62d000000000005093d0000000000\
      484b4c00000000008b8d5b0000000000cecf6a000000000011127a0000000000\
      54548900000000009796980000000000dad8a700000000001d1bb70000000000\
@@ -91,7 +91,7 @@ pub const GOLDEN_PAGES: &[&str] = &[
      6c66030100000000afa8120100000000f2ea210100000000352d310100000000\
      786f400100000000bbb14f0100000000fef35e010000000041366e0100000000\
      84787d0100000000c7ba8c01000000000afd9b01000000004d3fab0100000000",
-    "444254500100000000000000e80000004924e98803fc0bc79081ba0100000000\
+    "444254500100000000000000e80000005b4bece721e2d9ba9081ba0100000000\
      d3c3c901000000001606d901000000005948e801000000009c8af70100000000\
      dfcc060200000000220f1602000000006551250200000000a893340200000000\
      ebd54302000000002e18530200000000715a620200000000b49c710200000000\
@@ -99,7 +99,7 @@ pub const GOLDEN_PAGES: &[&str] = &[
      03e8bd0200000000462acd0200000000896cdc0200000000ccaeeb0200000000\
      0ff1fa020000000052330a03000000009575190300000000d8b7280300000000\
      1bfa3703000000005e3c470300000000a17e560300000000e4c0650300000000",
-    "44425450020000000000000030000000c125961bb2db9e852703750300000000\
+    "4442545002000000000000003000000046378db3299385922703750300000000\
      6a45840300000000ad87930300000000f0c9a20300000000330cb20300000000\
      764ec10300000000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000\
@@ -107,7 +107,7 @@ pub const GOLDEN_PAGES: &[&str] = &[
      0000000000000000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000",
-    "44425450030000000000000035000000489fd5762b7832a90104000000100000\
+    "44425450030000000000000035000000eab29dff80195f820104000000100000\
      00feffffffffffffff10000000ffffffffffffffff1000000000000000000000\
      0010000000010000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000\
@@ -115,7 +115,7 @@ pub const GOLDEN_PAGES: &[&str] = &[
      0000000000000000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000\
      0000000000000000000000000000000000000000000000000000000000000000",
-    "4442545004000000000000006f000000e061e1a1b6d7735c0240000000050000\
+    "4442545004000000000000006f000000b491c06daa475e2d0240000000050000\
      00000000000000c800000000000000900100000000000064000000000000002c\
      0100000000000000010203040001020304000102030400010203040001020304\
      0001020304000102030400010203040001020304000102030400010203040001\
@@ -130,7 +130,7 @@ pub const GOLDEN_MANIFEST: &str = r#"{
   "body": {
     "committed_pages": 5,
     "epoch": 1,
-    "format": 1,
+    "format": 2,
     "page_size": 256,
     "restructures": 0,
     "slots": [
@@ -212,7 +212,7 @@ pub const GOLDEN_MANIFEST: &str = r#"{
       null
     ]
   },
-  "checksum": "8105fd84c182180d"
+  "checksum": "2883ed1d19b3c16a"
 }"#;
 
 fn hex(bytes: &[u8]) -> String {

@@ -2,12 +2,15 @@
 //! always open to its last *valid* manifest epoch — truncated appends,
 //! corrupted pages and mangled manifests cost at most the broken epoch, and
 //! payload corruption discovered after open surfaces as an error, never a
-//! panic or a silent wrong answer.
+//! panic or a silent wrong answer. A store written in another format is not
+//! damage: it is refused by name.
 
 use dbtouch_storage::column::Column;
-use dbtouch_storage::page::PAGE_HEADER_BYTES;
+use dbtouch_storage::page::{PageHeader, PAGE_HEADER_BYTES};
 use dbtouch_storage::pager::PagedColumn;
-use dbtouch_storage::persist::{CatalogStore, ObjectRecord, StoreManifest, PAGES_FILE};
+use dbtouch_storage::persist::{
+    CatalogStore, ObjectRecord, StoreManifest, MANIFEST_FORMAT, PAGES_FILE,
+};
 use dbtouch_types::json::Json;
 use dbtouch_types::{DbTouchError, RowId, Value};
 use std::fs::OpenOptions;
@@ -201,4 +204,81 @@ fn appends_after_recovery_commit_a_fresh_epoch() {
         commit_epoch(&store, 3, &(5..55).collect::<Vec<_>>());
     }
     assert_eq!(open_epoch(&dir), 3);
+}
+
+/// Open `dir`, which must still recover epoch 2, and read every row of it.
+fn read_epoch_2(dir: &PathBuf) -> dbtouch_types::Result<()> {
+    let (store, manifest) = CatalogStore::open(dir, 16, PAGE_SIZE).unwrap();
+    let manifest = manifest.unwrap();
+    assert_eq!(manifest.epoch, 2, "the tear must pass the header scan");
+    let extent = manifest.slots[0].as_ref().unwrap().columns[0];
+    let column = PagedColumn::new(Arc::clone(store.pager()), extent).unwrap();
+    (0..column.rows()).try_for_each(|r| column.value_at(RowId(r)).map(|_| ()))
+}
+
+#[test]
+fn torn_pages_are_corrupt_at_fault_time_never_a_panic() {
+    for tear in ["payload half-written", "header claims unwritten bytes"] {
+        let (dir, _) = two_epoch_dir("torn");
+        let pages = dir.join(PAGES_FILE);
+        let mut bytes = std::fs::read(&pages).unwrap();
+        // Epoch 2's last page holds 800 % 29 = 17 rows: 136 payload bytes.
+        let last = bytes.len() - PAGE_SIZE;
+        let len = PageHeader::decode(&bytes[last..], PAGE_SIZE)
+            .unwrap()
+            .payload_len as usize;
+        assert_eq!(len, 136);
+        let payload = last + PAGE_HEADER_BYTES;
+        if tear == "payload half-written" {
+            bytes[payload + len / 2..payload + len].fill(0);
+        } else {
+            bytes[last + 12..last + 16].copy_from_slice(&(len as u32 + 8).to_le_bytes());
+        }
+        std::fs::write(&pages, &bytes).unwrap();
+        let result = read_epoch_2(&dir);
+        assert!(
+            matches!(result, Err(DbTouchError::Corrupt(_))),
+            "{tear}: {result:?}"
+        );
+    }
+}
+
+/// A manifest of store format 1 (FNV-1a checksums), verbatim from that
+/// format's golden disk corpus.
+const FORMAT_1_MANIFEST: &str = include_str!("fixtures/manifest-format-1.json");
+
+#[test]
+fn a_store_of_another_format_is_refused_by_name() {
+    let refusal = |dir: &PathBuf| {
+        let err = CatalogStore::open(dir, 16, PAGE_SIZE).unwrap_err();
+        let message = err.to_string();
+        assert!(matches!(err, DbTouchError::Corrupt(_)), "{message}");
+        assert!(
+            message.contains("format 1") && message.contains(&format!("format {MANIFEST_FORMAT}")),
+            "the refusal names both formats: {message}"
+        );
+    };
+    let err = StoreManifest::from_text(FORMAT_1_MANIFEST).unwrap_err();
+    assert!(err.to_string().contains("format 1"), "{err}");
+
+    // Alone in its directory: refused, and no empty store is created.
+    let dir = temp_dir("format-1");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("manifest-0000000000000001.json"),
+        FORMAT_1_MANIFEST,
+    )
+    .unwrap();
+    refusal(&dir);
+    assert!(!dir.join(PAGES_FILE).exists());
+
+    // Newest in a directory whose older epochs are valid: refused at once,
+    // not walked past to an older epoch.
+    let (dir, _) = two_epoch_dir("format-1-newest");
+    std::fs::write(
+        dir.join("manifest-0000000000000003.json"),
+        FORMAT_1_MANIFEST,
+    )
+    .unwrap();
+    refusal(&dir);
 }

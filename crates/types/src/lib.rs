@@ -9,6 +9,7 @@
 //! substrates (`dbtouch-storage`, `dbtouch-gesture`) and the kernel
 //! (`dbtouch-core`) can share vocabulary without cyclic dependencies.
 
+pub mod checksum;
 pub mod config;
 pub mod datatype;
 pub mod error;
