@@ -42,6 +42,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ObjectId(pub u64);
 
+dbtouch_types::wire_struct!(ObjectId { 0: u64 });
+
 /// The per-touch query action configured for a data object.
 ///
 /// "Users define the query they wish to run by choosing a few query actions
@@ -89,6 +91,16 @@ pub enum TouchAction {
         kind: AggregateKind,
     },
 }
+
+dbtouch_types::wire_enum!(TouchAction {
+    0 => Scan,
+    1 => Aggregate(kind: AggregateKind),
+    2 => Summary { half_window: Option<u64>, kind: AggregateKind },
+    3 => FilteredScan { predicate: Predicate },
+    4 => FilteredAggregate { predicate: Predicate, kind: AggregateKind },
+    5 => Tuple,
+    6 => GroupBy { group_attribute: usize, value_attribute: usize, kind: AggregateKind },
+});
 
 impl TouchAction {
     /// The aggregate kind this action maintains across touches, if any.

@@ -23,6 +23,14 @@ pub enum AggregateKind {
     Max,
 }
 
+dbtouch_types::wire_enum!(AggregateKind {
+    0 => Count,
+    1 => Sum,
+    2 => Avg,
+    3 => Min,
+    4 => Max,
+});
+
 impl AggregateKind {
     /// All supported aggregate kinds (useful for sweeps in tests/benches).
     pub const ALL: [AggregateKind; 5] = [

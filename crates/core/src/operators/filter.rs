@@ -28,6 +28,15 @@ pub enum CompareOp {
     Ge,
 }
 
+dbtouch_types::wire_enum!(CompareOp {
+    0 => Eq,
+    1 => Ne,
+    2 => Lt,
+    3 => Le,
+    4 => Gt,
+    5 => Ge,
+});
+
 impl CompareOp {
     fn matches(&self, ordering: Ordering) -> bool {
         match self {
@@ -77,6 +86,14 @@ pub enum Predicate {
     /// Negation of a predicate.
     Not(Box<Predicate>),
 }
+
+dbtouch_types::wire_enum!(Predicate {
+    0 => Compare { op: CompareOp, value: Value },
+    1 => Between { low: Value, high: Value },
+    2 => And(all: Vec<Predicate>),
+    3 => Or(any: Vec<Predicate>),
+    4 => Not(inner: Box<Predicate>),
+});
 
 impl Predicate {
     /// Convenience constructor for a comparison predicate.
@@ -189,6 +206,24 @@ impl fmt::Display for Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtouch_types::wire::{decode, encode, MAX_NESTING};
+
+    #[test]
+    fn predicate_depth_limit_rejects_deep_nesting() {
+        let nested = |levels, wrap: fn(Predicate) -> Predicate| {
+            let mut p = Predicate::compare(CompareOp::Eq, 1.0);
+            for _ in 0..levels {
+                p = wrap(p);
+            }
+            encode(&p)
+        };
+        let not = |p| Predicate::Not(Box::new(p));
+        let and = |p| Predicate::And(vec![p]);
+        for wrap in [not as fn(Predicate) -> Predicate, and] {
+            assert!(decode::<Predicate>(&nested(MAX_NESTING, wrap)).is_ok());
+            assert!(decode::<Predicate>(&nested(MAX_NESTING + 1, wrap)).is_err());
+        }
+    }
 
     #[test]
     fn comparisons() {

@@ -35,8 +35,6 @@
 
 use crate::catalog::{validate_action, CatalogSnapshot, ObjectData, SharedCatalog};
 use crate::kernel::TouchAction;
-use crate::operators::aggregate::AggregateKind;
-use crate::operators::filter::{CompareOp, Predicate};
 use dbtouch_gesture::view::View;
 use dbtouch_storage::column::Column;
 use dbtouch_storage::encoding::EncodingPolicy;
@@ -48,8 +46,8 @@ use dbtouch_storage::persist::{CatalogStore, ObjectRecord, StoreManifest};
 use dbtouch_storage::sample::SampleHierarchy;
 use dbtouch_storage::shared_cache::next_object_identity;
 use dbtouch_storage::table::Table;
-use dbtouch_types::json::Json;
-use dbtouch_types::{DbTouchError, KernelConfig, Result, SizeCm, Value};
+use dbtouch_types::wire;
+use dbtouch_types::{DbTouchError, KernelConfig, Result, SizeCm};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -110,7 +108,7 @@ impl Persistence {
                 is_table: schema.len() > 1,
                 size_w: data.base_view().size().width,
                 size_h: data.base_view().size().height,
-                action: encode_action(data.default_action()),
+                action: wire::encode(data.default_action()),
                 attribute_names: schema.iter().map(|(n, _)| n.clone()).collect(),
                 row_count: data.row_count(),
                 columns: persisted.columns.clone(),
@@ -233,7 +231,12 @@ fn object_from_record(
         matrix.set_name(&record.name);
         matrix
     };
-    let action = decode_action(&record.action)?;
+    let action: TouchAction = wire::decode(&record.action).map_err(|e| {
+        DbTouchError::Corrupt(format!(
+            "object {}: persisted default action: {e}",
+            record.name
+        ))
+    })?;
     validate_action(&action, matrix.schema()).map_err(|e| {
         DbTouchError::Corrupt(format!(
             "object {}: persisted default action does not validate: {e}",
@@ -273,12 +276,8 @@ impl SharedCatalog {
     /// cache keys, not durable state).
     pub fn open(dir: impl AsRef<Path>, config: KernelConfig) -> Result<SharedCatalog> {
         config.validate()?;
-        let (store, manifest) = CatalogStore::open_with_retention(
-            &dir,
-            config.buffer_pool_pages,
-            DEFAULT_PAGE_SIZE,
-            config.manifest_keep,
-        )?;
+        let (store, manifest) =
+            CatalogStore::open(&dir, config.buffer_pool_pages, DEFAULT_PAGE_SIZE)?;
         let mut extents = HashMap::new();
         let snapshot = match &manifest {
             None => CatalogSnapshot::from_parts(0, 0, Vec::new()),
@@ -334,12 +333,7 @@ impl SharedCatalog {
                 }
             }
         }
-        let store = CatalogStore::create_with_retention(
-            &dir,
-            DEFAULT_PAGE_SIZE,
-            self.config().buffer_pool_pages,
-            self.config().manifest_keep,
-        )?;
+        let store = CatalogStore::create(&dir, DEFAULT_PAGE_SIZE, self.config().buffer_pool_pages)?;
         let persistence = Persistence {
             store,
             extents: Mutex::new(HashMap::new()),
@@ -362,233 +356,10 @@ impl SharedCatalog {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Touch-action JSON codec. The storage manifest treats actions as opaque
-// JSON; the kernel owns the schema. Integer values are encoded as strings so
-// the full i64 range survives the f64-backed JSON number type.
-// ---------------------------------------------------------------------------
-
-use dbtouch_types::json::object as obj;
-
-fn encode_value(value: &Value) -> Json {
-    let (t, v) = match value {
-        Value::Int(x) => ("int", Json::String(x.to_string())),
-        Value::Timestamp(x) => ("timestamp", Json::String(x.to_string())),
-        Value::Float(x) => ("float", Json::Number(*x)),
-        Value::Bool(x) => ("bool", Json::Bool(*x)),
-        Value::Str(x) => ("str", Json::String(x.clone())),
-    };
-    obj(vec![("t", Json::String(t.into())), ("v", v)])
-}
-
-fn decode_value(j: &Json) -> Result<Value> {
-    let bad = || DbTouchError::Corrupt("manifest: malformed value".into());
-    let t = j.get("t").and_then(Json::as_str).ok_or_else(bad)?;
-    let v = j.get("v").ok_or_else(bad)?;
-    match t {
-        "int" => v
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Int)
-            .ok_or_else(bad),
-        "timestamp" => v
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Timestamp)
-            .ok_or_else(bad),
-        "float" => v.as_f64().map(Value::Float).ok_or_else(bad),
-        "bool" => match v {
-            Json::Bool(b) => Ok(Value::Bool(*b)),
-            _ => Err(bad()),
-        },
-        "str" => v
-            .as_str()
-            .map(|s| Value::Str(s.to_string()))
-            .ok_or_else(bad),
-        _ => Err(bad()),
-    }
-}
-
-fn aggregate_name(kind: AggregateKind) -> &'static str {
-    match kind {
-        AggregateKind::Count => "count",
-        AggregateKind::Sum => "sum",
-        AggregateKind::Avg => "avg",
-        AggregateKind::Min => "min",
-        AggregateKind::Max => "max",
-    }
-}
-
-fn decode_aggregate(j: &Json) -> Result<AggregateKind> {
-    match j.as_str() {
-        Some("count") => Ok(AggregateKind::Count),
-        Some("sum") => Ok(AggregateKind::Sum),
-        Some("avg") => Ok(AggregateKind::Avg),
-        Some("min") => Ok(AggregateKind::Min),
-        Some("max") => Ok(AggregateKind::Max),
-        _ => Err(DbTouchError::Corrupt(
-            "manifest: unknown aggregate kind".into(),
-        )),
-    }
-}
-
-fn compare_name(op: CompareOp) -> &'static str {
-    match op {
-        CompareOp::Eq => "eq",
-        CompareOp::Ne => "ne",
-        CompareOp::Lt => "lt",
-        CompareOp::Le => "le",
-        CompareOp::Gt => "gt",
-        CompareOp::Ge => "ge",
-    }
-}
-
-fn decode_compare(j: &Json) -> Result<CompareOp> {
-    match j.as_str() {
-        Some("eq") => Ok(CompareOp::Eq),
-        Some("ne") => Ok(CompareOp::Ne),
-        Some("lt") => Ok(CompareOp::Lt),
-        Some("le") => Ok(CompareOp::Le),
-        Some("gt") => Ok(CompareOp::Gt),
-        Some("ge") => Ok(CompareOp::Ge),
-        _ => Err(DbTouchError::Corrupt("manifest: unknown compare op".into())),
-    }
-}
-
-fn encode_predicate(p: &Predicate) -> Json {
-    match p {
-        Predicate::Compare { op, value } => obj(vec![
-            ("type", Json::String("compare".into())),
-            ("op", Json::String(compare_name(*op).into())),
-            ("value", encode_value(value)),
-        ]),
-        Predicate::Between { low, high } => obj(vec![
-            ("type", Json::String("between".into())),
-            ("low", encode_value(low)),
-            ("high", encode_value(high)),
-        ]),
-        Predicate::And(ps) => obj(vec![
-            ("type", Json::String("and".into())),
-            ("of", Json::Array(ps.iter().map(encode_predicate).collect())),
-        ]),
-        Predicate::Or(ps) => obj(vec![
-            ("type", Json::String("or".into())),
-            ("of", Json::Array(ps.iter().map(encode_predicate).collect())),
-        ]),
-        Predicate::Not(p) => obj(vec![
-            ("type", Json::String("not".into())),
-            ("of", encode_predicate(p)),
-        ]),
-    }
-}
-
-fn decode_predicate(j: &Json) -> Result<Predicate> {
-    let bad = || DbTouchError::Corrupt("manifest: malformed predicate".into());
-    let list = |j: &Json| -> Result<Vec<Predicate>> {
-        j.get("of")
-            .and_then(Json::as_array)
-            .ok_or_else(bad)?
-            .iter()
-            .map(decode_predicate)
-            .collect()
-    };
-    match j.get("type").and_then(Json::as_str).ok_or_else(bad)? {
-        "compare" => Ok(Predicate::Compare {
-            op: decode_compare(j.get("op").ok_or_else(bad)?)?,
-            value: decode_value(j.get("value").ok_or_else(bad)?)?,
-        }),
-        "between" => Ok(Predicate::Between {
-            low: decode_value(j.get("low").ok_or_else(bad)?)?,
-            high: decode_value(j.get("high").ok_or_else(bad)?)?,
-        }),
-        "and" => Ok(Predicate::And(list(j)?)),
-        "or" => Ok(Predicate::Or(list(j)?)),
-        "not" => Ok(Predicate::Not(Box::new(decode_predicate(
-            j.get("of").ok_or_else(bad)?,
-        )?))),
-        _ => Err(bad()),
-    }
-}
-
-/// Encode a touch action for the manifest.
-pub fn encode_action(action: &TouchAction) -> Json {
-    match action {
-        TouchAction::Scan => obj(vec![("kind", Json::String("scan".into()))]),
-        TouchAction::Tuple => obj(vec![("kind", Json::String("tuple".into()))]),
-        TouchAction::Aggregate(kind) => obj(vec![
-            ("kind", Json::String("aggregate".into())),
-            ("agg", Json::String(aggregate_name(*kind).into())),
-        ]),
-        TouchAction::Summary { half_window, kind } => obj(vec![
-            ("kind", Json::String("summary".into())),
-            (
-                "half_window",
-                half_window.map_or(Json::Null, |k| Json::Number(k as f64)),
-            ),
-            ("agg", Json::String(aggregate_name(*kind).into())),
-        ]),
-        TouchAction::FilteredScan { predicate } => obj(vec![
-            ("kind", Json::String("filtered_scan".into())),
-            ("predicate", encode_predicate(predicate)),
-        ]),
-        TouchAction::FilteredAggregate { predicate, kind } => obj(vec![
-            ("kind", Json::String("filtered_aggregate".into())),
-            ("predicate", encode_predicate(predicate)),
-            ("agg", Json::String(aggregate_name(*kind).into())),
-        ]),
-        TouchAction::GroupBy {
-            group_attribute,
-            value_attribute,
-            kind,
-        } => obj(vec![
-            ("kind", Json::String("group_by".into())),
-            ("group_attribute", Json::Number(*group_attribute as f64)),
-            ("value_attribute", Json::Number(*value_attribute as f64)),
-            ("agg", Json::String(aggregate_name(*kind).into())),
-        ]),
-    }
-}
-
-/// Decode a touch action from the manifest.
-pub fn decode_action(j: &Json) -> Result<TouchAction> {
-    let bad = || DbTouchError::Corrupt("manifest: malformed touch action".into());
-    let agg = |j: &Json| decode_aggregate(j.get("agg").ok_or_else(bad)?);
-    match j.get("kind").and_then(Json::as_str).ok_or_else(bad)? {
-        "scan" => Ok(TouchAction::Scan),
-        "tuple" => Ok(TouchAction::Tuple),
-        "aggregate" => Ok(TouchAction::Aggregate(agg(j)?)),
-        "summary" => Ok(TouchAction::Summary {
-            half_window: match j.get("half_window") {
-                None | Some(Json::Null) => None,
-                Some(n) => Some(n.as_u64().ok_or_else(bad)?),
-            },
-            kind: agg(j)?,
-        }),
-        "filtered_scan" => Ok(TouchAction::FilteredScan {
-            predicate: decode_predicate(j.get("predicate").ok_or_else(bad)?)?,
-        }),
-        "filtered_aggregate" => Ok(TouchAction::FilteredAggregate {
-            predicate: decode_predicate(j.get("predicate").ok_or_else(bad)?)?,
-            kind: agg(j)?,
-        }),
-        "group_by" => Ok(TouchAction::GroupBy {
-            group_attribute: j
-                .get("group_attribute")
-                .and_then(Json::as_u64)
-                .ok_or_else(bad)? as usize,
-            value_attribute: j
-                .get("value_attribute")
-                .and_then(Json::as_u64)
-                .ok_or_else(bad)? as usize,
-            kind: agg(j)?,
-        }),
-        _ => Err(bad()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::aggregate::AggregateKind;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -601,44 +372,6 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn round_trip(action: TouchAction) {
-        let encoded = encode_action(&action);
-        // Through text, as the manifest does.
-        let text = encoded.pretty();
-        let parsed = dbtouch_types::json::parse(&text).unwrap();
-        assert_eq!(decode_action(&parsed).unwrap(), action);
-    }
-
-    #[test]
-    fn actions_round_trip_through_json() {
-        round_trip(TouchAction::Scan);
-        round_trip(TouchAction::Tuple);
-        round_trip(TouchAction::Aggregate(AggregateKind::Max));
-        round_trip(TouchAction::Summary {
-            half_window: None,
-            kind: AggregateKind::Avg,
-        });
-        round_trip(TouchAction::Summary {
-            half_window: Some(2_000),
-            kind: AggregateKind::Sum,
-        });
-        round_trip(TouchAction::FilteredScan {
-            predicate: Predicate::compare(CompareOp::Ge, Value::Int(i64::MAX - 7)),
-        });
-        round_trip(TouchAction::FilteredAggregate {
-            predicate: Predicate::Not(Box::new(Predicate::Or(vec![
-                Predicate::between(Value::Float(0.25), Value::Float(0.75)),
-                Predicate::And(vec![Predicate::compare(CompareOp::Ne, Value::Bool(true))]),
-            ]))),
-            kind: AggregateKind::Count,
-        });
-        round_trip(TouchAction::GroupBy {
-            group_attribute: 0,
-            value_attribute: 3,
-            kind: AggregateKind::Min,
-        });
     }
 
     #[test]
@@ -906,19 +639,5 @@ mod tests {
             dbtouch_storage::prefetch::PrefetchStats::default(),
             "prefetcher must start cold after a restructure on a reopened catalog"
         );
-    }
-
-    #[test]
-    fn malformed_actions_are_corrupt_not_panics() {
-        for text in [
-            "{}",
-            r#"{"kind": "warp"}"#,
-            r#"{"kind": "aggregate"}"#,
-            r#"{"kind": "summary", "agg": "median"}"#,
-            r#"{"kind": "group_by", "agg": "sum", "group_attribute": -1, "value_attribute": 0}"#,
-        ] {
-            let parsed = dbtouch_types::json::parse(text).unwrap();
-            assert!(decode_action(&parsed).is_err(), "accepted {text}");
-        }
     }
 }

@@ -38,6 +38,14 @@ pub struct RemoteStats {
     pub remote_wait_micros: u64,
 }
 
+dbtouch_types::wire_struct!(RemoteStats {
+    local_requests: u64,
+    remote_requests: u64,
+    progressive_requests: u64,
+    rows_shipped: u64,
+    remote_wait_micros: u64,
+});
+
 impl RemoteStats {
     /// Total logical requests of any kind.
     pub fn total_requests(&self) -> u64 {

@@ -97,6 +97,12 @@ pub enum Contribution {
     },
 }
 
+dbtouch_types::wire_enum!(Contribution {
+    0 => Ready { count: u64, sum: f64, min: Option<f64>, max: Option<f64> },
+    1 => Pending { ticket: u64 },
+    2 => Dropped { ticket: u64 },
+});
+
 /// The ordered aggregate-contribution log of one summary session.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RefinementLedger {
@@ -106,6 +112,11 @@ pub struct RefinementLedger {
     /// Contributions in touch order.
     pub contribs: Vec<Contribution>,
 }
+
+dbtouch_types::wire_struct!(RefinementLedger {
+    kind: Option<AggregateKind>,
+    contribs: Vec<Contribution>,
+});
 
 impl RefinementLedger {
     /// Whether the ledger is collecting contributions.
@@ -161,6 +172,15 @@ pub struct PendingRefinement {
     /// The fine sample level the refinement reads.
     pub level: u8,
 }
+
+dbtouch_types::wire_struct!(PendingRefinement {
+    ticket: u64,
+    object_identity: u64,
+    result_index: u64,
+    contrib_index: u64,
+    kind: AggregateKind,
+    level: u8,
+});
 
 /// A finished remote fetch, delivered to the issuing session's queue once
 /// its simulated network latency elapsed.

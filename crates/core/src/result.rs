@@ -33,6 +33,16 @@ pub enum ResultKind {
     Tuple,
 }
 
+dbtouch_types::wire_enum!(ResultKind {
+    0 => Scan,
+    1 => RunningAggregate,
+    2 => Summary,
+    3 => FilteredScan,
+    4 => JoinMatch,
+    5 => GroupResult,
+    6 => Tuple,
+});
+
 /// One result value produced in response to one touch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TouchResult {
@@ -49,6 +59,14 @@ pub struct TouchResult {
     /// What produced it.
     pub kind: ResultKind,
 }
+
+dbtouch_types::wire_struct!(TouchResult {
+    row: RowId,
+    position_fraction: f64,
+    values: Vec<Value>,
+    produced_at: Timestamp,
+    kind: ResultKind,
+});
 
 impl TouchResult {
     /// Convenience constructor for a single-value result.
@@ -83,6 +101,11 @@ pub struct FadePolicy {
     pub fade_ms: u64,
 }
 
+dbtouch_types::wire_struct!(FadePolicy {
+    visible_ms: u64,
+    fade_ms: u64,
+});
+
 impl Default for FadePolicy {
     fn default() -> Self {
         FadePolicy {
@@ -115,6 +138,11 @@ pub struct ResultStream {
     results: Vec<TouchResult>,
     fade: FadePolicy,
 }
+
+dbtouch_types::wire_struct!(ResultStream {
+    fade: FadePolicy,
+    results: Vec<TouchResult>,
+});
 
 impl ResultStream {
     /// Create an empty stream with the given fade policy.

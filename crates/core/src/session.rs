@@ -114,6 +114,35 @@ pub struct SessionStats {
     pub remote_refinements_dropped: u64,
 }
 
+dbtouch_types::wire_struct!(SessionStats {
+    touches: u64,
+    gesture_events: u64,
+    entries_returned: u64,
+    rows_touched: u64,
+    bytes_touched: u64,
+    duplicate_touches: u64,
+    zooms: u64,
+    rotations: u64,
+    prefetches_issued: u64,
+    refinements: u64,
+    index_skips: u64,
+    segments_scanned: u64,
+    pruned_segments: u64,
+    simulated_access_nanos: u64,
+    compute_nanos: u64,
+    max_touch_nanos: u64,
+    sample_level_usage: BTreeMap<u8, u64>,
+    cache_hits: u64,
+    cache_misses: u64,
+    shared_cache_hits: u64,
+    shared_cache_misses: u64,
+    shared_cache_inserts: u64,
+    remote: RemoteStats,
+    remote_blocked_micros: u64,
+    remote_refinements_applied: u64,
+    remote_refinements_dropped: u64,
+});
+
 impl SessionStats {
     /// Mean per-touch processing time in nanoseconds (0 when no touches).
     pub fn mean_touch_nanos(&self) -> u64 {
@@ -148,6 +177,15 @@ pub struct SessionOutcome {
     #[serde(default)]
     pub ledger: RefinementLedger,
 }
+
+dbtouch_types::wire_struct!(SessionOutcome {
+    results: ResultStream,
+    stats: SessionStats,
+    final_aggregate: Option<f64>,
+    final_groups: Vec<(Value, f64)>,
+    pending: Vec<PendingRefinement>,
+    ledger: RefinementLedger,
+});
 
 impl SessionOutcome {
     /// Whether every refinement has landed (always true for all-local runs).
@@ -795,7 +833,28 @@ mod tests {
     use crate::operators::aggregate::AggregateKind;
     use crate::operators::filter::{CompareOp, Predicate};
     use dbtouch_gesture::synthesizer::GestureSynthesizer;
+    use dbtouch_types::wire::{encode, Wire};
     use dbtouch_types::SizeCm;
+
+    /// `MIN_BYTES` is what the smallest value of each layout actually
+    /// encodes to: no sequence guard rejects a valid frame.
+    #[test]
+    fn min_bytes_is_the_smallest_encoding() {
+        fn smallest<T: Wire>(v: T) {
+            let name = std::any::type_name::<T>();
+            assert_eq!(encode(&v).len(), T::MIN_BYTES, "{name}");
+        }
+        smallest(TouchAction::Scan);
+        smallest(TouchResult {
+            row: RowId(0),
+            position_fraction: 0.0,
+            values: vec![],
+            produced_at: Timestamp(0),
+            kind: ResultKind::Scan,
+        });
+        smallest(Contribution::Pending { ticket: 0 });
+        smallest(SessionOutcome::default());
+    }
 
     fn kernel_with_column(n: i64) -> (Kernel, crate::kernel::ObjectId) {
         let mut kernel = Kernel::new(KernelConfig::default());

@@ -25,8 +25,8 @@
 //!   reproducible.
 //! * [`json`] — the dependency-free JSON codec backing trace serialization.
 
-/// The dependency-free JSON codec (re-exported from `dbtouch-types`, where it
-/// moved so the storage layer's catalog manifest can share it).
+/// The dependency-free JSON codec (re-exported from `dbtouch-types`, which
+/// metrics and trace export share).
 pub mod json {
     pub use dbtouch_types::json::*;
 }

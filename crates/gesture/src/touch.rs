@@ -39,6 +39,20 @@ pub struct TouchEvent {
     pub finger: u8,
 }
 
+dbtouch_types::wire_enum!(TouchPhase {
+    0 => Began,
+    1 => Moved,
+    2 => Stationary,
+    3 => Ended,
+});
+
+dbtouch_types::wire_struct!(TouchEvent {
+    location: PointCm,
+    timestamp: Timestamp,
+    phase: TouchPhase,
+    finger: u8,
+});
+
 impl TouchEvent {
     /// Convenience constructor for a single-finger event.
     pub fn new(location: PointCm, timestamp: Timestamp, phase: TouchPhase) -> TouchEvent {

@@ -40,6 +40,11 @@ pub struct GestureTrace {
     pub events: Vec<TouchEvent>,
 }
 
+dbtouch_types::wire_struct!(GestureTrace {
+    target: String,
+    events: Vec<TouchEvent>,
+});
+
 impl GestureTrace {
     /// Create an empty trace for a target object.
     pub fn new(target: impl Into<String>) -> GestureTrace {
@@ -217,7 +222,16 @@ impl GestureTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtouch_types::wire::{encode, Wire};
     use dbtouch_types::{PointCm, Timestamp};
+
+    #[test]
+    fn empty_trace_encodes_to_min_bytes() {
+        assert_eq!(
+            encode(&GestureTrace::new("")).len(),
+            GestureTrace::MIN_BYTES
+        );
+    }
 
     fn ev(y: f64, ms: u64, phase: TouchPhase) -> TouchEvent {
         TouchEvent::new(PointCm::new(1.0, y), Timestamp::from_millis(ms), phase)

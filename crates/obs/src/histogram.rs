@@ -17,6 +17,8 @@
 //!   (per-session latency inside a worker) and for merging/reporting.
 
 use dbtouch_types::json::{object, Json};
+use dbtouch_types::wire::{Wire, WireReader, WireWriter};
+use dbtouch_types::{DbTouchError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: bucket 0 holds exact zeros, bucket `i >= 1` holds
@@ -128,6 +130,37 @@ impl Default for HistogramSnapshot {
     }
 }
 
+/// Hand-written because the buckets are sparse: count, sum, raw minimum
+/// (the `u64::MAX` sentinel when empty) and maximum, then only the non-empty
+/// buckets as `(index, count)` pairs, so a histogram round-trips exactly.
+impl Wire for HistogramSnapshot {
+    const MIN_BYTES: usize = 4 * u64::MIN_BYTES + u32::MIN_BYTES;
+    fn put(&self, w: &mut WireWriter) {
+        for v in [self.count, self.sum, self.min, self.max] {
+            v.put(w);
+        }
+        let buckets = (0u8..).zip(self.buckets);
+        let nonzero: Vec<(u8, u64)> = buckets.filter(|&(_, c)| c != 0).collect();
+        nonzero.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let [count, sum, min, max] = [r.get()?, r.get()?, r.get()?, r.get()?];
+        let mut buckets = [0u64; BUCKETS];
+        for (i, c) in r.get::<Vec<(u8, u64)>>()? {
+            *buckets.get_mut(i as usize).ok_or_else(|| {
+                DbTouchError::ParseError(format!("histogram bucket index {i} out of range"))
+            })? = c;
+        }
+        Ok(HistogramSnapshot {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        })
+    }
+}
+
 impl HistogramSnapshot {
     /// A fresh empty histogram.
     pub fn new() -> Self {
@@ -205,37 +238,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// The raw per-bucket counts, indexed by `bucket_of`'s scheme (bucket 0
-    /// holds exact zeros, bucket `i >= 1` holds `[2^(i-1), 2^i - 1]`). The
-    /// binary wire codec reads these directly so a histogram round-trips
-    /// bit-for-bit; human-facing exposition should prefer
-    /// [`nonzero_buckets`](Self::nonzero_buckets).
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
-
-    /// Reassemble a histogram from its raw parts — the inverse of reading
-    /// [`bucket_counts`](Self::bucket_counts) / [`count`](Self::count) /
-    /// [`sum`](Self::sum) and the raw min/max. `min` uses the `u64::MAX`
-    /// sentinel when the histogram is empty (what [`Self::default`] holds),
-    /// so decode(encode(h)) == h exactly.
-    pub fn from_parts(buckets: [u64; BUCKETS], count: u64, sum: u64, min: u64, max: u64) -> Self {
-        HistogramSnapshot {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
-    /// The raw minimum slot (`u64::MAX` sentinel when empty), for codecs that
-    /// must round-trip the struct exactly; [`min`](Self::min) is the
-    /// `Option`-typed reader.
-    pub fn raw_min(&self) -> u64 {
-        self.min
     }
 
     /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples — the

@@ -18,6 +18,11 @@ pub struct TraceOutcome {
     pub outcome: SessionOutcome,
 }
 
+dbtouch_types::wire_struct!(TraceOutcome {
+    object: ObjectId,
+    outcome: SessionOutcome,
+});
+
 /// Everything a session produced: trace outcomes in submission order, a
 /// per-touch latency histogram, the catalog epochs the session observed, and
 /// any per-event errors (a bad trace or unknown object records an error
@@ -59,6 +64,18 @@ pub struct SessionReport {
     /// Errors encountered while processing events, in order.
     pub errors: Vec<String>,
 }
+
+dbtouch_types::wire_struct!(SessionReport {
+    session_id: u64,
+    outcomes: Vec<TraceOutcome>,
+    latency_hist: HistogramSnapshot,
+    max_touch_nanos: u64,
+    epochs: Vec<u64>,
+    restructures_seen: u64,
+    refinement_latencies: Vec<u64>,
+    refinement_blocked_nanos: u64,
+    errors: Vec<String>,
+});
 
 impl SessionReport {
     /// Number of traces that completed.
@@ -262,6 +279,45 @@ pub fn digest_outcomes<'a>(outcomes: impl Iterator<Item = &'a TraceOutcome>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtouch_core::result::{ResultKind, ResultStream, TouchResult};
+    use dbtouch_types::wire::{decode, encode, Wire};
+    use dbtouch_types::{RowId, Timestamp, Value};
+
+    #[test]
+    fn empty_report_encodes_to_min_bytes() {
+        let report = SessionReport::default();
+        assert_eq!(encode(&report).len(), SessionReport::MIN_BYTES);
+    }
+
+    /// A report whose last result is a tuple of small values: each `Bool`
+    /// takes 2 bytes and each empty `Str` 5, fewer than the 9 a
+    /// hand-counted guard once assumed for every value.
+    #[test]
+    fn reports_of_small_values_roundtrip() {
+        for value in [Value::Bool(true), Value::Str(String::new())] {
+            let mut results = ResultStream::default();
+            results.push(TouchResult {
+                row: RowId(1),
+                position_fraction: 0.5,
+                values: vec![value; 60],
+                produced_at: Timestamp(3),
+                kind: ResultKind::Tuple,
+            });
+            let report = SessionReport {
+                session_id: 1,
+                outcomes: vec![TraceOutcome {
+                    object: ObjectId(2),
+                    outcome: SessionOutcome {
+                        results,
+                        ..SessionOutcome::default()
+                    },
+                }],
+                ..SessionReport::default()
+            };
+            let back: SessionReport = decode(&encode(&report)).unwrap();
+            assert_eq!(back.outcomes, report.outcomes);
+        }
+    }
 
     #[test]
     fn digest_is_order_sensitive_and_stable() {

@@ -20,6 +20,7 @@
 
 use crate::column::Column;
 use crate::segment::{SegmentStats, SegmentSum};
+use dbtouch_types::wire::{Wire, WireReader, WireWriter};
 use dbtouch_types::{DbTouchError, Result, RowRange};
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +36,28 @@ pub struct ZoneMapIndex {
     /// min and max — bit-identically to scanning it, so the segment kernel
     /// skips the data entirely (see [`segment_stats`](Self::segment_stats)).
     sums: Option<Vec<i128>>,
+}
+
+/// Hand-written so a decoded zone map passes the validation of
+/// [`from_parts`](ZoneMapIndex::from_parts) and
+/// [`with_block_sums`](ZoneMapIndex::with_block_sums): block rows, column
+/// length, the zones, then the optional block sums.
+impl Wire for ZoneMapIndex {
+    const MIN_BYTES: usize =
+        2 * u64::MIN_BYTES + Vec::<(f64, f64)>::MIN_BYTES + Option::<Vec<i128>>::MIN_BYTES;
+    fn put(&self, w: &mut WireWriter) {
+        self.block_rows.put(w);
+        self.column_len.put(w);
+        self.zones.put(w);
+        self.sums.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let index = ZoneMapIndex::from_parts(r.get()?, r.get()?, r.get()?)?;
+        match r.get()? {
+            Some(sums) => index.with_block_sums(sums),
+            None => Ok(index),
+        }
+    }
 }
 
 impl ZoneMapIndex {
@@ -156,11 +179,6 @@ impl ZoneMapIndex {
     /// The `(min, max)` pairs of every block, in block order.
     pub fn zones(&self) -> &[(f64, f64)] {
         &self.zones
-    }
-
-    /// Rows covered by the index (the indexed column's length).
-    pub fn column_len(&self) -> u64 {
-        self.column_len
     }
 
     /// Rows per block.

@@ -64,6 +64,15 @@ pub struct ColumnExtent {
     pub payload_bytes: u64,
 }
 
+dbtouch_types::wire_struct!(ColumnExtent {
+    start_page: u64,
+    page_count: u64,
+    rows: u64,
+    dt: DataType,
+    packed_rows_per_page: Option<u64>,
+    payload_bytes: u64,
+});
+
 impl ColumnExtent {
     /// A raw (uncompressed) extent; `payload_bytes` follows from the row
     /// count and type width.

@@ -6,7 +6,7 @@
 //! persisted raw (three pages, with a zone map), one packed as a run-length
 //! span and one packed as a dictionary span; a tombstoned slot follows it.
 //! Any change to the page header, a span layout, the page checksum or the
-//! manifest text changes a line below, and that change must come with a
+//! manifest layout changes a line below, and that change must come with a
 //! `MANIFEST_FORMAT` bump: rerun this test, paste the table it prints, and
 //! set [`GOLDEN_STORAGE_FORMAT`] to the new format.
 
@@ -14,11 +14,10 @@ use dbtouch_storage::column::Column;
 use dbtouch_storage::page::{verify_page, PageHeader, PAGE_HEADER_BYTES};
 use dbtouch_storage::persist::{CatalogStore, ObjectRecord, StoreManifest, MANIFEST_FORMAT};
 use dbtouch_storage::{EncodingPolicy, ZoneMapIndex};
-use dbtouch_types::json::Json;
 use std::path::PathBuf;
 
 /// The manifest format the bytes below were generated under.
-pub const GOLDEN_STORAGE_FORMAT: u64 = 2;
+pub const GOLDEN_STORAGE_FORMAT: u64 = 3;
 
 /// Page size of the golden store: small, so the hex stays short.
 const PAGE_SIZE: usize = 256;
@@ -26,8 +25,8 @@ const PAGE_SIZE: usize = 256;
 const ROWS: i64 = 64;
 
 /// Persist the golden catalog into a fresh directory and commit it as
-/// epoch 1. Returns `(page file bytes, manifest file text, manifest)`.
-fn persist_golden_catalog() -> (Vec<u8>, String, StoreManifest) {
+/// epoch 1. Returns `(page file bytes, manifest file bytes, manifest)`.
+fn persist_golden_catalog() -> (Vec<u8>, Vec<u8>, StoreManifest) {
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "dbtouch-disk-golden-{}-{:?}",
         std::process::id(),
@@ -64,7 +63,8 @@ fn persist_golden_catalog() -> (Vec<u8>, String, StoreManifest) {
                 is_table: true,
                 size_w: 6.0,
                 size_h: 10.5,
-                action: Json::String("scan".into()),
+                // Opaque to storage: core's layout of `TouchAction::Scan`.
+                action: vec![0],
                 attribute_names: vec!["raw".into(), "runs".into(), "codes".into()],
                 row_count: ROWS as u64,
                 columns: vec![raw_extent, runs_extent, codes_extent],
@@ -76,9 +76,9 @@ fn persist_golden_catalog() -> (Vec<u8>, String, StoreManifest) {
     };
     store.commit(&manifest).unwrap();
     let pages = std::fs::read(dir.join("pages.dat")).unwrap();
-    let text = std::fs::read_to_string(dir.join("manifest-0000000000000001.json")).unwrap();
+    let bytes = std::fs::read(dir.join("manifest-0000000000000001.bin")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    (pages, text, manifest)
+    (pages, bytes, manifest)
 }
 
 /// Every page image of the golden store, in page-id order, as lowercase hex.
@@ -125,95 +125,22 @@ pub const GOLDEN_PAGES: &[&str] = &[
      0000000000000000000000000000000000000000000000000000000000000000",
 ];
 
-/// The golden store's manifest file, verbatim.
-pub const GOLDEN_MANIFEST: &str = r#"{
-  "body": {
-    "committed_pages": 5,
-    "epoch": 1,
-    "format": 2,
-    "page_size": 256,
-    "restructures": 0,
-    "slots": [
-      {
-        "action": "scan",
-        "attribute_names": [
-          "raw",
-          "runs",
-          "codes"
-        ],
-        "columns": [
-          {
-            "dt": "int64",
-            "page_count": 3,
-            "payload_bytes": 512,
-            "rows": 64,
-            "start_page": 0
-          },
-          {
-            "dt": "int64",
-            "packed_rows_per_page": 1856,
-            "page_count": 1,
-            "payload_bytes": 53,
-            "rows": 64,
-            "start_page": 3
-          },
-          {
-            "dt": "int64",
-            "packed_rows_per_page": 1856,
-            "page_count": 1,
-            "payload_bytes": 111,
-            "rows": 64,
-            "start_page": 4
-          }
-        ],
-        "is_table": true,
-        "name": "golden",
-        "row_count": 64,
-        "sample_levels": [
-          [],
-          [],
-          []
-        ],
-        "size_h": 10.5,
-        "size_w": 6,
-        "zone_maps": [
-          {
-            "block_rows": 16,
-            "column_len": 64,
-            "sums": [
-              "120000248",
-              "376001016",
-              "632001784",
-              "888002552"
-            ],
-            "zones": [
-              [
-                -7,
-                15000038
-              ],
-              [
-                16000041,
-                31000086
-              ],
-              [
-                32000089,
-                47000134
-              ],
-              [
-                48000137,
-                63000182
-              ]
-            ]
-          },
-          null,
-          null
-        ]
-      },
-      null
-    ]
-  },
-  "checksum": "2883ed1d19b3c16a"
-}"#;
+/// The golden store's manifest file, as lowercase hex.
+pub const GOLDEN_MANIFEST: &str =
+    "4442544d03000000000000000100000000000000000000000000000000010000\
+     000000000500000000000000020000000106000000676f6c64656e0100000000\
+     0000184000000000000025400100000000030000000300000072617704000000\
+     72756e7305000000636f64657340000000000000000300000000000000000000\
+     0003000000000000004000000000000000000000020000000000000300000000\
+     0000000100000000000000400000000000000000014007000000000000350000\
+     0000000000040000000000000001000000000000004000000000000000000140\
+     070000000000006f000000000000000300000000000000000000000000000003\
+     0000000110000000000000004000000000000000040000000000000000001cc0\
+     000000c03c9c6c410000002085846e410000006061907d410000009085847e41\
+     00000030526986410000004864e38641000000b0730a8e410104000000f80e27\
+     07000000000000000000000000f8516916000000000000000000000000f894ab\
+     25000000000000000000000000f8d7ed34000000000000000000000000000000\
+     717b85eb850bd1b0";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -227,27 +154,32 @@ pub fn unhex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
-/// The golden store persisted now, rendered as the source of
-/// [`GOLDEN_PAGES`] and [`GOLDEN_MANIFEST`].
-fn regenerated(pages: &[u8], text: &str) -> String {
-    let mut out = String::from("pub const GOLDEN_PAGES: &[&str] = &[\n");
-    for page in pages.chunks(PAGE_SIZE) {
-        let hex = hex(page);
-        let lines: Vec<&str> = (0..hex.len())
-            .step_by(64)
-            .map(|i| &hex[i..(i + 64).min(hex.len())])
-            .collect();
-        out += &format!("    \"{}\",\n", lines.join("\\\n     "));
-    }
-    out + "];\n\npub const GOLDEN_MANIFEST: &str = r#\"" + text + "\"#;\n"
+/// Lowercase hex in lines of 32 bytes, as a Rust string literal body.
+fn hex_lines(bytes: &[u8]) -> String {
+    let hex = hex(bytes);
+    let lines: Vec<&str> = (0..hex.len())
+        .step_by(64)
+        .map(|i| &hex[i..(i + 64).min(hex.len())])
+        .collect();
+    lines.join("\\\n     ")
 }
 
-fn assert_golden(same: bool, what: &str, pages: &[u8], text: &str) {
+/// The golden store persisted now, rendered as the source of
+/// [`GOLDEN_PAGES`] and [`GOLDEN_MANIFEST`].
+fn regenerated(pages: &[u8], manifest: &[u8]) -> String {
+    let mut out = String::from("pub const GOLDEN_PAGES: &[&str] = &[\n");
+    for page in pages.chunks(PAGE_SIZE) {
+        out += &format!("    \"{}\",\n", hex_lines(page));
+    }
+    out + "];\n\npub const GOLDEN_MANIFEST: &str = \"" + &hex_lines(manifest) + "\";\n"
+}
+
+fn assert_golden(same: bool, what: &str, pages: &[u8], manifest: &[u8]) {
     assert!(
         same,
         "the disk format changed ({what}); if that is intended, bump MANIFEST_FORMAT \
          and replace the golden tables with:\n{}",
-        regenerated(pages, text)
+        regenerated(pages, manifest)
     );
 }
 
@@ -258,15 +190,16 @@ fn golden_corpus_is_for_this_storage_format() {
 
 #[test]
 fn every_page_image_matches_its_golden_bytes() {
-    let (pages, text, _) = persist_golden_catalog();
+    let (pages, manifest, _) = persist_golden_catalog();
     let images: Vec<String> = pages.chunks(PAGE_SIZE).map(hex).collect();
-    assert_golden(images == GOLDEN_PAGES, "page images", &pages, &text);
+    assert_golden(images == GOLDEN_PAGES, "page images", &pages, &manifest);
 }
 
 #[test]
 fn manifest_text_matches_its_golden_text() {
-    let (pages, text, _) = persist_golden_catalog();
-    assert_golden(text == GOLDEN_MANIFEST, "manifest text", &pages, &text);
+    let (pages, manifest, _) = persist_golden_catalog();
+    let same = hex(&manifest) == GOLDEN_MANIFEST;
+    assert_golden(same, "manifest bytes", &pages, &manifest);
 }
 
 #[test]
@@ -286,5 +219,6 @@ fn every_golden_page_verifies_to_its_payload() {
 #[test]
 fn golden_manifest_parses_to_the_persisted_catalog() {
     let (_, _, manifest) = persist_golden_catalog();
-    assert_eq!(StoreManifest::from_text(GOLDEN_MANIFEST).unwrap(), manifest);
+    let golden = unhex(GOLDEN_MANIFEST);
+    assert_eq!(StoreManifest::from_bytes(&golden).unwrap(), manifest);
 }

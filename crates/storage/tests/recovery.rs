@@ -11,7 +11,6 @@ use dbtouch_storage::pager::PagedColumn;
 use dbtouch_storage::persist::{
     CatalogStore, ObjectRecord, StoreManifest, MANIFEST_FORMAT, PAGES_FILE,
 };
-use dbtouch_types::json::Json;
 use dbtouch_types::{DbTouchError, RowId, Value};
 use std::fs::OpenOptions;
 use std::path::PathBuf;
@@ -47,7 +46,7 @@ fn commit_epoch(store: &CatalogStore, epoch: u64, values: &[i64]) -> u64 {
             is_table: false,
             size_w: 2.0,
             size_h: 10.0,
-            action: Json::Null,
+            action: vec![],
             attribute_names: vec!["c".into()],
             row_count: values.len() as u64,
             columns: vec![extent],
@@ -139,9 +138,9 @@ fn payload_corruption_is_an_error_at_fault_time_not_a_panic() {
 #[test]
 fn mangled_manifest_recovers_to_previous_epoch() {
     let (dir, _) = two_epoch_dir("bad-manifest");
-    let manifest2 = dir.join("manifest-0000000000000002.json");
-    // Flip one byte in the middle of the manifest text: the embedded
-    // checksum rejects it.
+    let manifest2 = dir.join("manifest-0000000000000002.bin");
+    // Flip one byte in the middle of the manifest: the checksum trailer
+    // rejects it.
     let mut bytes = std::fs::read(&manifest2).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] = bytes[mid].wrapping_add(1);
@@ -149,7 +148,7 @@ fn mangled_manifest_recovers_to_previous_epoch() {
     assert_eq!(open_epoch(&dir), 1);
 
     // An outright unparsable manifest is skipped the same way.
-    std::fs::write(&manifest2, b"{not json").unwrap();
+    std::fs::write(&manifest2, b"{not a manifest").unwrap();
     assert_eq!(open_epoch(&dir), 1);
 
     // An empty (crashed-before-write) manifest file too.
@@ -243,42 +242,52 @@ fn torn_pages_are_corrupt_at_fault_time_never_a_panic() {
     }
 }
 
-/// A manifest of store format 1 (FNV-1a checksums), verbatim from that
-/// format's golden disk corpus.
-const FORMAT_1_MANIFEST: &str = include_str!("fixtures/manifest-format-1.json");
+/// JSON manifests of store formats 1 (FNV-1a checksums) and 2, verbatim
+/// from those formats' golden disk corpora.
+const LEGACY_MANIFESTS: [(u64, &str); 2] = [
+    (1, include_str!("fixtures/manifest-format-1.json")),
+    (2, include_str!("fixtures/manifest-format-2.json")),
+];
 
 #[test]
 fn a_store_of_another_format_is_refused_by_name() {
-    let refusal = |dir: &PathBuf| {
+    let refusal = |dir: &PathBuf, format: u64| {
         let err = CatalogStore::open(dir, 16, PAGE_SIZE).unwrap_err();
         let message = err.to_string();
         assert!(matches!(err, DbTouchError::Corrupt(_)), "{message}");
         assert!(
-            message.contains("format 1") && message.contains(&format!("format {MANIFEST_FORMAT}")),
+            message.contains(&format!("format {format}"))
+                && message.contains(&format!("format {MANIFEST_FORMAT}")),
             "the refusal names both formats: {message}"
         );
     };
-    let err = StoreManifest::from_text(FORMAT_1_MANIFEST).unwrap_err();
-    assert!(err.to_string().contains("format 1"), "{err}");
+    for (format, text) in LEGACY_MANIFESTS {
+        // Alone in its directory: refused, and no empty store is created.
+        let dir = temp_dir(&format!("format-{format}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest-0000000000000001.json"), text).unwrap();
+        refusal(&dir, format);
+        assert!(!dir.join(PAGES_FILE).exists());
 
-    // Alone in its directory: refused, and no empty store is created.
-    let dir = temp_dir("format-1");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("manifest-0000000000000001.json"),
-        FORMAT_1_MANIFEST,
-    )
-    .unwrap();
-    refusal(&dir);
-    assert!(!dir.join(PAGES_FILE).exists());
+        // Newest in a directory whose older epochs are valid: refused at
+        // once, not walked past to an older epoch.
+        let (dir, _) = two_epoch_dir(&format!("format-{format}-newest"));
+        std::fs::write(dir.join("manifest-0000000000000003.json"), text).unwrap();
+        refusal(&dir, format);
+    }
 
-    // Newest in a directory whose older epochs are valid: refused at once,
-    // not walked past to an older epoch.
-    let (dir, _) = two_epoch_dir("format-1-newest");
-    std::fs::write(
-        dir.join("manifest-0000000000000003.json"),
-        FORMAT_1_MANIFEST,
-    )
-    .unwrap();
-    refusal(&dir);
+    // A binary manifest that declares another format is refused before its
+    // checksum is checked.
+    let (dir, _) = two_epoch_dir("format-next");
+    let newest = dir.join("manifest-0000000000000002.bin");
+    let mut bytes = std::fs::read(&newest).unwrap();
+    bytes[4..12].copy_from_slice(&(MANIFEST_FORMAT + 1).to_le_bytes());
+    std::fs::write(&newest, &bytes).unwrap();
+    refusal(&dir, MANIFEST_FORMAT + 1);
+    let err = StoreManifest::from_bytes(&bytes).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("format {}", MANIFEST_FORMAT + 1)),
+        "{err}"
+    );
 }

@@ -151,12 +151,6 @@ pub struct KernelConfig {
     /// exploration instead of loading fully.
     pub buffer_pool_pages: usize,
 
-    /// How many epoch manifests a persistent catalog directory retains. One
-    /// would suffice for clean shutdowns; a small window means a torn or
-    /// rotted newest epoch costs one epoch of history instead of the whole
-    /// catalog. Must be at least 1.
-    pub manifest_keep: usize,
-
     /// The device/cloud storage split, `None` for an all-local kernel (the
     /// default). See [`RemoteSplitConfig`].
     pub remote_split: Option<RemoteSplitConfig>,
@@ -245,7 +239,6 @@ impl Default for KernelConfig {
             cache_enabled: true,
             shared_cache_enabled: true,
             buffer_pool_pages: 4096,
-            manifest_keep: 8,
             remote_split: None,
             telemetry_enabled: true,
             telemetry_hot_sample: 64,
@@ -288,11 +281,6 @@ impl KernelConfig {
         if self.buffer_pool_pages == 0 {
             return Err(DbTouchError::InvalidConfig(
                 "buffer_pool_pages must be > 0".into(),
-            ));
-        }
-        if self.manifest_keep == 0 {
-            return Err(DbTouchError::InvalidConfig(
-                "manifest_keep must be at least 1 (the newest manifest)".into(),
             ));
         }
         if let Some(split) = &self.remote_split {
@@ -395,13 +383,6 @@ impl KernelConfig {
     /// (in pages).
     pub fn with_buffer_pool_pages(mut self, pages: usize) -> Self {
         self.buffer_pool_pages = pages;
-        self
-    }
-
-    /// Builder-style setter for the manifest retention window of persistent
-    /// catalog directories.
-    pub fn with_manifest_keep(mut self, keep: usize) -> Self {
-        self.manifest_keep = keep;
         self
     }
 
@@ -534,16 +515,6 @@ mod tests {
         assert_eq!(c.summary_half_window, 9);
         assert_eq!(c.touch_sample_rate_hz, 120.0);
         assert!(!c.adaptive_sampling && !c.prefetch_enabled && !c.cache_enabled);
-    }
-
-    #[test]
-    fn invalid_manifest_keep_rejected() {
-        let c = KernelConfig::default().with_manifest_keep(0);
-        assert!(c.validate().is_err());
-        assert!(KernelConfig::default()
-            .with_manifest_keep(1)
-            .validate()
-            .is_ok());
     }
 
     #[test]

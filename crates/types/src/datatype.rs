@@ -61,23 +61,6 @@ impl DataType {
             DataType::TimestampMillis => "timestamp".to_string(),
         }
     }
-
-    /// Inverse of [`name`](DataType::name): parse a catalog/manifest type name
-    /// back into a `DataType`.
-    pub fn parse_name(name: &str) -> crate::Result<DataType> {
-        match name {
-            "int64" => Ok(DataType::Int64),
-            "float64" => Ok(DataType::Float64),
-            "bool" => Ok(DataType::Bool),
-            "timestamp" => Ok(DataType::TimestampMillis),
-            _ => match name.strip_prefix("str").and_then(|w| w.parse().ok()) {
-                Some(w) => Ok(DataType::FixedStr(w)),
-                None => Err(crate::DbTouchError::ParseError(format!(
-                    "unknown data type name {name:?}"
-                ))),
-            },
-        }
-    }
 }
 
 impl fmt::Display for DataType {

@@ -3,7 +3,8 @@
 //! Shared foundation types for the dbTouch reproduction: the value and data-type
 //! model used by the storage engine, tuple identifiers, screen geometry expressed
 //! in centimetres (the paper describes data objects by their physical size on the
-//! touch screen), timestamps, configuration, and the common error type.
+//! touch screen), timestamps, configuration, the common error type, and the
+//! binary layout language ([`wire`]) that wire frames and disk manifests share.
 //!
 //! Everything in this crate is deliberately small and dependency-free so that the
 //! substrates (`dbtouch-storage`, `dbtouch-gesture`) and the kernel
@@ -18,6 +19,7 @@ pub mod json;
 pub mod rowid;
 pub mod time;
 pub mod value;
+pub mod wire;
 
 pub use config::{KernelConfig, RemoteSplitConfig};
 pub use datatype::DataType;
