@@ -9,14 +9,19 @@
 //! section maps the experiment ids A1–A6 to their paper sections.
 
 use dbtouch_core::kernel::{Kernel, TouchAction};
+use dbtouch_core::mapping::TouchMapper;
 use dbtouch_core::operators::aggregate::AggregateKind;
 use dbtouch_core::operators::join::{BlockingHashJoin, JoinSide, SymmetricHashJoin};
+use dbtouch_core::prefetch_policy;
+use dbtouch_gesture::kinematics::GestureKinematics;
+use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
 use dbtouch_gesture::synthesizer::GestureSynthesizer;
+use dbtouch_gesture::view::View;
 use dbtouch_storage::column::Column;
 use dbtouch_storage::matrix::Matrix;
 use dbtouch_storage::rotation::RotationTask;
 use dbtouch_storage::table::Table;
-use dbtouch_types::{KernelConfig, Result, RowId, SizeCm, Value};
+use dbtouch_types::{KernelConfig, Result, RowId, RowRange, SizeCm, Value};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -82,80 +87,122 @@ pub fn ablation_samples(rows: u64) -> Result<SamplesAblation> {
 /// A2 — prefetching (Section 2.6, "Prefetching Data").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrefetchAblation {
-    /// Prefetch requests issued when enabled.
-    pub prefetches_issued: u64,
-    /// Fraction of touched rows served warm (prefetched) when enabled.
-    pub warm_fraction_with: f64,
-    /// Fraction of touched rows served warm when disabled (always cold).
-    pub warm_fraction_without: f64,
-    /// Simulated memory-access nanoseconds with prefetching.
-    pub access_nanos_with: u64,
-    /// Simulated memory-access nanoseconds without prefetching.
-    pub access_nanos_without: u64,
+    /// Pauses the gesture recognizer saw in the slide.
+    pub pauses: u64,
+    /// Row ranges the policy planned at those pauses.
+    pub planned_ranges: u64,
+    /// Distinct touched rows after the first pause.
+    pub touches_after_pause: u64,
+    /// Of those, rows inside a range planned at an earlier pause.
+    pub planned_hits_with: u64,
+    /// The same count without the policy, which plans nothing.
+    pub planned_hits_without: u64,
 }
 
-/// Run ablation A2: an exploratory slide (pause, backtrack, resume) with and
-/// without the gesture-extrapolation prefetcher.
+/// Run ablation A2: replay an exploratory slide (pause, backtrack, resume)
+/// over a column of `rows` rows through the session's recognizer and
+/// kinematics, plan a range with [`prefetch_policy::plan`] at every pause,
+/// and count the later touches that land inside a planned range — with the
+/// policy and without it.
 pub fn ablation_prefetch(rows: u64) -> Result<PrefetchAblation> {
-    let run = |config: KernelConfig| -> Result<(u64, f64, u64)> {
-        let mut kernel = Kernel::new(config);
-        let id = kernel.load_column("a2", (0..rows as i64).collect(), SizeCm::new(2.0, 10.0))?;
-        kernel.set_action(id, TouchAction::Scan)?;
-        let view = kernel.view(id)?;
-        let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 4.0);
-        let outcome = kernel.run_trace(id, &trace)?;
-        let (_, prefetch_stats) = kernel.object_stats(id)?;
-        Ok((
-            outcome.stats.prefetches_issued,
-            prefetch_stats.hit_rate(),
-            outcome.stats.simulated_access_nanos,
-        ))
+    let view = View::for_column("a2", rows, SizeCm::new(2.0, 10.0))?;
+    let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 4.0);
+    // Returns (pauses, planned ranges, touches after the first pause, hits).
+    let replay = |policy: bool| -> Result<(u64, u64, u64, u64)> {
+        let mut recognizer = GestureRecognizer::default();
+        let mut kinematics = GestureKinematics::default();
+        let mut planned: Vec<RowRange> = Vec::new();
+        let (mut pauses, mut touches, mut hits) = (0, 0, 0);
+        let mut last_row = None;
+        for event in &trace.events {
+            kinematics.observe(event);
+            for gesture in recognizer.feed(event) {
+                match gesture {
+                    GestureEvent::SlidePaused { location, .. } => {
+                        pauses += 1;
+                        let Some(row) = TouchMapper::row_for_touch(&view, location)? else {
+                            continue;
+                        };
+                        if policy {
+                            planned.extend(prefetch_policy::plan(&view, &kinematics, row.0));
+                        }
+                    }
+                    GestureEvent::Tap { location, .. }
+                    | GestureEvent::SlideBegan { location, .. }
+                    | GestureEvent::SlideStep { location, .. } => {
+                        // Count distinct rows, as a session skips duplicates.
+                        let Some(row) = TouchMapper::row_for_touch(&view, location)? else {
+                            continue;
+                        };
+                        if last_row == Some(row) {
+                            continue;
+                        }
+                        last_row = Some(row);
+                        if pauses > 0 {
+                            touches += 1;
+                            hits += planned.iter().any(|range| range.contains(row)) as u64;
+                        }
+                    }
+                    GestureEvent::SlideEnded { .. } => last_row = None,
+                    _ => {}
+                }
+            }
+        }
+        Ok((pauses, planned.len() as u64, touches, hits))
     };
-    let (issued, warm_with, nanos_with) = run(KernelConfig::default())?;
-    let (_, warm_without, nanos_without) = run(KernelConfig::default().with_prefetch(false))?;
+    let (pauses, planned_ranges, touches_after_pause, planned_hits_with) = replay(true)?;
+    let (.., planned_hits_without) = replay(false)?;
     Ok(PrefetchAblation {
-        prefetches_issued: issued,
-        warm_fraction_with: warm_with,
-        warm_fraction_without: warm_without,
-        access_nanos_with: nanos_with,
-        access_nanos_without: nanos_without,
+        pauses,
+        planned_ranges,
+        touches_after_pause,
+        planned_hits_with,
+        planned_hits_without,
     })
 }
 
 /// A3 — caching (Section 2.6, "Caching Data").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CacheAblation {
-    /// Cache hit rate on the second pass over the same region, cache enabled.
+    /// Shared-cache hit rate of the second pass over the same region, cache
+    /// enabled: `shared_cache_hits / (hits + misses)`.
     pub second_pass_hit_rate_with: f64,
-    /// Cache hit rate on the second pass, cache disabled.
+    /// The same rate with the shared cache disabled.
     pub second_pass_hit_rate_without: f64,
-    /// Cache hits observed during the second pass with the cache enabled.
+    /// Shared-cache hits of the second pass with the cache enabled.
     pub second_pass_hits: u64,
 }
 
-/// Run ablation A3: slide over a region, then re-examine the same region.
+/// Run ablation A3: summarize a region with a slide, then re-examine the same
+/// region, with the shared result cache on and off.
 pub fn ablation_cache(rows: u64) -> Result<CacheAblation> {
     let run = |config: KernelConfig| -> Result<(f64, u64)> {
         let mut kernel = Kernel::new(config);
         let id = kernel.load_column("a3", (0..rows as i64).collect(), SizeCm::new(2.0, 10.0))?;
-        kernel.set_action(id, TouchAction::Scan)?;
+        kernel.set_action(
+            id,
+            TouchAction::Summary {
+                half_window: Some(5),
+                kind: AggregateKind::Avg,
+            },
+        )?;
         let view = kernel.view(id)?;
         let mut synthesizer = GestureSynthesizer::new(60.0);
         // First pass over the middle region, then a second pass over the same region.
         let first = synthesizer.slide(&view, 0.4, 0.6, 1.0);
         kernel.run_trace(id, &first)?;
         let second = synthesizer.slide(&view, 0.4, 0.6, 1.0);
-        let outcome = kernel.run_trace(id, &second)?;
-        let total = outcome.stats.cache_hits + outcome.stats.cache_misses;
+        let stats = kernel.run_trace(id, &second)?.stats;
+        let total = stats.shared_cache_hits + stats.shared_cache_misses;
         let rate = if total == 0 {
             0.0
         } else {
-            outcome.stats.cache_hits as f64 / total as f64
+            stats.shared_cache_hits as f64 / total as f64
         };
-        Ok((rate, outcome.stats.cache_hits))
+        Ok((rate, stats.shared_cache_hits))
     };
     let (with, hits) = run(KernelConfig::default())?;
-    let (without, _) = run(KernelConfig::default().with_cache(false))?;
+    let (without, _) = run(KernelConfig::default().with_shared_cache(false))?;
     Ok(CacheAblation {
         second_pass_hit_rate_with: with,
         second_pass_hit_rate_without: without,
@@ -304,10 +351,11 @@ pub fn ablation_rotation(rows: u64, chunk_rows: u64) -> Result<RotationAblation>
 /// A6 — per-touch response budget (Section 4, "Interactive Behavior").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BudgetAblation {
-    /// Maximum rows aggregated for a single touch with the budget enabled.
-    pub max_rows_per_touch_with: u64,
-    /// Maximum rows aggregated for a single touch without a budget.
-    pub max_rows_per_touch_without: u64,
+    /// Mean rows aggregated per returned entry with the budget enabled
+    /// (`rows_touched / entries_returned`).
+    pub mean_rows_per_touch_with: u64,
+    /// Mean rows aggregated per returned entry without a budget.
+    pub mean_rows_per_touch_without: u64,
     /// Refinement steps executed with the budget enabled.
     pub refinements_with: u64,
     /// Entries returned with the budget enabled.
@@ -337,24 +385,24 @@ pub fn ablation_budget(rows: u64, half_window: u64, budget_micros: u64) -> Resul
         // time to pay down refinement debt.
         let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 2.0);
         let outcome = kernel.run_trace(id, &trace)?;
-        let max_rows_per_touch = if outcome.stats.entries_returned == 0 {
-            0
-        } else {
-            // rows_touched / entries is the average; for the unlimited run every
-            // touch aggregates the full window so the average equals the max.
-            outcome.stats.rows_touched / outcome.stats.entries_returned.max(1)
-        };
+        // A mean over returned entries: `rows_touched` also counts the rows
+        // of refinements paid down at pauses, which return no entry.
+        let mean_rows_per_touch = outcome
+            .stats
+            .rows_touched
+            .checked_div(outcome.stats.entries_returned)
+            .unwrap_or(0);
         Ok((
-            max_rows_per_touch,
+            mean_rows_per_touch,
             outcome.stats.refinements,
             outcome.stats.entries_returned,
         ))
     };
-    let (with_max, refinements, entries_with) = run(budget_micros.max(1))?;
-    let (without_max, _, entries_without) = run(u64::MAX)?;
+    let (with_mean, refinements, entries_with) = run(budget_micros.max(1))?;
+    let (without_mean, _, entries_without) = run(u64::MAX)?;
     Ok(BudgetAblation {
-        max_rows_per_touch_with: with_max,
-        max_rows_per_touch_without: without_max,
+        mean_rows_per_touch_with: with_mean,
+        mean_rows_per_touch_without: without_mean,
         refinements_with: refinements,
         entries_with,
         entries_without,
@@ -377,10 +425,10 @@ mod tests {
     #[test]
     fn a2_prefetching_warms_accesses() {
         let r = ablation_prefetch(400_000).unwrap();
-        assert!(r.prefetches_issued > 0);
-        assert!(r.warm_fraction_with > r.warm_fraction_without);
-        assert_eq!(r.warm_fraction_without, 0.0);
-        assert!(r.access_nanos_with < r.access_nanos_without);
+        assert!(r.pauses > 0 && r.planned_ranges > 0, "{r:?}");
+        assert!(r.planned_hits_with > 0, "{r:?}");
+        assert!(r.planned_hits_with <= r.touches_after_pause);
+        assert_eq!(r.planned_hits_without, 0);
     }
 
     #[test]
@@ -419,10 +467,10 @@ mod tests {
     fn a6_budget_caps_per_touch_work() {
         let r = ablation_budget(500_000, 100_000, 200).unwrap();
         assert!(
-            r.max_rows_per_touch_with < r.max_rows_per_touch_without,
+            r.mean_rows_per_touch_with < r.mean_rows_per_touch_without,
             "with {} without {}",
-            r.max_rows_per_touch_with,
-            r.max_rows_per_touch_without
+            r.mean_rows_per_touch_with,
+            r.mean_rows_per_touch_without
         );
         assert!(r.entries_with > 0);
         assert!(r.entries_without > 0);

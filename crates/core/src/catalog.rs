@@ -2,8 +2,8 @@
 //! from per-session exploration state.
 //!
 //! The seed reproduction bundled everything a touch session needs — the dense
-//! matrix, sample hierarchies, zone-map indexes, view geometry, region cache
-//! and prefetcher — into one mutable `DataObject`, which forced `&mut self`
+//! matrix, sample hierarchies, zone-map indexes and view geometry — into one
+//! mutable `DataObject`, which forced `&mut self`
 //! through the whole kernel and limited the system to a single explorer. This
 //! module splits that bundle along the concurrency boundary:
 //!
@@ -11,9 +11,9 @@
 //!   hierarchies and zone-map indexes, plus the default view geometry and
 //!   touch action. Immutable after load, shared across sessions behind `Arc`.
 //! * [`ObjectState`] — what a *session* does with it: the session's view
-//!   (zoom/rotation), its chosen touch action, its region cache, its
-//!   prefetcher, and (after a rotate gesture) its privately rotated copy of
-//!   the matrix. Cheap to create, owned by exactly one session.
+//!   (zoom/rotation), its chosen touch action, and (after a rotate gesture)
+//!   its privately rotated copy of the matrix. Cheap to create, owned by
+//!   exactly one session.
 //! * [`CatalogSnapshot`] — one immutable version of the whole catalog: an
 //!   epoch number, a restructure counter, and the object table. Snapshots are
 //!   never mutated; every catalog change builds a successor.
@@ -34,8 +34,8 @@
 //! was taken at and keeps that exact view — same matrix, same schema — until
 //! its session reaches a gesture boundary and calls
 //! [`ObjectState::refresh`]: only then does it observe the newest epoch,
-//! rebuilding its state (cold region cache and prefetcher, base view, action
-//! kept when it still validates) when its object's data identity changed. A
+//! rebuilding its state (base view, shared matrix, action kept when it still
+//! validates) when its object's data identity changed. A
 //! gesture trace therefore always runs against one consistent snapshot —
 //! never a half-restructured object.
 //!
@@ -50,12 +50,10 @@ use crate::remote::NetworkModel;
 use crate::remote_exec::{CompletionQueue, RemoteExecutor, RemoteTier};
 use dbtouch_gesture::view::View;
 use dbtouch_obs::{Gauge, MetricSource, MetricValue, SpanConfig, Telemetry, TraceEventKind};
-use dbtouch_storage::cache::RegionCache;
 use dbtouch_storage::column::Column;
 use dbtouch_storage::index::ZoneMapIndex;
 use dbtouch_storage::layout::Layout;
 use dbtouch_storage::matrix::Matrix;
-use dbtouch_storage::prefetch::Prefetcher;
 use dbtouch_storage::rotation::RotationTask;
 use dbtouch_storage::sample::SampleHierarchy;
 use dbtouch_storage::shared_cache::{next_object_identity, SharedResultCache};
@@ -63,8 +61,6 @@ use dbtouch_storage::table::Table;
 use dbtouch_types::{DataType, DbTouchError, KernelConfig, Result, SizeCm};
 use std::sync::{Arc, Mutex};
 
-/// Capacity of each session's region cache, in rows across all regions.
-const REGION_CACHE_CAPACITY_ROWS: u64 = 1 << 20;
 /// Capacity of the shared cross-session result cache, in entries.
 const SHARED_CACHE_CAPACITY: usize = 1 << 16;
 /// Trace events the telemetry ring retains; older events are evicted.
@@ -290,8 +286,6 @@ pub struct ObjectState {
     pub(crate) matrix: Arc<Matrix>,
     pub(crate) view: View,
     pub(crate) action: TouchAction,
-    pub(crate) cache: RegionCache,
-    pub(crate) prefetcher: Prefetcher,
     /// Handle to the catalog-wide cross-session result cache, `None` when the
     /// configuration disables it.
     pub(crate) shared_cache: Option<Arc<SharedResultCache>>,
@@ -382,12 +376,11 @@ impl ObjectState {
     /// * Epoch unchanged: nothing to do.
     /// * Epoch advanced but this object's data identity is unchanged (other
     ///   objects were loaded or restructured, or only metadata changed): the
-    ///   state keeps its view, action, caches and any private rotation; only
+    ///   state keeps its view, action and any private rotation; only
     ///   the observed epoch moves forward.
     /// * This object was rebuilt (`drag_column_out` / `drag_column_into` on
-    ///   it): the state is rebuilt against the new data — base view, cold
-    ///   region cache and prefetcher (their row ranges described the old
-    ///   build), shared matrix (a private rotation is dropped). The session's
+    ///   it): the state is rebuilt against the new data — base view, shared
+    ///   matrix (a private rotation is dropped). The session's
     ///   action carries over when it still *means the same thing*: it must
     ///   validate against the new schema AND any attribute it references by
     ///   index must still name the column it named before (a restructure may
@@ -604,7 +597,7 @@ impl SharedCatalog {
         }
         if let Some(persistence) = &persistence {
             let pager = Arc::clone(persistence.pager());
-            pager.attach_telemetry(Arc::clone(&telemetry));
+            pager.attach_telemetry(&telemetry);
             telemetry.register(Arc::clone(pager.encoding_stats()) as Arc<dyn MetricSource>);
             telemetry.register(pager as Arc<dyn MetricSource>);
         }
@@ -690,7 +683,7 @@ impl SharedCatalog {
     }
 
     /// Create fresh per-session state for an object: the default view and
-    /// action, an empty cache and prefetcher, and the shared matrix. The
+    /// action and the shared matrix. The
     /// state records the epoch it was taken at; see
     /// [`ObjectState::refresh`] for how it observes later epochs.
     pub fn checkout(&self, id: ObjectId) -> Result<ObjectState> {
@@ -718,16 +711,6 @@ impl SharedCatalog {
             matrix: data.matrix.clone(),
             view: data.base_view.clone(),
             action: data.default_action.clone(),
-            cache: if config.cache_enabled {
-                RegionCache::new(REGION_CACHE_CAPACITY_ROWS)
-            } else {
-                RegionCache::disabled()
-            },
-            prefetcher: if config.prefetch_enabled {
-                Prefetcher::new(16)
-            } else {
-                Prefetcher::disabled()
-            },
             shared_cache: self.shared_cache.clone(),
             remote: config.remote_split.as_ref().map(|split| RemoteTier {
                 local_min_level: split.local_min_level,
@@ -902,7 +885,7 @@ impl SharedCatalog {
     /// Group standalone column objects into a new table object (Section 2.8).
     /// The source column objects remain in the catalog; the new table is
     /// registered as a fresh object with fresh per-session state — nothing
-    /// (region cache, prefetcher, actions) carries over from the sources.
+    /// (view, actions) carries over from the sources.
     pub fn group_into_table(
         &self,
         name: impl Into<String>,
@@ -1317,7 +1300,6 @@ mod tests {
         Session::new(&mut state, catalog.config())
             .run(&trace)
             .unwrap();
-        assert!(state.cache.stats().resident_rows > 0, "warm regions");
 
         catalog
             .drag_column_out(tid, "v", SizeCm::new(2.0, 10.0))
@@ -1328,11 +1310,6 @@ mod tests {
         assert_eq!(state.data().schema().len(), 1);
         assert_eq!(state.restructures_seen(), 1);
         assert_eq!(state.epoch(), catalog.epoch());
-        // Caches start cold: their row ranges described the old build.
-        assert_eq!(
-            state.cache.stats(),
-            dbtouch_storage::cache::CacheStats::default()
-        );
         // Tuple still validates against the single-column table.
         assert_eq!(state.action(), &TouchAction::Tuple);
     }

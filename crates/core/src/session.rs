@@ -8,9 +8,8 @@
 //! one data object and, for every touch, (1) maps the touch to a tuple
 //! identifier, (2) picks the granularity / sample level from the gesture speed
 //! and object size, (3) runs the object's configured per-touch action, and
-//! (4) appends the produced value to the result stream. Pauses trigger the
-//! prefetching policy and pay down any refinement debt left by the response
-//! budget.
+//! (4) appends the produced value to the result stream. Pauses pay down any
+//! refinement debt left by the response budget.
 
 use crate::adaptive::GranularityPolicy;
 use crate::catalog::ObjectState;
@@ -19,7 +18,6 @@ use crate::mapping::TouchMapper;
 use crate::operators::aggregate::RunningAggregate;
 use crate::operators::groupby::IncrementalGroupBy;
 use crate::operators::scan::PointScan;
-use crate::prefetch_policy::PrefetchPolicy;
 use crate::remote::RemoteStats;
 use crate::remote_exec::{
     summary_value, Contribution, PendingRefinement, RangeStats, RefinementLedger, RemoteTier,
@@ -59,8 +57,6 @@ pub struct SessionStats {
     pub zooms: u64,
     /// Rotate gestures applied.
     pub rotations: u64,
-    /// Prefetch requests issued by the policy.
-    pub prefetches_issued: u64,
     /// Refinement steps executed.
     pub refinements: u64,
     /// Touches answered without reading data because the zone-map index proved
@@ -75,18 +71,12 @@ pub struct SessionStats {
     /// without reading data (segment-granularity pruning).
     #[serde(default)]
     pub pruned_segments: u64,
-    /// Simulated memory-access cost accumulated (nanoseconds).
-    pub simulated_access_nanos: u64,
     /// Real compute time spent inside per-touch processing (nanoseconds).
     pub compute_nanos: u64,
     /// Maximum per-touch processing time observed (nanoseconds).
     pub max_touch_nanos: u64,
     /// Histogram of sample levels used: level -> touches served from it.
     pub sample_level_usage: BTreeMap<u8, u64>,
-    /// Cache hits and misses observed during the session.
-    pub cache_hits: u64,
-    /// Cache misses observed during the session.
-    pub cache_misses: u64,
     /// Summary windows answered from the shared cross-session result cache.
     pub shared_cache_hits: u64,
     /// Summary windows the shared cache did not hold (computed from storage).
@@ -123,17 +113,13 @@ dbtouch_types::wire_struct!(SessionStats {
     duplicate_touches: u64,
     zooms: u64,
     rotations: u64,
-    prefetches_issued: u64,
     refinements: u64,
     index_skips: u64,
     segments_scanned: u64,
     pruned_segments: u64,
-    simulated_access_nanos: u64,
     compute_nanos: u64,
     max_touch_nanos: u64,
     sample_level_usage: BTreeMap<u8, u64>,
-    cache_hits: u64,
-    cache_misses: u64,
     shared_cache_hits: u64,
     shared_cache_misses: u64,
     shared_cache_inserts: u64,
@@ -144,11 +130,10 @@ dbtouch_types::wire_struct!(SessionStats {
 });
 
 impl SessionStats {
-    /// Mean per-touch processing time in nanoseconds (0 when no touches).
+    /// Mean per-touch processing time in nanoseconds (0 when no touches):
+    /// the measured [`compute_nanos`](Self::compute_nanos) over all touches.
     pub fn mean_touch_nanos(&self) -> u64 {
-        (self.compute_nanos + self.simulated_access_nanos)
-            .checked_div(self.touches)
-            .unwrap_or(0)
+        self.compute_nanos.checked_div(self.touches).unwrap_or(0)
     }
 }
 
@@ -206,7 +191,6 @@ pub struct Session<'a> {
     recognizer: GestureRecognizer,
     kinematics: GestureKinematics,
     granularity: GranularityPolicy,
-    prefetch_policy: PrefetchPolicy,
     budget: ResponseBudget,
     aggregate: Option<RunningAggregate>,
     groupby: Option<IncrementalGroupBy>,
@@ -253,7 +237,6 @@ impl<'a> Session<'a> {
             recognizer: GestureRecognizer::default(),
             kinematics: GestureKinematics::default(),
             granularity: GranularityPolicy::new(config.clone()),
-            prefetch_policy: PrefetchPolicy::new(config),
             budget,
             aggregate,
             groupby,
@@ -312,10 +295,7 @@ impl<'a> Session<'a> {
                 location,
                 timestamp,
             } => self.process_touch(location, timestamp),
-            GestureEvent::SlidePaused {
-                location,
-                timestamp,
-            } => self.on_pause(location, timestamp),
+            GestureEvent::SlidePaused { .. } => self.on_pause(),
             GestureEvent::SlideEnded { .. } => {
                 self.last_row = None;
                 Ok(())
@@ -347,14 +327,6 @@ impl<'a> Session<'a> {
         }
         self.last_row = Some(row);
 
-        // Cache / prefetch accounting for the touched row.
-        if self.object.cache.lookup(row) {
-            self.stats.cache_hits += 1;
-        } else {
-            self.stats.cache_misses += 1;
-        }
-        self.stats.simulated_access_nanos += self.object.prefetcher.access_cost_nanos(row);
-
         let fraction = TouchMapper::fraction_for_row(&self.object.view, row);
         let action = self.object.action.clone();
         match action {
@@ -378,16 +350,6 @@ impl<'a> Session<'a> {
                 value_attribute,
                 ..
             } => self.do_group_by(row, group_attribute, value_attribute, fraction, timestamp)?,
-        }
-
-        // Keep the touched neighbourhood warm for re-examination.
-        if self.config.cache_enabled {
-            let window = RowRange::window(
-                row,
-                self.config.summary_half_window,
-                self.object.row_count(),
-            );
-            self.object.cache.insert(window);
         }
 
         let elapsed = started.elapsed().as_nanos() as u64;
@@ -791,21 +753,8 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
-    /// A paused gesture: extrapolate and prefetch, and pay down refinement debt.
-    fn on_pause(&mut self, location: PointCm, _timestamp: Timestamp) -> Result<()> {
-        if let Ok(Some(row)) = TouchMapper::row_for_touch(&self.object.view, location) {
-            if let Some(range) = self.prefetch_policy.plan_and_submit(
-                &self.object.view,
-                &self.kinematics,
-                row.0,
-                &mut self.object.prefetcher,
-            ) {
-                self.stats.prefetches_issued += 1;
-                if self.config.cache_enabled {
-                    self.object.cache.insert(range);
-                }
-            }
-        }
+    /// A paused gesture: pay down refinement debt.
+    fn on_pause(&mut self) -> Result<()> {
         // Use the idle time to refine a previously truncated summary. (This
         // budget-debt refinement always reads locally, in both split modes:
         // it feeds only the running aggregate, and the ledger keeps its
@@ -1006,16 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn pauses_trigger_prefetching() {
-        let (mut kernel, id) = kernel_with_column(1_000_000);
-        kernel.set_action(id, TouchAction::Scan).unwrap();
-        let view = kernel.view(id).unwrap();
-        let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 3.0);
-        let outcome = kernel.run_trace(id, &trace).unwrap();
-        assert!(outcome.stats.prefetches_issued > 0);
-    }
-
-    #[test]
     fn duplicate_touches_are_skipped() {
         let (mut kernel, id) = kernel_with_column(10);
         kernel.set_action(id, TouchAction::Scan).unwrap();
@@ -1153,36 +1092,15 @@ mod tests {
         assert_eq!(s.bytes_touched, s.rows_touched * 8);
         assert!(s.mean_touch_nanos() > 0);
         assert!(s.max_touch_nanos >= s.compute_nanos / s.touches.max(1));
-        // every emitted scan result corresponds to exactly one cache lookup
-        assert_eq!(s.cache_hits + s.cache_misses, s.entries_returned);
         // a scan session never consults the shared summary cache
         assert_eq!(s.shared_cache_hits + s.shared_cache_misses, 0);
         assert_eq!(s.shared_cache_inserts, 0);
     }
 
     #[test]
-    fn cache_invariants_hold_with_region_cache_disabled() {
-        // With the region cache off every lookup is still counted (as a miss),
-        // so the lookup invariant must hold unchanged.
-        let mut kernel = Kernel::new(KernelConfig::default().with_cache(false));
-        let id = kernel
-            .load_column("col", (0..100_000i64).collect(), SizeCm::new(2.0, 10.0))
-            .unwrap();
-        kernel.set_action(id, TouchAction::Scan).unwrap();
-        let view = kernel.view(id).unwrap();
-        let trace = GestureSynthesizer::new(60.0).slide_down(&view, 1.0);
-        let outcome = kernel.run_trace(id, &trace).unwrap();
-        let s = &outcome.stats;
-        assert_eq!(s.cache_hits, 0, "disabled cache can never hit");
-        assert_eq!(s.cache_hits + s.cache_misses, s.entries_returned);
-    }
-
-    #[test]
-    fn cache_layers_do_not_double_count() {
-        // Both cache layers on, Summary action: every emitted summary entry is
-        // exactly one region-cache lookup AND exactly one shared-cache lookup;
-        // every shared miss is exactly one insert. Neither layer's counters
-        // leak into the other's.
+    fn shared_cache_lookups_match_summary_entries() {
+        // Summary action: every emitted summary entry is exactly one
+        // shared-cache lookup, and every shared miss is exactly one insert.
         let (mut kernel, id) = kernel_with_column(1_000_000);
         kernel
             .set_action(
@@ -1198,7 +1116,6 @@ mod tests {
         let outcome = kernel.run_trace(id, &trace).unwrap();
         let s = &outcome.stats;
         assert!(s.entries_returned > 0);
-        assert_eq!(s.cache_hits + s.cache_misses, s.entries_returned);
         assert_eq!(
             s.shared_cache_hits + s.shared_cache_misses,
             s.entries_returned
@@ -1229,8 +1146,6 @@ mod tests {
         assert_eq!(s.shared_cache_hits, 0);
         assert_eq!(s.shared_cache_misses, 0);
         assert_eq!(s.shared_cache_inserts, 0);
-        // The per-session region cache still does its job independently.
-        assert_eq!(s.cache_hits + s.cache_misses, s.entries_returned);
     }
 
     #[test]

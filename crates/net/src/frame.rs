@@ -39,7 +39,7 @@ pub const PROTOCOL_NAME: &str = "dbtouch-net";
 /// sides. A peer offering any other version is refused with an error frame:
 /// binary layouts (the session report, for one) and the frame checksum
 /// differ between versions.
-pub const PROTOCOL_VERSION: u64 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;

@@ -32,7 +32,7 @@ use dbtouch_types::{PointCm, RowId, Timestamp, Value};
 use std::collections::BTreeMap;
 
 /// The protocol version the hex below was generated under.
-pub const GOLDEN_PROTOCOL_VERSION: u64 = 4;
+pub const GOLDEN_PROTOCOL_VERSION: u64 = 5;
 
 /// Upper bound on any corpus frame.
 pub const MAX_GOLDEN_FRAME: usize = 2 << 10;
@@ -105,17 +105,13 @@ fn stats() -> SessionStats {
         duplicate_touches: 106,
         zooms: 107,
         rotations: 108,
-        prefetches_issued: 109,
         refinements: 110,
         index_skips: 111,
         segments_scanned: 112,
         pruned_segments: 113,
-        simulated_access_nanos: 114,
         compute_nanos: 115,
         max_touch_nanos: 116,
         sample_level_usage: BTreeMap::from([(0, 117), (3, 118)]),
-        cache_hits: 119,
-        cache_misses: 120,
         shared_cache_hits: 121,
         shared_cache_misses: 122,
         shared_cache_inserts: 123,
@@ -389,10 +385,9 @@ pub const GOLDEN: &[(&str, &str)] = &[
          0001000000000000f07f02010304000000ceb1ceb204ffffffffffffffff6000\
          0000000000000665000000000000006600000000000000670000000000000068\
          0000000000000069000000000000006a000000000000006b000000000000006c\
-         000000000000006d000000000000006e000000000000006f0000000000000070\
-         0000000000000071000000000000007200000000000000730000000000000074\
-         0000000000000002000000007500000000000000037600000000000000770000\
-         0000000000780000000000000079000000000000007a000000000000007b0000\
+         000000000000006e000000000000006f00000000000000700000000000000071\
+         0000000000000073000000000000007400000000000000020000000075000000\
+         0000000003760000000000000079000000000000007a000000000000007b0000\
          00000000007c000000000000007d000000000000007e000000000000007f0000\
          0000000000800000000000000081000000000000008200000000000000830000\
          0000000000010000000000000a4002000000030100000061000000000000f83f\
@@ -400,7 +395,6 @@ pub const GOLDEN: &[(&str, &str)] = &[
          0000000000000100000000000000020301020300000000040000000000000000\
          0000000000254001000000000000e03f00010500000000000000020400000000\
          0000000400000000000000900100000000000020030000000000000000000000\
-         0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\

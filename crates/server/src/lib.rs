@@ -12,8 +12,8 @@
 //! The design follows the standard idiom of concurrent columnar engines:
 //! loaded data is immutable and shared (`Arc<ObjectData>` inside
 //! [`dbtouch_core::catalog::SharedCatalog`]); everything mutable — view
-//! geometry, touch action, region cache, prefetcher, result stream — is
-//! per-session state checked out per explorer. Because sessions share nothing
+//! geometry, touch action, result stream — is per-session state checked out
+//! per explorer. Because sessions share nothing
 //! mutable, per-touch processing takes no locks and concurrent results are
 //! bit-identical to a sequential run of the same traces. The one shared
 //! mutable structure is the optional cross-session result cache

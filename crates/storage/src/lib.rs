@@ -15,8 +15,6 @@
 //! * **Sample-based storage** — a hierarchy of progressively coarser samples of
 //!   each column so that coarse-granularity slides read the matched sample level
 //!   instead of the full base data. See [`sample`].
-//! * **Caching** of touched regions and **prefetching** of the regions the
-//!   gesture is extrapolated to reach next. See [`cache`] and [`prefetch`].
 //! * A **shared cross-session result cache** of summary-window aggregates,
 //!   keyed by immutable-object identity so catalog restructures invalidate
 //!   naturally. See [`shared_cache`].
@@ -38,7 +36,6 @@
 //! The adaptive *policies* that decide when to use which mechanism live in
 //! `dbtouch-core`; this crate provides the mechanisms.
 
-pub mod cache;
 pub mod column;
 pub mod encoding;
 mod fold;
@@ -48,7 +45,6 @@ pub mod matrix;
 pub mod page;
 pub mod pager;
 pub mod persist;
-pub mod prefetch;
 pub mod rotation;
 pub mod sample;
 pub mod segment;
@@ -56,7 +52,6 @@ pub mod shared_cache;
 pub mod stats;
 pub mod table;
 
-pub use cache::{CacheStats, RegionCache};
 pub use column::Column;
 pub use encoding::{Encoding, EncodingPolicy, EncodingStats};
 pub use index::ZoneMapIndex;
@@ -65,7 +60,6 @@ pub use matrix::Matrix;
 pub use page::DEFAULT_PAGE_SIZE;
 pub use pager::{ColumnExtent, PagedColumn, Pager, PagerStats};
 pub use persist::{CatalogStore, ObjectRecord, StoreManifest};
-pub use prefetch::{PrefetchStats, Prefetcher};
 pub use rotation::RotationTask;
 pub use sample::SampleHierarchy;
 pub use segment::{plan_segments, Segment, SegmentStats, SegmentSum};

@@ -33,7 +33,7 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Map an `std::io::Error` into the workspace error type.
 pub(crate) fn io_err(op: &str, e: std::io::Error) -> DbTouchError {
@@ -157,8 +157,9 @@ pub struct Pager {
     faults: AtomicU64,
     /// Telemetry hub, attached once after the owning catalog assembles its
     /// hub. Faults emit [`TraceEventKind::PageFault`] events attributed to
-    /// whatever gesture trace the faulting thread is running.
-    telemetry: OnceLock<Arc<Telemetry>>,
+    /// whatever gesture trace the faulting thread is running. Weak: the hub
+    /// scrapes this pager, so a strong handle would keep both alive forever.
+    telemetry: OnceLock<Weak<Telemetry>>,
     /// Compression counters: pages packed per encoding, bytes saved on disk,
     /// runs aggregated run-at-a-time by scans. Shared so the owning catalog
     /// can register them as the `encoding` metric source.
@@ -227,8 +228,8 @@ impl Pager {
     /// Attach a telemetry hub so page faults show up in the event trace.
     /// First attachment wins; later calls are ignored (a pager belongs to one
     /// catalog).
-    pub fn attach_telemetry(&self, hub: Arc<Telemetry>) {
-        let _ = self.telemetry.set(hub);
+    pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
+        let _ = self.telemetry.set(Arc::downgrade(hub));
     }
 
     /// The page size this file was opened with.
@@ -303,7 +304,7 @@ impl Pager {
         image.truncate(len);
         let payload = Arc::new(image);
         self.faults.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = self.telemetry.get() {
+        if let Some(hub) = self.telemetry.get().and_then(Weak::upgrade) {
             hub.event(TraceEventKind::PageFault, page_id);
         }
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
@@ -837,6 +838,37 @@ mod tests {
             pool.map.len()
         };
         assert!(resident <= 3, "pool exceeded capacity: {resident}");
+    }
+
+    #[test]
+    fn clock_evicts_behind_a_sequential_cursor() {
+        const PAGES: u64 = 100;
+        const POOL: u64 = PAGES / 10;
+        let path = temp_file("sweep");
+        let pager = Arc::new(Pager::open_or_create(&path, 256, POOL as usize).unwrap());
+        let rows = PAGES * rows_per_page(256, 8);
+        let values: Vec<i64> = (0..rows as i64).collect();
+        let extent = append_row_bytes(&pager, DataType::Int64, rows, &i64_bytes(&values)).unwrap();
+        assert_eq!(extent.page_count, PAGES);
+        let col = PagedColumn::new(Arc::clone(&pager), extent).unwrap();
+        let first_row_of = |page: u64| RowId(page * col.rows_per_page());
+
+        // A sequential slide over every row faults each page exactly once.
+        for row in 0..rows {
+            assert_eq!(col.value_at(RowId(row)).unwrap(), Value::Int(row as i64));
+        }
+        let swept = pager.stats();
+        assert_eq!(swept.faults, PAGES);
+        assert_eq!(swept.evictions, PAGES - POOL);
+
+        // What the cursor just passed is still resident...
+        for page in PAGES - (POOL - 1)..PAGES {
+            col.value_at(first_row_of(page)).unwrap();
+        }
+        assert_eq!(pager.stats().faults, PAGES);
+        // ...and the start of the sweep was evicted.
+        col.value_at(first_row_of(0)).unwrap();
+        assert_eq!(pager.stats().faults, PAGES + 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests for the storage substrate: matrix layout conversions,
-//! projections and appends, the region cache, and zone-map completeness.
+//! projections and appends, and zone-map completeness.
 
-use dbtouch_storage::cache::RegionCache;
 use dbtouch_storage::column::Column;
 use dbtouch_storage::index::ZoneMapIndex;
 use dbtouch_storage::layout::Layout;
@@ -69,36 +68,6 @@ proptest! {
             prop_assert_eq!(a.2, b.2);
             prop_assert_eq!(a.3, b.3);
         }
-    }
-
-    /// The region cache never reports a hit for a row that was not inserted,
-    /// and always hits rows inside the most recently inserted region (which can
-    /// never have been evicted before a new insert happens).
-    #[test]
-    fn cache_soundness(
-        inserts in prop::collection::vec((0u64..10_000, 1u64..500), 1..30),
-        probes in prop::collection::vec(0u64..12_000, 1..50),
-        capacity in 100u64..5_000,
-    ) {
-        let mut cache = RegionCache::new(capacity);
-        let mut inserted: Vec<RowRange> = Vec::new();
-        for (start, len) in inserts {
-            let range = RowRange::new(start, start + len);
-            cache.insert(range);
-            inserted.push(range);
-        }
-        for probe in probes {
-            let hit = cache.lookup(RowId(probe));
-            let was_inserted = inserted.iter().any(|r| r.contains(RowId(probe)));
-            if hit {
-                prop_assert!(was_inserted, "cache hit for never-inserted row {probe}");
-            }
-        }
-        // rows of the last inserted region are still resident (LRU evicts old
-        // regions first and trims oversized regions from their start)
-        let last = *inserted.last().unwrap();
-        let tail_row = RowId(last.end - 1);
-        prop_assert!(cache.lookup(tail_row));
     }
 
     /// Zone maps are complete: every row whose value satisfies a range

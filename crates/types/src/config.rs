@@ -132,12 +132,6 @@ pub struct KernelConfig {
     /// gesture speed and object size; when `false` it always reads base data.
     pub adaptive_sampling: bool,
 
-    /// When `true`, the prefetcher runs during pauses/slowdowns.
-    pub prefetch_enabled: bool,
-
-    /// When `true`, touched regions are cached for re-examination.
-    pub cache_enabled: bool,
-
     /// When `true`, sessions of the same catalog share a cross-session result
     /// cache of summary-window aggregates, keyed by immutable-object identity
     /// (a catalog restructure mints a new identity, so stale entries can never
@@ -235,8 +229,6 @@ impl Default for KernelConfig {
             sample_levels: 8,
             touch_budget_micros: 2_000,
             adaptive_sampling: true,
-            prefetch_enabled: true,
-            cache_enabled: true,
             shared_cache_enabled: true,
             buffer_pool_pages: 4096,
             remote_split: None,
@@ -330,8 +322,6 @@ impl KernelConfig {
     pub fn naive() -> Self {
         KernelConfig {
             adaptive_sampling: false,
-            prefetch_enabled: false,
-            cache_enabled: false,
             shared_cache_enabled: false,
             ..KernelConfig::default()
         }
@@ -358,18 +348,6 @@ impl KernelConfig {
     /// Builder-style toggles for the adaptive features.
     pub fn with_adaptive_sampling(mut self, on: bool) -> Self {
         self.adaptive_sampling = on;
-        self
-    }
-
-    /// Builder-style toggle for prefetching.
-    pub fn with_prefetch(mut self, on: bool) -> Self {
-        self.prefetch_enabled = on;
-        self
-    }
-
-    /// Builder-style toggle for the region cache.
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.cache_enabled = on;
         self
     }
 
@@ -499,8 +477,6 @@ mod tests {
     fn naive_disables_adaptivity() {
         let c = KernelConfig::naive();
         assert!(!c.adaptive_sampling);
-        assert!(!c.prefetch_enabled);
-        assert!(!c.cache_enabled);
         assert!(!c.shared_cache_enabled);
     }
 
@@ -510,11 +486,10 @@ mod tests {
             .with_summary_half_window(9)
             .with_touch_sample_rate(120.0)
             .with_adaptive_sampling(false)
-            .with_prefetch(false)
-            .with_cache(false);
+            .with_shared_cache(false);
         assert_eq!(c.summary_half_window, 9);
         assert_eq!(c.touch_sample_rate_hz, 120.0);
-        assert!(!c.adaptive_sampling && !c.prefetch_enabled && !c.cache_enabled);
+        assert!(!c.adaptive_sampling && !c.shared_cache_enabled);
     }
 
     #[test]

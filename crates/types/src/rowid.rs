@@ -4,8 +4,8 @@
 //! translation: a touch at location `t` over an object of size `o` representing
 //! `n` tuples addresses tuple identifier `id = n * t / o` (the Rule of Three).
 //! `RowId` is the result of that mapping; `RowRange` captures the `[id-k, id+k]`
-//! windows used by interactive summaries and the regions used by the cache and
-//! prefetcher.
+//! windows used by interactive summaries and the ranges the prefetch policy
+//! plans.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -71,7 +71,8 @@ impl From<usize> for RowId {
 
 /// A half-open range of row identifiers `[start, end)`.
 ///
-/// Used for interactive-summary windows, cache regions and prefetch requests.
+/// Used for interactive-summary windows, segment plans and planned prefetch
+/// ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RowRange {
     /// First row in the range.

@@ -160,8 +160,8 @@ pub fn plan_hot_object(
 
 /// A [`KernelConfig`] tuned so every summary window actually exercises the
 /// segment kernel: base-level reads (no adaptive coarsening), a touch budget
-/// that never truncates the window, and every result cache off so each touch
-/// recomputes its window from storage. Used by the segment-sweep workload and
+/// that never truncates the window, and the shared result cache off so each
+/// touch recomputes its window from storage. Used by the segment-sweep workload and
 /// `touch_budget`'s `banded_sweep` / `cold_raw_sweep`; only the scan knobs
 /// vary between swept points, so any digest difference is the scan path's
 /// fault.
@@ -172,9 +172,7 @@ pub fn segment_sweep_config(scan_parallelism: usize, segment_rows: u64) -> Kerne
             .with_scan_parallelism(scan_parallelism)
             .with_segment_rows(segment_rows)
             .with_adaptive_sampling(false)
-            .with_cache(false)
             .with_shared_cache(false)
-            .with_prefetch(false)
     }
 }
 

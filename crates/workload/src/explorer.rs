@@ -51,7 +51,9 @@ pub struct DiscoveryReport {
     pub interactions: u64,
     /// Refinement iterations.
     pub iterations: u64,
-    /// Estimated elapsed time including simulated human interaction, seconds.
+    /// Estimated elapsed time in seconds: simulated human interaction plus, for
+    /// the dbTouch explorer, the kernel's measured per-touch processing time
+    /// (`SessionStats::compute_nanos`).
     pub estimated_seconds: f64,
 }
 
@@ -124,8 +126,8 @@ impl DbTouchExplorer {
             bytes_touched += outcome.stats.bytes_touched;
             entries += outcome.stats.entries_returned;
             elapsed += self.slide_seconds + self.think_seconds;
-            elapsed +=
-                (outcome.stats.compute_nanos + outcome.stats.simulated_access_nanos) as f64 / 1e9;
+            // Plus the kernel's measured per-touch processing time.
+            elapsed += outcome.stats.compute_nanos as f64 / 1e9;
 
             // The simulated analyst looks for the most anomalous summary value.
             let best = outcome

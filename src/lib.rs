@@ -7,7 +7,8 @@
 //!   histograms and the bounded gesture-lifecycle event trace every layer
 //!   reports into.
 //! * [`storage`] — fixed-width dense columns/matrixes, layouts and incremental
-//!   rotation, the sample hierarchy, region cache and prefetcher.
+//!   rotation, the sample hierarchy, paged columns behind a buffer pool and
+//!   the shared result cache.
 //! * [`gesture`] — touch events, views, gesture recognizers, kinematics and the
 //!   gesture synthesizer used in place of a physical touch screen.
 //! * [`core`] — the dbTouch kernel: touch→tuple-identifier mapping, per-touch
