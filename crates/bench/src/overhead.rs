@@ -64,8 +64,9 @@ pub struct OverheadReport {
     /// Result digests identical across every trial of both configurations.
     pub digests_identical: bool,
     /// What the enabled observer saw in its best trial, as two named counts:
-    /// lifecycle events and metric keys for the hub, finished traces and
-    /// retained span trees for tracing. Zero means it was not really on.
+    /// finished traces, then metric keys for the hub or retained span trees
+    /// for tracing. The first is zero unless the hub recorded the run, so
+    /// zero means the observer was not really on.
     pub observed: [(&'static str, u64); 2],
 }
 
@@ -135,18 +136,13 @@ fn one_run(
         )));
     }
     let snapshot = catalog.telemetry().snapshot();
+    let finished = (
+        "traces finished",
+        snapshot.scalar("obs.traces_finished").unwrap_or(0),
+    );
     let observed = match switch {
-        Switch::Telemetry => [
-            ("events recorded", snapshot.events_recorded),
-            ("metric keys", snapshot.metrics.len() as u64),
-        ],
-        Switch::Trace => [
-            (
-                "traces finished",
-                snapshot.scalar("obs.traces_finished").unwrap_or(0),
-            ),
-            ("trees retained", snapshot.traces.len() as u64),
-        ],
+        Switch::Telemetry => [finished, ("metric keys", snapshot.metrics.len() as u64)],
+        Switch::Trace => [finished, ("trees retained", snapshot.traces.len() as u64)],
     };
     Ok(Run {
         touches_per_sec: run.touches_per_sec(),
@@ -227,6 +223,11 @@ mod tests {
             if switch == Switch::Telemetry {
                 assert!(report.observed[1].1 > 0, "the hub's snapshot has keys");
             }
+            let off = one_run(&Scenario::sky_survey(20_000, 17), switch, false, 2, 2).unwrap();
+            assert_eq!(
+                off.observed[0].1, 0,
+                "the disabled {switch:?} observer saw nothing"
+            );
             assert!(report.table().contains("digests identical    true"));
         }
     }

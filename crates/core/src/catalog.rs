@@ -49,7 +49,7 @@ use crate::morsel::MorselPool;
 use crate::remote::NetworkModel;
 use crate::remote_exec::{CompletionQueue, RemoteExecutor, RemoteTier};
 use dbtouch_gesture::view::View;
-use dbtouch_obs::{Gauge, MetricSource, MetricValue, SpanConfig, Telemetry, TraceEventKind};
+use dbtouch_obs::{Gauge, MetricSource, MetricValue, SpanConfig, Telemetry};
 use dbtouch_storage::column::Column;
 use dbtouch_storage::index::ZoneMapIndex;
 use dbtouch_storage::layout::Layout;
@@ -63,8 +63,6 @@ use std::sync::{Arc, Mutex};
 
 /// Capacity of the shared cross-session result cache, in entries.
 const SHARED_CACHE_CAPACITY: usize = 1 << 16;
-/// Trace events the telemetry ring retains; older events are evicted.
-const TELEMETRY_RING_CAPACITY: usize = 8192;
 /// Rows converted per step of an incremental layout rotation (Section 2.8).
 const ROTATION_CHUNK_ROWS: u64 = 65_536;
 
@@ -297,8 +295,8 @@ pub struct ObjectState {
     /// scans). See [`crate::morsel`].
     pub(crate) morsel: Option<Arc<MorselPool>>,
     /// The owning catalog's telemetry hub (a disabled hub when
-    /// [`KernelConfig::telemetry_enabled`] is off). Sessions emit
-    /// gesture-lifecycle events through this handle.
+    /// [`KernelConfig::telemetry_enabled`] is off). Fanned-out scans record
+    /// their `segments` spans through this handle.
     pub(crate) telemetry: Arc<Telemetry>,
 }
 
@@ -399,8 +397,6 @@ impl ObjectState {
         }
         let data = snapshot.object(self.id)?.clone();
         self.epoch = snapshot.epoch();
-        self.telemetry
-            .event(TraceEventKind::EpochRefresh, self.epoch);
         if data.identity == self.data.identity {
             // Same build (the publish that moved the epoch did not rebuild
             // this object's data): keep every piece of session state, track
@@ -567,17 +563,13 @@ impl SharedCatalog {
         let morsel = (config.scan_parallelism > 1)
             .then(|| Arc::new(MorselPool::start(config.scan_parallelism - 1)));
         let telemetry = Arc::new(if config.telemetry_enabled {
-            Telemetry::with_spans(
-                TELEMETRY_RING_CAPACITY,
-                config.telemetry_hot_sample,
-                SpanConfig {
-                    enabled: config.tracing_enabled,
-                    tail_threshold_nanos: config.trace_tail_threshold_micros.saturating_mul(1_000),
-                    head_sample_every: config.trace_head_sample_every,
-                    retained_capacity: config.trace_retained_capacity,
-                    ..SpanConfig::default()
-                },
-            )
+            Telemetry::new(SpanConfig {
+                enabled: config.tracing_enabled,
+                tail_threshold_nanos: config.trace_tail_threshold_micros.saturating_mul(1_000),
+                head_sample_every: config.trace_head_sample_every,
+                retained_capacity: config.trace_retained_capacity,
+                ..SpanConfig::default()
+            })
         } else {
             Telemetry::disabled()
         });
@@ -597,7 +589,6 @@ impl SharedCatalog {
         }
         if let Some(persistence) = &persistence {
             let pager = Arc::clone(persistence.pager());
-            pager.attach_telemetry(&telemetry);
             telemetry.register(Arc::clone(pager.encoding_stats()) as Arc<dyn MetricSource>);
             telemetry.register(pager as Arc<dyn MetricSource>);
         }
@@ -957,8 +948,6 @@ impl SharedCatalog {
             });
             if self.current.publish_if_current(&current, Arc::clone(&next)) {
                 self.gauges.observe(&next);
-                self.telemetry
-                    .event(TraceEventKind::EpochPublished, next.epoch);
                 // Attached catalogs persist the epoch they just published —
                 // still under the mutators lock, so manifests land in epoch
                 // order and a directory is always exactly one epoch. The

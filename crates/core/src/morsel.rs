@@ -40,10 +40,7 @@
 //! most `segment_rows` long, i.e. the existing sequential path.
 
 use crate::catalog::ObjectData;
-use dbtouch_obs::{
-    clear_trace_ctx, set_trace_ctx_full, trace_ctx, MetricSource, MetricValue, Telemetry, TraceCtx,
-    TraceEventKind,
-};
+use dbtouch_obs::{trace_ctx, MetricSource, MetricValue, Telemetry, TraceCtx};
 use dbtouch_storage::segment::{plan_segments, Segment, SegmentStats};
 use dbtouch_types::{DbTouchError, Result, RowRange};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -128,11 +125,11 @@ struct ScanBatch {
     next: AtomicUsize,
     ledger: Mutex<SegmentLedger>,
     done: Condvar,
-    /// The submitting thread's trace context: helpers stamp it so their
-    /// events carry the originating session's trace id (mirroring how async
-    /// refinements re-stamp theirs).
+    /// The submitting thread's trace context: every thread draining the
+    /// batch, helpers included, parents its `segments` span to its service
+    /// span.
     ctx: Option<TraceCtx>,
-    /// The submitting session's telemetry hub, for per-segment hot events.
+    /// The submitting session's telemetry hub, for `segments` spans.
     telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -150,9 +147,6 @@ impl ScanBatch {
 
     /// Scan (or index-answer) one claimed segment and resolve its slot.
     fn process(&self, segment: Segment, shared: &PoolShared, stolen: bool) {
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.hot_event(TraceEventKind::SegmentScanned, segment.range.len());
-        }
         let result = scan_segment(&self.data, self.attribute, self.level, segment);
         shared.segments_scanned.fetch_add(1, Ordering::Relaxed);
         if stolen {
@@ -383,8 +377,8 @@ impl Drop for MorselPool {
     }
 }
 
-/// A helper thread: steal a batch with unclaimed segments, adopt its trace
-/// context, drain what can be claimed, repeat.
+/// A helper thread: steal a batch with unclaimed segments, drain what can
+/// be claimed, repeat.
 fn helper_loop(shared: &PoolShared) {
     loop {
         let batch = {
@@ -402,16 +396,7 @@ fn helper_loop(shared: &PoolShared) {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Events emitted while scanning stolen segments are attributed to
-        // the gesture that submitted the batch, not to this helper — the
-        // span included, so stolen-segment spans nest under the submitting
-        // gesture's service span.
-        match batch.ctx {
-            Some(ctx) => set_trace_ctx_full(ctx),
-            None => clear_trace_ctx(),
-        }
         batch.drain(shared, true, || {});
-        clear_trace_ctx();
     }
 }
 

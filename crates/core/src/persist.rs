@@ -585,8 +585,7 @@ mod tests {
     }
 
     /// Dropping a reopened catalog frees its pager, buffer pool and telemetry
-    /// hub: the pager reports faults into the hub that scrapes it, so it must
-    /// not keep that hub alive.
+    /// hub: the hub scrapes the pager, so neither may keep the other alive.
     #[test]
     fn dropping_a_reopened_catalog_frees_its_pager_and_telemetry() {
         let dir = temp_dir("drop");

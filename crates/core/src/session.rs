@@ -27,7 +27,6 @@ use crate::result::{FadePolicy, ResultKind, ResultStream, TouchResult};
 use dbtouch_gesture::kinematics::GestureKinematics;
 use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
 use dbtouch_gesture::trace::GestureTrace;
-use dbtouch_obs::TraceEventKind;
 use dbtouch_storage::shared_cache::{RangeAggregate, SummaryKey};
 use dbtouch_types::{
     DbTouchError, KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value,
@@ -355,9 +354,6 @@ impl<'a> Session<'a> {
         let elapsed = started.elapsed().as_nanos() as u64;
         self.stats.compute_nanos += elapsed;
         self.stats.max_touch_nanos = self.stats.max_touch_nanos.max(elapsed);
-        self.object
-            .telemetry
-            .hot_event(TraceEventKind::TouchReceived, elapsed);
         Ok(())
     }
 
@@ -600,16 +596,10 @@ impl<'a> Session<'a> {
                 match cache.get(&key) {
                     Some(hit) => {
                         self.stats.shared_cache_hits += 1;
-                        self.object
-                            .telemetry
-                            .hot_event(TraceEventKind::SharedCacheHit, row.0);
                         (hit.count, hit.sum, hit.min, hit.max)
                     }
                     None => {
                         self.stats.shared_cache_misses += 1;
-                        self.object
-                            .telemetry
-                            .hot_event(TraceEventKind::SharedCacheMiss, row.0);
                         let (count, sum, min, max) =
                             self.window_stats(attribute, decision.sample_level, admitted)?;
                         cache.insert(
@@ -717,9 +707,6 @@ impl<'a> Session<'a> {
         )?;
         self.stats.remote.progressive_requests =
             self.stats.remote.progressive_requests.saturating_add(1);
-        self.object
-            .telemetry
-            .event(TraceEventKind::RemoteSubmitted, ticket);
         let contrib_index = self.ledger.contribs.len() as u64;
         self.ledger.contribs.push(Contribution::Pending { ticket });
         self.pending.push(PendingRefinement {

@@ -32,8 +32,7 @@ use dbtouch_server::{ServerMetricsSnapshot, ShedConfig};
 use std::fmt;
 
 /// Why a request or connection was shed, decided where the signal is read.
-/// The `Shed` frame's text ([`fmt::Display`]) and the `Shed` trace event's
-/// detail code ([`ShedReason::event_detail`]) both derive from it.
+/// The `Shed` frame's text ([`fmt::Display`]) derives from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShedReason {
     /// `max_live_sessions` reached (gates new sessions only).
@@ -46,21 +45,6 @@ pub enum ShedReason {
     ConnectionLimit,
     /// The accepted-but-undispatched connection queue is full.
     AcceptBacklogFull,
-}
-
-impl ShedReason {
-    /// The `detail` code of the `Shed` trace event (see
-    /// [`dbtouch_obs::TraceEventKind::Shed`]): 0 = overload pressure,
-    /// 2 = connection limits. (1 = draining is reserved; a draining server
-    /// answers `GoAway`, not `Shed`.)
-    pub fn event_detail(&self) -> u64 {
-        match self {
-            ShedReason::LiveSessions { .. }
-            | ShedReason::RemoteBacklog { .. }
-            | ShedReason::TouchP99 { .. } => 0,
-            ShedReason::ConnectionLimit | ShedReason::AcceptBacklogFull => 2,
-        }
-    }
 }
 
 impl fmt::Display for ShedReason {
@@ -271,7 +255,10 @@ mod tests {
                 assert_eq!(reason, ShedReason::RemoteBacklog { backlog: 0, max: 0 });
                 // A remote-executor backlog is overload pressure, not a
                 // connection limit.
-                assert_eq!(reason.event_detail(), 0);
+                assert_eq!(
+                    reason.to_string(),
+                    "remote executor backlog 0 at or above limit 0"
+                );
             }
             Verdict::Admit => panic!("expected shed at a zero backlog limit"),
         }
@@ -306,7 +293,7 @@ mod tests {
         match trace {
             Verdict::Shed { reason, .. } => {
                 assert!(matches!(reason, ShedReason::TouchP99 { max_nanos: 0, .. }));
-                assert_eq!(reason.event_detail(), 0);
+                assert!(reason.to_string().starts_with("per-touch p99 "));
             }
             Verdict::Admit => panic!("expected shed above an impossible p99"),
         }
@@ -318,7 +305,13 @@ mod tests {
 
     #[test]
     fn accept_time_sheds_are_connection_limits() {
-        assert_eq!(ShedReason::ConnectionLimit.event_detail(), 2);
-        assert_eq!(ShedReason::AcceptBacklogFull.event_detail(), 2);
+        assert_eq!(
+            ShedReason::ConnectionLimit.to_string(),
+            "connection limit reached"
+        );
+        assert_eq!(
+            ShedReason::AcceptBacklogFull.to_string(),
+            "accept backlog full"
+        );
     }
 }

@@ -38,7 +38,7 @@ use crate::frame::{
     PROTOCOL_NAME, PROTOCOL_VERSION,
 };
 use crate::metrics::NetInstruments;
-use dbtouch_obs::{Telemetry, TraceEventKind};
+use dbtouch_obs::Telemetry;
 use dbtouch_server::{
     ExplorationServer, ServerConfig, ServerMetricsSnapshot, SessionHandle, SessionReport,
 };
@@ -113,13 +113,10 @@ impl Shared {
         self.server.catalog().telemetry()
     }
 
-    /// Account one shed decision — `net.shed` plus a `Shed` event stamped
-    /// with whatever trace context the calling thread carries — and build
-    /// the frame that tells the client why and when to retry.
+    /// Account one shed decision in `net.shed` and build the frame that
+    /// tells the client why and when to retry.
     fn shed(&self, retry_after_ms: u64, reason: &ShedReason) -> Response {
         self.instruments.shed.inc();
-        self.telemetry()
-            .event(TraceEventKind::Shed, reason.event_detail());
         Response::Shed {
             retry_after_ms,
             reason: reason.to_string(),
@@ -274,8 +271,7 @@ fn send(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
 }
 
 /// Shed a connection before it is served: explicit `Shed` frame, then close.
-/// Pre-handshake sheds carry no trace context, but the decision itself is
-/// stamped into the event ring so operators can see it server-side.
+/// The decision counts in `net.shed` like every other shed.
 fn shed_connection(shared: &Shared, mut stream: TcpStream, reason: ShedReason) {
     let resp = shared.shed(shared.retry_after_ms, &reason);
     let _ = write_frame(&mut stream, &encode_response(&resp));
@@ -504,20 +500,12 @@ fn serve_request(shared: &Shared, payload: &[u8], session: &mut Option<SessionHa
                         retry_after_ms,
                         reason,
                     } => {
-                        // Stamp the shed decision with the rejected trace
-                        // context so client-side `Overloaded` errors
-                        // correlate with server state; the partial span
-                        // buffer is dropped, not sampled.
-                        match wire {
-                            Some(w) => {
-                                hub.adopt_trace(s.id(), w.trace);
-                                let resp = shared.shed(retry_after_ms, &reason);
-                                hub.end_trace();
-                                hub.spans().trace_abort(s.id(), w.trace);
-                                resp
-                            }
-                            None => shared.shed(retry_after_ms, &reason),
+                        // A shed trace's partial span buffer is dropped, not
+                        // sampled.
+                        if let Some(w) = wire {
+                            hub.spans().trace_abort(s.id(), w.trace);
                         }
+                        shared.shed(retry_after_ms, &reason)
                     }
                     // Acked only after the bounded session queue accepted the
                     // trace: server backpressure becomes client backpressure.
@@ -618,19 +606,6 @@ mod tests {
     use crate::client::TcpClient;
     use dbtouch_server::{ExplorationClient, ShedConfig};
 
-    /// The `detail` codes of the `Shed` events in the ring, oldest first.
-    fn shed_details(server: &NetServer) -> Vec<u64> {
-        server
-            .shared
-            .telemetry()
-            .snapshot()
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Shed)
-            .map(|e| e.detail)
-            .collect()
-    }
-
     #[test]
     fn shed_events_carry_the_typed_reason() {
         let shed = ShedConfig {
@@ -644,19 +619,17 @@ mod tests {
         )
         .unwrap();
 
-        // A remote-executor backlog shed is overload (0), though its text
-        // says "backlog".
+        // A remote-executor backlog shed names the signal that tripped.
         match TcpClient::new(server.local_addr().to_string()).open_session() {
             Err(DbTouchError::Overloaded { reason, .. }) => {
                 assert_eq!(reason, "remote executor backlog 0 at or above limit 0")
             }
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        assert_eq!(shed_details(&server), [0]);
+        assert_eq!(server.metrics_snapshot().scalar("net.shed"), Some(1));
 
-        // An accept-backlog shed is a connection limit (2). The queue never
-        // fills on an idle server, so hand the acceptor's shed path a
-        // connection directly.
+        // An accept-backlog shed says so. The queue never fills on an idle
+        // server, so hand the acceptor's shed path a connection directly.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
@@ -668,8 +641,7 @@ mod tests {
             },
             other => panic!("expected a frame, got {other:?}"),
         }
-        assert_eq!(shed_details(&server), [0, 2]);
-        assert_eq!(server.instruments().shed.get(), 2);
+        assert_eq!(server.metrics_snapshot().scalar("net.shed"), Some(2));
         server.shutdown();
     }
 }

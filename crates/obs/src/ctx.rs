@@ -1,23 +1,17 @@
-//! Thread-local trace context.
+//! Thread-local trace context: the span child work should nest under.
 //!
-//! The layers that emit trace events do not all see the session: the buffer
-//! pool, four crates below the server, faults pages with no idea which gesture
-//! asked for them. Rather than plumbing a trace handle through every storage
-//! API, the worker thread stamps its current `(session, trace)` pair into a
-//! thread-local before running a gesture trace and clears it afterwards; any
-//! event emitted from that thread in between is attributed to the gesture.
-//! Worker threads serve one session event at a time, so the attribution is
-//! exact for session work; background threads (remote I/O pool) carry no
-//! context and their events are recorded unattributed.
-//!
-//! When hierarchical tracing is on, the context additionally carries the id
-//! of the gesture's current *service span*, so work fanned out to helper
-//! threads (morsel segment scans) can hang child spans under it.
+//! A gesture's scan can fan out to morsel helper threads that never see the
+//! session. Rather than plumbing a span handle through the scan API, the
+//! worker thread stamps `(session, trace, service span)` into a thread-local
+//! once it has opened the gesture's service span, and clears it afterwards.
+//! A scan batch captures the submitter's context, so the `segments` spans
+//! of every thread that drains it, helpers included, hang under the
+//! submitting gesture's service span. No context is set when tracing is off.
 
 use std::cell::Cell;
 
-/// The `(session_id, trace_id)` pair events are attributed to, plus the
-/// current span child work should nest under (0 = none).
+/// The `(session_id, trace_id)` pair of the running gesture, plus the
+/// span child work should nest under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Server-assigned session id.
@@ -32,14 +26,8 @@ thread_local! {
     static CTX: Cell<Option<TraceCtx>> = const { Cell::new(None) };
 }
 
-/// Attribute subsequent events on this thread to `(session, trace)`, with
-/// no enclosing span.
-pub fn set_trace_ctx(session: u64, trace: u64) {
-    set_trace_ctx_span(session, trace, 0);
-}
-
-/// Attribute subsequent events on this thread to `(session, trace)` and
-/// nest child spans under `span`.
+/// Nest child spans started from this thread under `span` of
+/// `(session, trace)`.
 pub fn set_trace_ctx_span(session: u64, trace: u64, span: u64) {
     CTX.with(|c| {
         c.set(Some(TraceCtx {
@@ -50,13 +38,7 @@ pub fn set_trace_ctx_span(session: u64, trace: u64, span: u64) {
     });
 }
 
-/// Restore a full captured context (helper threads adopting a submitter's
-/// context, span included).
-pub fn set_trace_ctx_full(ctx: TraceCtx) {
-    CTX.with(|c| c.set(Some(ctx)));
-}
-
-/// Stop attributing events on this thread.
+/// Clear this thread's trace context.
 pub fn clear_trace_ctx() {
     CTX.with(|c| c.set(None));
 }
@@ -73,36 +55,24 @@ mod tests {
     #[test]
     fn ctx_set_get_clear() {
         assert_eq!(trace_ctx(), None);
-        set_trace_ctx(7, 42);
+        set_trace_ctx_span(7, 42, 9);
         assert_eq!(
             trace_ctx(),
             Some(TraceCtx {
                 session: 7,
                 trace: 42,
-                span: 0
+                span: 9
             })
         );
-        set_trace_ctx_span(7, 42, 9);
-        assert_eq!(trace_ctx().unwrap().span, 9);
         clear_trace_ctx();
         assert_eq!(trace_ctx(), None);
     }
 
     #[test]
     fn ctx_is_thread_local() {
-        set_trace_ctx(1, 1);
+        set_trace_ctx_span(1, 1, 1);
         let other = std::thread::spawn(trace_ctx).join().unwrap();
         assert_eq!(other, None);
-        clear_trace_ctx();
-    }
-
-    #[test]
-    fn full_restore_preserves_the_span() {
-        set_trace_ctx_span(3, 4, 5);
-        let captured = trace_ctx().unwrap();
-        clear_trace_ctx();
-        set_trace_ctx_full(captured);
-        assert_eq!(trace_ctx(), Some(captured));
         clear_trace_ctx();
     }
 }

@@ -12,11 +12,12 @@
 //!   latency histograms with a guaranteed ≤2x quantile error bound. These
 //!   replace the unbounded full-sample `Vec<u64>`s that sessions used to
 //!   accumulate.
-//! * [`EventRing`] + [`TraceEvent`] — a bounded ring buffer of
-//!   gesture-lifecycle events (touch received → cache hit/miss → page fault →
-//!   remote submit → refinement landed/dropped → epoch refresh) stamped with
-//!   per-session trace ids, so a slow touch can be *explained*, not just
-//!   counted.
+//! * [`SpanStore`] + [`SpanTree`] — per-touch span trees (decode →
+//!   admission → queue wait → service → segments, plus late refinements),
+//!   tail-sampled into a bounded ring, so a slow touch can be *explained*,
+//!   not just counted. They are the crate's only trace instrument: every
+//!   other lifecycle fact (cache hits, page faults, epochs, sheds) is a
+//!   counter in some layer's scrape.
 //! * [`Telemetry`] + [`MetricSource`] — the registry that aggregates every
 //!   layer's stats structs into one [`MetricsSnapshot`], scrapeable mid-run.
 //!
@@ -26,17 +27,13 @@
 
 pub mod counter;
 pub mod ctx;
-pub mod events;
 pub mod histogram;
 pub mod registry;
 pub mod stripe;
 pub mod trace;
 
 pub use counter::{Counter, Gauge, PeakGauge};
-pub use ctx::{
-    clear_trace_ctx, set_trace_ctx, set_trace_ctx_full, set_trace_ctx_span, trace_ctx, TraceCtx,
-};
-pub use events::{EventRing, TraceEvent, TraceEventKind};
+pub use ctx::{clear_trace_ctx, set_trace_ctx_span, trace_ctx, TraceCtx};
 pub use histogram::{HistogramSnapshot, LogHistogram, BUCKETS};
 pub use registry::{MetricSource, MetricValue, MetricsSnapshot, Telemetry};
 pub use trace::{

@@ -1,19 +1,16 @@
-//! The telemetry hub: source registry, event recording, and scraping.
+//! The telemetry hub: source registry, span store, and scraping.
 //!
 //! Every layer that already kept a stats struct (pager, caches, remote
 //! executor, server) registers itself as a [`MetricSource`]; a scrape walks
-//! the sources and folds their current values plus the event ring into one
-//! [`MetricsSnapshot`]. Nothing is pushed through reports or plumbed through
+//! the sources and folds their current values plus the retained span trees
+//! into one [`MetricsSnapshot`]. Nothing is pushed through reports or plumbed through
 //! call chains — the snapshot is assembled on demand, mid-run, without
 //! quiescing anything.
 
 use crate::counter::Counter;
-use crate::ctx::trace_ctx;
-use crate::events::{EventRing, TraceEvent, TraceEventKind};
 use crate::histogram::HistogramSnapshot;
 use crate::trace::span::{SpanConfig, SpanStore, SpanTree};
 use dbtouch_types::json::{object, Json};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -60,14 +57,10 @@ pub trait MetricSource: Send + Sync {
 pub struct MetricsSnapshot {
     /// `"{source}.{metric}"` → value, deterministically ordered.
     pub metrics: BTreeMap<String, MetricValue>,
-    /// The retained tail of the event trace, oldest first.
-    pub events: Vec<TraceEvent>,
     /// The retained (tail/head-sampled) span trees, oldest first.
     pub traces: Vec<SpanTree>,
     /// Nanoseconds since the hub was created.
     pub uptime_nanos: u64,
-    /// Total events recorded (including ones the ring has since evicted).
-    pub events_recorded: u64,
 }
 
 impl MetricsSnapshot {
@@ -84,7 +77,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// JSON exposition: `{ uptime_nanos, metrics: {...}, events: [...] }`.
+    /// JSON exposition: `{ uptime_nanos, metrics: {...}, traces: [...] }`.
     pub fn to_json(&self) -> Json {
         let metrics = Json::Object(
             self.metrics
@@ -92,13 +85,10 @@ impl MetricsSnapshot {
                 .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
-        let events = Json::Array(self.events.iter().map(TraceEvent::to_json).collect());
         let traces = Json::Array(self.traces.iter().map(SpanTree::to_json).collect());
         object([
             ("uptime_nanos", Json::Number(self.uptime_nanos as f64)),
-            ("events_recorded", Json::Number(self.events_recorded as f64)),
             ("metrics", metrics),
-            ("events", events),
             ("traces", traces),
         ])
     }
@@ -110,7 +100,6 @@ impl MetricsSnapshot {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "uptime_nanos {}", self.uptime_nanos);
-        let _ = writeln!(out, "events_recorded {}", self.events_recorded);
         for (key, value) in &self.metrics {
             match value {
                 MetricValue::Counter(n) | MetricValue::Gauge(n) => {
@@ -133,18 +122,10 @@ impl MetricsSnapshot {
     }
 }
 
-thread_local! {
-    /// Per-thread tick for 1-in-N sampling of hot event kinds.
-    static HOT_TICK: Cell<u32> = const { Cell::new(0) };
-}
-
 /// The telemetry hub. One per catalog/server; shared by `Arc` into every
-/// layer. A disabled hub turns every recording call into a branch-and-return.
+/// layer.
 pub struct Telemetry {
-    enabled: bool,
-    hot_sample: u32,
     started: Instant,
-    ring: EventRing,
     spans: SpanStore,
     next_trace: AtomicU64,
     /// Full scrapes taken ([`Telemetry::snapshot`] calls) — `obs.scrapes`.
@@ -153,21 +134,10 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A live hub. `ring_capacity` bounds retained trace events;
-    /// `hot_sample` records every Nth hot-path event (1 = record all).
-    /// Span capture uses [`SpanConfig::default`]; use
-    /// [`Telemetry::with_spans`] to tune it.
-    pub fn new(ring_capacity: usize, hot_sample: u32) -> Self {
-        Telemetry::with_spans(ring_capacity, hot_sample, SpanConfig::default())
-    }
-
-    /// A live hub with explicit span-capture knobs.
-    pub fn with_spans(ring_capacity: usize, hot_sample: u32, spans: SpanConfig) -> Self {
+    /// A live hub capturing span trees as `spans` configures.
+    pub fn new(spans: SpanConfig) -> Self {
         Telemetry {
-            enabled: true,
-            hot_sample: hot_sample.max(1),
             started: Instant::now(),
-            ring: EventRing::new(ring_capacity),
             spans: SpanStore::new(spans),
             next_trace: AtomicU64::new(1),
             scrapes: Counter::new(),
@@ -175,23 +145,11 @@ impl Telemetry {
         }
     }
 
-    /// A hub that records nothing and scrapes empty snapshots.
+    /// A hub that records no spans. Registered sources are still scraped:
+    /// [`Telemetry::snapshot`] and [`Telemetry::metric`] read them as on a
+    /// live hub, and admission control depends on that when telemetry is off.
     pub fn disabled() -> Self {
-        Telemetry {
-            enabled: false,
-            hot_sample: 1,
-            started: Instant::now(),
-            ring: EventRing::new(0),
-            spans: SpanStore::new(SpanConfig::disabled()),
-            next_trace: AtomicU64::new(1),
-            scrapes: Counter::new(),
-            sources: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// Whether this hub records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Telemetry::new(SpanConfig::disabled())
     }
 
     /// The hierarchical span store (disabled stores no-op every call).
@@ -218,76 +176,17 @@ impl Telemetry {
         }
     }
 
-    /// Allocate a trace id and attribute subsequent events on this thread to
-    /// `(session, trace)`. Pair with [`Telemetry::end_trace`].
-    pub fn begin_trace(&self, session: u64) -> u64 {
-        let trace = self.next_trace.fetch_add(1, Ordering::Relaxed);
-        if self.enabled {
-            crate::ctx::set_trace_ctx(session, trace);
-        }
-        trace
+    /// Allocate a trace id, unique per hub. Client-stamped wire ids carry
+    /// [`crate::trace::CLIENT_ID_BIT`], so they cannot collide with these.
+    pub fn mint_trace(&self) -> u64 {
+        self.next_trace.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Attribute subsequent events on this thread to a trace id minted
-    /// elsewhere (a client-stamped wire id, [`crate::trace::CLIENT_ID_BIT`]
-    /// set, so it cannot collide with [`Telemetry::begin_trace`] ids). Pair
-    /// with [`Telemetry::end_trace`].
-    pub fn adopt_trace(&self, session: u64, trace: u64) -> u64 {
-        if self.enabled {
-            crate::ctx::set_trace_ctx(session, trace);
-        }
-        trace
-    }
-
-    /// Clear this thread's trace attribution.
-    pub fn end_trace(&self) {
-        crate::ctx::clear_trace_ctx();
-    }
-
-    /// Record a lifecycle event unconditionally (rare kinds).
-    #[inline]
-    pub fn event(&self, kind: TraceEventKind, detail: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.push_event(kind, detail);
-    }
-
-    /// Record a hot-path event, sampled 1-in-`hot_sample` per thread. The
-    /// fast path (sampled out) is one thread-local increment.
-    #[inline]
-    pub fn hot_event(&self, kind: TraceEventKind, detail: u64) {
-        if !self.enabled {
-            return;
-        }
-        let fire = HOT_TICK.with(|t| {
-            let next = t.get().wrapping_add(1);
-            t.set(next);
-            next % self.hot_sample == 0
-        });
-        if fire {
-            self.push_event(kind, detail);
-        }
-    }
-
-    fn push_event(&self, kind: TraceEventKind, detail: u64) {
-        let ctx = trace_ctx();
-        self.ring.push(TraceEvent {
-            seq: 0, // assigned by the ring
-            at_nanos: self.started.elapsed().as_nanos() as u64,
-            session: ctx.map(|c| c.session),
-            trace: ctx.map(|c| c.trace),
-            kind,
-            detail,
-        });
-    }
-
-    /// The hub's own health under the `obs.` prefix: scrape count, ring
-    /// saturation and span-sampler activity.
-    fn own_metrics(&self) -> [(&'static str, MetricValue); 6] {
+    /// The hub's own health under the `obs.` prefix: scrape count and
+    /// span-sampler activity.
+    fn own_metrics(&self) -> [(&'static str, MetricValue); 5] {
         [
             ("scrapes", MetricValue::Counter(self.scrapes.get())),
-            ("events_dropped", MetricValue::Counter(self.ring.dropped())),
             (
                 "traces_finished",
                 MetricValue::Counter(self.spans.traces_finished()),
@@ -309,7 +208,7 @@ impl Telemetry {
 
     /// Read one metric by its full `"{source}.{metric}"` key without taking
     /// a scrape: only the named source is collected — no key map, no copy of
-    /// the event ring or the retained span trees. The value equals what
+    /// the retained span trees. The value equals what
     /// [`Telemetry::snapshot`] would report under the same key at the same
     /// instant. This is the read admission control takes per request.
     pub fn metric(&self, key: &str) -> Option<MetricValue> {
@@ -326,7 +225,7 @@ impl Telemetry {
         values.into_iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
-    /// Scrape all sources and the event ring into a snapshot. Runs
+    /// Scrape all sources and the retained span trees into a snapshot. Runs
     /// concurrently with writers; no quiescing.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.scrapes.inc();
@@ -342,10 +241,8 @@ impl Telemetry {
         }
         MetricsSnapshot {
             metrics,
-            events: self.ring.snapshot(),
             traces: self.spans.retained(),
             uptime_nanos: self.started.elapsed().as_nanos() as u64,
-            events_recorded: self.ring.pushed(),
         }
     }
 }
@@ -353,10 +250,8 @@ impl Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.enabled)
-            .field("hot_sample", &self.hot_sample)
+            .field("spans", &self.spans)
             .field("sources", &self.sources.read().unwrap().len())
-            .field("events_recorded", &self.ring.pushed())
             .finish()
     }
 }
@@ -379,14 +274,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_scrapes_registered_sources() {
-        let hub = Telemetry::new(64, 1);
+    fn fake_source(hits: u64) -> Arc<FakeSource> {
         let src = Arc::new(FakeSource {
             hits: Counter::new(),
         });
+        src.hits.add(hits);
+        src
+    }
+
+    /// Open, fill and finish one trace's tree on `hub`.
+    fn finish_one_trace(hub: &Telemetry, session: u64, trace: u64) {
+        let start = hub.now_nanos();
+        hub.spans().ensure_root(session, trace, 0, start);
+        hub.spans()
+            .record_span(session, trace, 0, "service", start, 10, 0);
+        hub.spans().trace_finish(session, trace, start + 20);
+    }
+
+    #[test]
+    fn snapshot_scrapes_registered_sources() {
+        let hub = Telemetry::new(SpanConfig::default());
+        let src = fake_source(3);
         hub.register(src.clone());
-        src.hits.add(3);
         let snap = hub.snapshot();
         assert_eq!(snap.scalar("fake.hits"), Some(3));
         // Re-register replaces rather than duplicates (the other keys are
@@ -400,17 +309,13 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(snap.scalar("obs.events_dropped"), Some(0));
+        assert_eq!(snap.scalar("obs.spans_truncated"), Some(0));
     }
 
     #[test]
     fn metric_reads_one_key_without_scraping() {
-        let hub = Telemetry::new(64, 1);
-        let src = Arc::new(FakeSource {
-            hits: Counter::new(),
-        });
-        hub.register(src.clone());
-        src.hits.add(7);
+        let hub = Telemetry::new(SpanConfig::default());
+        hub.register(fake_source(7));
         assert_eq!(hub.metric("fake.hits"), Some(MetricValue::Counter(7)));
         assert_eq!(hub.metric("fake.misses"), None);
         assert_eq!(hub.metric("nosuch.hits"), None);
@@ -426,52 +331,32 @@ mod tests {
     }
 
     #[test]
-    fn events_carry_trace_context() {
-        let hub = Telemetry::new(64, 1);
-        let trace = hub.begin_trace(7);
-        hub.event(TraceEventKind::RemoteSubmitted, 11);
-        hub.end_trace();
-        hub.event(TraceEventKind::EpochPublished, 2);
-        let snap = hub.snapshot();
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].session, Some(7));
-        assert_eq!(snap.events[0].trace, Some(trace));
-        assert_eq!(snap.events[1].session, None);
-    }
-
-    #[test]
-    fn hot_events_are_sampled() {
-        let hub = Telemetry::new(4096, 10);
-        for i in 0..100 {
-            hub.hot_event(TraceEventKind::TouchReceived, i);
-        }
-        let snap = hub.snapshot();
-        assert_eq!(snap.events.len(), 10);
-        assert_eq!(snap.events_recorded, 10);
-    }
-
-    #[test]
     fn disabled_hub_records_nothing() {
         let hub = Telemetry::disabled();
-        hub.begin_trace(1);
-        hub.event(TraceEventKind::PageFault, 1);
-        hub.hot_event(TraceEventKind::TouchReceived, 1);
-        hub.end_trace();
+        finish_one_trace(&hub, 1, hub.mint_trace());
         let snap = hub.snapshot();
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.events_recorded, 0);
+        assert!(snap.traces.is_empty());
+        assert_eq!(snap.scalar("obs.traces_finished"), Some(0));
         assert!(crate::ctx::trace_ctx().is_none());
     }
 
     #[test]
+    fn disabled_hub_still_scrapes_its_sources() {
+        // Admission reads its thresholds through `metric` whether or not
+        // telemetry records: a disabled hub answers from its sources.
+        let hub = Telemetry::disabled();
+        hub.register(fake_source(4));
+        assert_eq!(hub.metric("fake.hits"), Some(MetricValue::Counter(4)));
+        finish_one_trace(&hub, 1, hub.mint_trace());
+        let snap = hub.snapshot();
+        assert_eq!(snap.scalar("fake.hits"), Some(4));
+        assert!(snap.traces.is_empty());
+    }
+
+    #[test]
     fn exposition_renders_text_and_json() {
-        let hub = Telemetry::new(64, 1);
-        let src = Arc::new(FakeSource {
-            hits: Counter::new(),
-        });
-        src.hits.add(5);
-        hub.register(src);
-        hub.event(TraceEventKind::EpochPublished, 3);
+        let hub = Telemetry::new(SpanConfig::default());
+        hub.register(fake_source(5));
         let snap = hub.snapshot();
         let text = snap.render_text();
         assert!(text.contains("fake.hits 5"));
@@ -482,31 +367,18 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(5)
         );
-        assert_eq!(
-            json.get("events").and_then(Json::as_array).unwrap().len(),
-            1
-        );
         // Byte-stable rendering round-trips through the parser.
         assert!(dbtouch_types::json::parse(&json.pretty()).is_ok());
     }
 
     #[test]
     fn snapshot_carries_retained_span_trees() {
-        let hub = Telemetry::with_spans(
-            64,
-            1,
-            SpanConfig {
-                tail_threshold_nanos: 0, // everything tail-samples
-                ..SpanConfig::default()
-            },
-        );
-        let trace = hub.begin_trace(4);
-        let start = hub.now_nanos();
-        hub.spans().ensure_root(4, trace, 0, start);
-        hub.spans()
-            .record_span(4, trace, 0, "service", start, 10, 0);
-        hub.spans().trace_finish(4, trace, start + 20);
-        hub.end_trace();
+        let hub = Telemetry::new(SpanConfig {
+            tail_threshold_nanos: 0, // everything tail-samples
+            ..SpanConfig::default()
+        });
+        let trace = hub.mint_trace();
+        finish_one_trace(&hub, 4, trace);
         let snap = hub.snapshot();
         assert_eq!(snap.traces.len(), 1);
         assert_eq!(snap.traces[0].trace, trace);
@@ -521,15 +393,17 @@ mod tests {
 
     #[test]
     fn adopt_trace_attributes_without_minting() {
-        let hub = Telemetry::new(64, 1);
+        // A client-stamped wire id keys its tree as-is; only minted ids
+        // advance the hub's counter.
+        let hub = Telemetry::new(SpanConfig {
+            tail_threshold_nanos: 0,
+            ..SpanConfig::default()
+        });
         let wire = crate::trace::CLIENT_ID_BIT | 9;
-        assert_eq!(hub.adopt_trace(2, wire), wire);
-        hub.event(TraceEventKind::TraceStarted, 0);
-        hub.end_trace();
+        finish_one_trace(&hub, 2, wire);
         let snap = hub.snapshot();
-        assert_eq!(snap.events[0].trace, Some(wire));
-        // The mint counter was not consumed.
-        assert_eq!(hub.begin_trace(2), 1);
-        hub.end_trace();
+        assert_eq!(snap.traces[0].trace, wire);
+        assert_eq!(snap.traces[0].session, 2);
+        assert_eq!(hub.mint_trace(), 1);
     }
 }

@@ -1,7 +1,6 @@
 //! Hierarchical causal tracing: spans, span trees, tail sampling, export.
 //!
-//! The event ring ([`crate::events`]) answers "what happened recently";
-//! this module answers "where did *this* touch spend its time". Every
+//! This module answers "where did *this* touch spend its time". Every
 //! gesture trace executed with tracing enabled grows a bounded tree of
 //! [`SpanRecord`]s — root per touch, children for frame decode, admission,
 //! queue wait, worker service, claimed segment batches, and late remote

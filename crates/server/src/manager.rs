@@ -36,9 +36,7 @@ use dbtouch_core::kernel::{ObjectId, TouchAction};
 use dbtouch_core::remote_exec::{self, CompletionQueue, RefinementApplied, RemoteCompletion};
 use dbtouch_core::session::Session;
 use dbtouch_gesture::trace::GestureTrace;
-use dbtouch_obs::{
-    clear_trace_ctx, set_trace_ctx, set_trace_ctx_span, Telemetry, TraceEventKind, WireTraceContext,
-};
+use dbtouch_obs::{clear_trace_ctx, set_trace_ctx_span, Telemetry, WireTraceContext};
 use dbtouch_types::{DbTouchError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -509,11 +507,9 @@ impl SessionSlot {
         let latency_nanos = completion.submitted.elapsed().as_nanos() as u64;
         let outcome = &mut self.report.outcomes[trace_index].outcome;
         // Refinements land at later event boundaries, outside their issuing
-        // trace's scope: re-stamp its trace id so the lifecycle events of
-        // one gesture correlate across the submit/land gap.
-        set_trace_ctx(self.report.session_id, trace_id);
-        // Link the refinement back to its originating touch span — even when
-        // the touch already answered and its tree was retained (marked late).
+        // trace's scope: link each back to its originating touch span — even
+        // when the touch already answered and its tree was retained (marked
+        // late).
         let landed = telemetry.now_nanos();
         telemetry.spans().record_late_span(
             self.report.session_id,
@@ -524,18 +520,12 @@ impl SessionSlot {
             ticket,
         );
         match remote_exec::apply_completion(outcome, completion) {
-            Ok(RefinementApplied::Applied { .. }) => {
-                telemetry.event(TraceEventKind::RefinementLanded, ticket);
-                self.report.refinement_latencies.push(latency_nanos);
-            }
-            Ok(RefinementApplied::DroppedStaleBuild) => {
-                telemetry.event(TraceEventKind::RefinementDropped, ticket);
-                self.report.refinement_latencies.push(latency_nanos);
+            Ok(RefinementApplied::Applied { .. } | RefinementApplied::DroppedStaleBuild) => {
+                self.report.refinement_latencies.push(latency_nanos)
             }
             Ok(RefinementApplied::UnknownTicket) => {}
             Err(e) => self.report.errors.push(format!("refinement {ticket}: {e}")),
         }
-        clear_trace_ctx();
     }
 
     /// Drain the session's completion queue. Between events this is
@@ -666,17 +656,11 @@ fn serve(
                 wire,
                 enqueued,
             } => {
-                // The whole trace runs under one telemetry trace id: every
-                // lifecycle event it emits — touch received, cache hit/miss,
-                // page fault, remote submit — carries (session, trace). A
-                // wire-propagated context is adopted verbatim so the tree
-                // keeps the ids the client stamped.
+                // The whole trace runs under one span tree. A wire-propagated
+                // context is adopted verbatim so the tree keeps the ids the
+                // client stamped.
                 let queue_wait_nanos = enqueued.elapsed().as_nanos() as u64;
-                let trace_id = match wire {
-                    Some(w) => telemetry.adopt_trace(session, w.trace),
-                    None => telemetry.begin_trace(session),
-                };
-                telemetry.event(TraceEventKind::TraceStarted, object.0);
+                let trace_id = wire.map_or_else(|| telemetry.mint_trace(), |w| w.trace);
                 let spans = telemetry.spans();
                 let now = telemetry.now_nanos();
                 // Wire traces already opened their root at frame decode
@@ -753,10 +737,9 @@ fn serve(
                 }
                 let end = telemetry.now_nanos();
                 spans.close_span(session, trace_id, service_span, end);
-                telemetry.event(TraceEventKind::TraceFinished, object.0);
                 // Tail/head-sample the finished tree into the retained ring.
                 spans.trace_finish(session, trace_id, end);
-                telemetry.end_trace();
+                clear_trace_ctx();
             }
             SessionEvent::Snapshot { reply } => {
                 // A barrier: the snapshot is fully refined.
@@ -1323,7 +1306,12 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_exposes_serving_counters_and_events() {
-        let (catalog, id) = catalog_with_column(50_000);
+        let catalog = Arc::new(SharedCatalog::new(
+            KernelConfig::default().with_trace_head_sample_every(1),
+        ));
+        let id = catalog
+            .load_column("col", (0..50_000).collect(), SizeCm::new(2.0, 10.0))
+            .unwrap();
         let view = catalog.data(id).unwrap().base_view().clone();
         let server = ExplorationServer::serve(
             ServerConfig::with_workers(2).with_catalog(Arc::clone(&catalog)),
@@ -1346,19 +1334,12 @@ mod tests {
         let hist = metrics.histogram("server.touch_nanos").unwrap();
         assert_eq!(hist.count(), 1);
 
-        // The trace's lifecycle is in the event window, stamped with the
-        // session and a trace id.
-        let started = metrics
-            .events()
-            .iter()
-            .find(|e| e.kind == TraceEventKind::TraceStarted)
-            .expect("trace_started event");
-        assert_eq!(started.session, Some(s1.id()));
-        assert!(started.trace.is_some());
-        assert!(metrics
-            .events()
-            .iter()
-            .any(|e| e.kind == TraceEventKind::TraceFinished));
+        // The trace's lifecycle is a finished span tree of the session:
+        // head sampling every trace retains it.
+        assert_eq!(metrics.scalar("obs.traces_finished"), Some(1));
+        let tree = metrics.traces().last().expect("retained span tree");
+        assert_eq!(tree.session, s1.id());
+        assert!(tree.spans.iter().any(|s| s.name == "service"));
 
         // Both exposition forms carry the server counters and worker loads.
         let json = metrics.to_json();
@@ -1383,16 +1364,16 @@ mod tests {
     fn morsel_scans_surface_metrics_stamp_traces_and_match_sequential() {
         // Large summary windows over a served catalog with a scan pool: every
         // window fans out over segment morsels, the pool's MetricSource shows
-        // up in metrics_snapshot(), helper threads stamp their SegmentScanned
-        // events with the issuing session's trace context, and the report
-        // digest is bit-identical to the scan_parallelism = 1 run.
+        // up in metrics_snapshot(), helper threads hang their `segments`
+        // spans in the issuing session's span tree, and the report digest is
+        // bit-identical to the scan_parallelism = 1 run.
         let knobs = |parallelism: usize| KernelConfig {
             touch_budget_micros: 1_000_000,
             ..KernelConfig::default()
                 .with_scan_parallelism(parallelism)
                 .with_segment_rows(4096)
                 .with_adaptive_sampling(false)
-                .with_telemetry_hot_sample(1)
+                .with_trace_head_sample_every(1)
         };
         let action = TouchAction::Summary {
             half_window: Some(90_000),
@@ -1467,18 +1448,21 @@ mod tests {
             "all batches drained at the barrier"
         );
 
-        // Helper threads re-stamp the submitting session's trace context
-        // (mirroring async refinements), so every per-segment event in the
-        // window — stolen or not — carries the session and a trace id.
-        let segment_events: Vec<_> = metrics
-            .events()
+        // Scan batches carry the submitting gesture's trace context, so
+        // every `segments` span — stolen or not — sits in a tree of the
+        // session, under its service span.
+        let segment_trees: Vec<_> = metrics
+            .traces()
             .iter()
-            .filter(|e| e.kind == TraceEventKind::SegmentScanned)
+            .filter(|t| t.spans.iter().any(|s| s.name == "segments"))
             .collect();
-        assert!(!segment_events.is_empty(), "hot_sample=1 records segments");
-        for event in segment_events {
-            assert_eq!(event.session, Some(session_id));
-            assert!(event.trace.is_some());
+        assert!(!segment_trees.is_empty(), "head sampling retains them");
+        for tree in segment_trees {
+            assert_eq!(tree.session, session_id);
+            let service = tree.spans.iter().find(|s| s.name == "service").unwrap();
+            for span in tree.spans.iter().filter(|s| s.name == "segments") {
+                assert_eq!(span.parent, service.id);
+            }
         }
 
         // The whole report — results, aggregates, accounting — is

@@ -12,7 +12,7 @@
 use dbtouch_core::session::SessionStats;
 use dbtouch_obs::{
     Counter, HistogramSnapshot, LogHistogram, MetricSource, MetricValue, MetricsSnapshot,
-    PeakGauge, SpanTree, TraceEvent,
+    PeakGauge, SpanTree,
 };
 use dbtouch_types::json::Json;
 
@@ -112,17 +112,17 @@ impl MetricSource for ServerInstruments {
 
 /// A typed point-in-time view of everything the server and the layers under
 /// it expose: the hub's metric snapshot (server counters, catalog gauges,
-/// pager/cache/remote sources, recent trace events) plus the per-worker
+/// pager/cache/remote sources, retained span trees) plus the per-worker
 /// loads only the server itself knows.
 ///
 /// Readable mid-run — taking it never blocks serving (sources are relaxed
-/// atomics; the event ring takes short per-shard locks).
+/// atomics; the span store takes a short lock to copy its retained trees).
 #[derive(Debug, Clone)]
 pub struct ServerMetricsSnapshot {
     /// Live sessions pinned to each worker at snapshot time, worker order.
     pub worker_loads: Vec<usize>,
-    /// The telemetry hub's snapshot: all registered sources and the recent
-    /// trace-event window.
+    /// The telemetry hub's snapshot: all registered sources and the retained
+    /// span trees.
     pub inner: MetricsSnapshot,
 }
 
@@ -154,11 +154,6 @@ impl ServerMetricsSnapshot {
     /// Gesture traces completed.
     pub fn traces_run(&self) -> u64 {
         self.scalar("server.traces").unwrap_or(0)
-    }
-
-    /// The recent gesture-lifecycle trace events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.inner.events
     }
 
     /// The retained (tail- and head-sampled) span trees, oldest first.

@@ -26,14 +26,14 @@ use crate::page::{
     encode_page, payload_capacity, rows_per_page, verify_page, MIN_PAGE_SIZE, PAGE_HEADER_BYTES,
 };
 use crate::segment::SegmentStats;
-use dbtouch_obs::{MetricSource, MetricValue, Telemetry, TraceEventKind};
+use dbtouch_obs::{MetricSource, MetricValue};
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex};
 
 /// Map an `std::io::Error` into the workspace error type.
 pub(crate) fn io_err(op: &str, e: std::io::Error) -> DbTouchError {
@@ -155,11 +155,6 @@ pub struct Pager {
     len_pages: AtomicU64,
     pool_hits: AtomicU64,
     faults: AtomicU64,
-    /// Telemetry hub, attached once after the owning catalog assembles its
-    /// hub. Faults emit [`TraceEventKind::PageFault`] events attributed to
-    /// whatever gesture trace the faulting thread is running. Weak: the hub
-    /// scrapes this pager, so a strong handle would keep both alive forever.
-    telemetry: OnceLock<Weak<Telemetry>>,
     /// Compression counters: pages packed per encoding, bytes saved on disk,
     /// runs aggregated run-at-a-time by scans. Shared so the owning catalog
     /// can register them as the `encoding` metric source.
@@ -214,7 +209,6 @@ impl Pager {
             len_pages: AtomicU64::new(len / page_size as u64),
             pool_hits: AtomicU64::new(0),
             faults: AtomicU64::new(0),
-            telemetry: OnceLock::new(),
             encoding_stats: Arc::new(EncodingStats::default()),
         })
     }
@@ -223,13 +217,6 @@ impl Pager {
     /// source).
     pub fn encoding_stats(&self) -> &Arc<EncodingStats> {
         &self.encoding_stats
-    }
-
-    /// Attach a telemetry hub so page faults show up in the event trace.
-    /// First attachment wins; later calls are ignored (a pager belongs to one
-    /// catalog).
-    pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
-        let _ = self.telemetry.set(Arc::downgrade(hub));
     }
 
     /// The page size this file was opened with.
@@ -304,9 +291,6 @@ impl Pager {
         image.truncate(len);
         let payload = Arc::new(image);
         self.faults.fetch_add(1, Ordering::Relaxed);
-        if let Some(hub) = self.telemetry.get().and_then(Weak::upgrade) {
-            hub.event(TraceEventKind::PageFault, page_id);
-        }
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(entry) = pool.map.get_mut(&page_id) {
             entry.referenced = true;

@@ -149,16 +149,12 @@ pub struct KernelConfig {
     /// default). See [`RemoteSplitConfig`].
     pub remote_split: Option<RemoteSplitConfig>,
 
-    /// When `true` (the default), the kernel records live telemetry: sharded
-    /// counters, latency histograms, and the gesture-lifecycle event trace.
-    /// Telemetry observes execution without steering it — results and session
-    /// digests are bit-identical either way.
+    /// When `true` (the default), the kernel records span trees as the
+    /// `trace_*` knobs configure; when `false`, its hub records none. Every
+    /// layer's counters and histograms are scraped regardless. Telemetry
+    /// observes execution without steering it — results and session digests
+    /// are bit-identical either way.
     pub telemetry_enabled: bool,
-
-    /// Sampling stride for hot-path trace events (touch received, shared-cache
-    /// hit/miss): every Nth is recorded. 1 records all of them; rare lifecycle
-    /// events are always recorded regardless.
-    pub telemetry_hot_sample: u32,
 
     /// Scan worker threads a large touch may fan out over (the submitting
     /// worker included). 1 — the default — keeps every touch on the
@@ -233,7 +229,6 @@ impl Default for KernelConfig {
             buffer_pool_pages: 4096,
             remote_split: None,
             telemetry_enabled: true,
-            telemetry_hot_sample: 64,
             scan_parallelism: 1,
             segment_rows: 65_536,
             encoding_enabled: true,
@@ -277,11 +272,6 @@ impl KernelConfig {
         }
         if let Some(split) = &self.remote_split {
             split.validate()?;
-        }
-        if self.telemetry_enabled && self.telemetry_hot_sample == 0 {
-            return Err(DbTouchError::InvalidConfig(
-                "telemetry_hot_sample must be >= 1 when telemetry is enabled".into(),
-            ));
         }
         if self.scan_parallelism == 0 {
             return Err(DbTouchError::InvalidConfig(
@@ -374,13 +364,6 @@ impl KernelConfig {
     /// Builder-style toggle for live telemetry recording.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry_enabled = on;
-        self
-    }
-
-    /// Builder-style setter for the hot-event sampling stride (1 = record
-    /// every hot event).
-    pub fn with_telemetry_hot_sample(mut self, stride: u32) -> Self {
-        self.telemetry_hot_sample = stride;
         self
     }
 
@@ -534,17 +517,9 @@ mod tests {
     fn telemetry_knobs_validate_and_chain() {
         let c = KernelConfig::default();
         assert!(c.telemetry_enabled);
-        let c = KernelConfig::default().with_telemetry_hot_sample(0);
-        assert!(c.validate().is_err());
-        // A zero stride is fine while telemetry is off.
-        assert!(KernelConfig::default()
-            .with_telemetry_hot_sample(0)
-            .with_telemetry(false)
-            .validate()
-            .is_ok());
-        let c = KernelConfig::default().with_telemetry_hot_sample(1);
+        let c = c.with_telemetry(false);
+        assert!(!c.telemetry_enabled);
         assert!(c.validate().is_ok());
-        assert_eq!(c.telemetry_hot_sample, 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * [`types`] — shared value model, geometry (centimetres), row ids, configuration.
 //! * [`obs`] — live telemetry: wait-free sharded counters, log-scale latency
-//!   histograms and the bounded gesture-lifecycle event trace every layer
-//!   reports into.
+//!   histograms every layer reports into, and tail-sampled per-touch span
+//!   trees.
 //! * [`storage`] — fixed-width dense columns/matrixes, layouts and incremental
 //!   rotation, the sample hierarchy, paged columns behind a buffer pool and
 //!   the shared result cache.
