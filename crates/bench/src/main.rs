@@ -418,10 +418,13 @@ fn overhead(args: &mut Args) -> Outcome {
     Ok(verdict)
 }
 
-/// Overlapped vs. blocking device/cloud fetches at the default WAN model
-/// (40 ms round trip), session counts 1, 2, 4, … up to `max_sessions`.
-/// Verdict: every point bit-identical to the all-local sequential replay and
-/// fully drained, and overlapped beats blocking at every session count.
+/// All-local vs. the device/cloud split at the default WAN model (40 ms
+/// round trip), session counts 1, 2, 4, … up to `max_sessions`. The verdict
+/// is on digests and counts, never on wall time: every point bit-identical
+/// to the all-local sequential replay and fully drained; the all-local run
+/// sends and ships nothing; the split run sends one progressive request per
+/// fine-level window of the plans and applies every one. Throughput and
+/// overlap ratio are reported, not judged.
 fn remote(args: &mut Args) -> Outcome {
     let rows: usize = args.or("rows", 200_000)?;
     let traces: usize = args.or("traces", 2)?;
@@ -438,11 +441,8 @@ fn remote(args: &mut Args) -> Outcome {
         verdict.metric(format!("touches_per_s{at}"), point.touches_per_sec, "1/s");
         verdict.metric(format!("overlap_ratio{at}"), point.overlap_ratio, "share");
     }
-    let speedups = report.speedups();
-    verdict.check(speedups.len() == session_counts.len());
-    for (sessions, speedup) in speedups {
-        verdict.check(speedup > 1.0);
-        verdict.metric(format!("overlapped_vs_blocking[{sessions}]"), speedup, "x");
+    for &sessions in &session_counts {
+        verdict.check(report.counts_hold(sessions));
     }
     Ok(verdict)
 }

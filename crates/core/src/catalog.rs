@@ -474,8 +474,7 @@ pub struct SharedCatalog {
     /// `None` when [`KernelConfig::shared_cache_enabled`] is off.
     shared_cache: Option<Arc<SharedResultCache>>,
     /// The remote-processing executor every checkout of this catalog shares,
-    /// `Some` only when [`KernelConfig::remote_split`] is set in overlapped
-    /// mode (blocking-mode splits pay their latency inline and need no pool).
+    /// `Some` exactly when [`KernelConfig::remote_split`] is set.
     remote_executor: Option<Arc<RemoteExecutor>>,
     /// The scan-helper pool every session's large summary windows fan out
     /// over, `Some` only when [`KernelConfig::scan_parallelism`] > 1.
@@ -546,18 +545,14 @@ impl SharedCatalog {
         let shared_cache = config
             .shared_cache_enabled
             .then(|| Arc::new(SharedResultCache::new(SHARED_CACHE_CAPACITY)));
-        let remote_executor = config
-            .remote_split
-            .as_ref()
-            .filter(|split| split.overlapped)
-            .map(|split| {
-                Arc::new(RemoteExecutor::start(
-                    split.io_threads,
-                    split.queue_depth,
-                    NetworkModel::from_split(split),
-                    config.segment_rows,
-                ))
-            });
+        let remote_executor = config.remote_split.as_ref().map(|split| {
+            Arc::new(RemoteExecutor::start(
+                split.io_threads,
+                split.queue_depth,
+                NetworkModel::from_split(split),
+                config.segment_rows,
+            ))
+        });
         // scan_parallelism counts the submitting session as a worker, so the
         // pool runs one helper fewer.
         let morsel = (config.scan_parallelism > 1)
@@ -626,8 +621,8 @@ impl SharedCatalog {
         self.shared_cache.as_ref()
     }
 
-    /// The remote-processing executor, when the catalog runs an overlapped
-    /// device/cloud split.
+    /// The remote-processing executor, when the catalog runs a device/cloud
+    /// split.
     pub fn remote_executor(&self) -> Option<&Arc<RemoteExecutor>> {
         self.remote_executor.as_ref()
     }
@@ -703,13 +698,15 @@ impl SharedCatalog {
             view: data.base_view.clone(),
             action: data.default_action.clone(),
             shared_cache: self.shared_cache.clone(),
-            remote: config.remote_split.as_ref().map(|split| RemoteTier {
-                local_min_level: split.local_min_level,
-                network: NetworkModel::from_split(split),
-                overlapped: split.overlapped,
-                executor: self.remote_executor.clone(),
-                queue: Arc::new(CompletionQueue::new()),
-            }),
+            remote: config
+                .remote_split
+                .as_ref()
+                .zip(self.remote_executor.as_ref())
+                .map(|(split, executor)| RemoteTier {
+                    local_min_level: split.local_min_level,
+                    executor: Arc::clone(executor),
+                    queue: Arc::new(CompletionQueue::new()),
+                }),
             morsel: self.morsel.clone(),
             telemetry: Arc::clone(&self.telemetry),
             data,

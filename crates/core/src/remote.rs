@@ -18,17 +18,13 @@ use serde::{Deserialize, Serialize};
 
 /// Accumulated traffic statistics.
 ///
-/// The three request counters are disjoint: a progressive request (coarse
-/// local answer plus fine remote refinement for one logical ask) counts once
-/// in `progressive_requests` and in neither of the other two. All
-/// accumulation saturates, so adversarial [`NetworkModel`] values cannot wrap
-/// the counters in release builds.
+/// One request counter: a summary touch finer than the device holds is one
+/// progressive request (coarse local answer plus fine remote refinement);
+/// device-local touches are not counted here. All accumulation saturates, so
+/// adversarial [`NetworkModel`] values cannot wrap the counters in release
+/// builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RemoteStats {
-    /// Requests answered entirely locally.
-    pub local_requests: u64,
-    /// Requests that went to the server (and only to the server).
-    pub remote_requests: u64,
     /// Progressive requests: one coarse local answer plus one fine remote
     /// refinement, counted once here.
     pub progressive_requests: u64,
@@ -39,25 +35,14 @@ pub struct RemoteStats {
 }
 
 dbtouch_types::wire_struct!(RemoteStats {
-    local_requests: u64,
-    remote_requests: u64,
     progressive_requests: u64,
     rows_shipped: u64,
     remote_wait_micros: u64,
 });
 
 impl RemoteStats {
-    /// Total logical requests of any kind.
-    pub fn total_requests(&self) -> u64 {
-        self.local_requests
-            .saturating_add(self.remote_requests)
-            .saturating_add(self.progressive_requests)
-    }
-
     /// Saturating accumulation of another stats block into this one.
     pub fn absorb(&mut self, other: &RemoteStats) {
-        self.local_requests = self.local_requests.saturating_add(other.local_requests);
-        self.remote_requests = self.remote_requests.saturating_add(other.remote_requests);
         self.progressive_requests = self
             .progressive_requests
             .saturating_add(other.progressive_requests);
@@ -144,7 +129,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.remote_wait_micros, u64::MAX);
         assert_eq!(a.rows_shipped, u64::MAX);
-        assert_eq!(a.total_requests(), 0);
+        assert_eq!(a.progressive_requests, 0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Asynchronous remote processing: overlapped device/cloud execution with
-//! progressive answers (Section 4, "Remote Processing").
+//! Asynchronous remote processing: device/cloud execution with progressive
+//! answers (Section 4, "Remote Processing").
 //!
 //! "dbTouch needs to carefully exploit both local and remote data, i.e., use
 //! local data to feed partial answers, while in the mean time more
 //! fine-grained answers are produced and delivered by the server."
 //!
-//! [`crate::remote`] models the device/cloud *cost* of that split
-//! synchronously; this module makes the split part of execution. When a
-//! catalog runs with [`dbtouch_types::RemoteSplitConfig`] in overlapped mode,
-//! a session's summary touch at a sample level finer than the device holds
-//! answers immediately from the coarsest local level (a *provisional* result)
-//! and ships the fine-level request to the [`RemoteExecutor`]:
+//! [`crate::remote`] holds the link model and the traffic counters; this
+//! module executes the split, and it is the only path a split has. When a
+//! catalog runs with a [`dbtouch_types::RemoteSplitConfig`], a session's
+//! summary touch at a sample level finer than the device holds answers
+//! immediately from the coarsest local level (a *provisional* result) and
+//! ships the fine-level request to the [`RemoteExecutor`]:
 //!
 //! * a bounded I/O thread pool computes the fine window statistics off the
 //!   shared immutable [`ObjectData`] (the "server's copy"),
@@ -712,15 +712,13 @@ pub fn drain_outcome(outcome: &mut SessionOutcome, queue: &CompletionQueue) -> R
 }
 
 /// A session's handle onto the device/cloud split: the tier boundary, the
-/// link model, and (in overlapped mode) the executor plus the completion
-/// queue refinements land in. Created at checkout from
-/// [`dbtouch_types::RemoteSplitConfig`]; cloning shares the queue.
+/// catalog's executor and the completion queue refinements land in.
+/// Created at checkout from [`dbtouch_types::RemoteSplitConfig`]; cloning
+/// shares the queue.
 #[derive(Debug, Clone)]
 pub struct RemoteTier {
     pub(crate) local_min_level: u8,
-    pub(crate) network: NetworkModel,
-    pub(crate) overlapped: bool,
-    pub(crate) executor: Option<Arc<RemoteExecutor>>,
+    pub(crate) executor: Arc<RemoteExecutor>,
     pub(crate) queue: Arc<CompletionQueue>,
 }
 
@@ -728,12 +726,6 @@ impl RemoteTier {
     /// The queue this session's refinements land in.
     pub fn queue(&self) -> &Arc<CompletionQueue> {
         &self.queue
-    }
-
-    /// Whether remote fetches overlap with touch processing (vs. blocking
-    /// the session inline).
-    pub fn overlapped(&self) -> bool {
-        self.overlapped
     }
 
     /// The coarsest device-resident level for an object with `level_count`

@@ -28,9 +28,7 @@ use dbtouch_gesture::kinematics::GestureKinematics;
 use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
 use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_storage::shared_cache::{RangeAggregate, SummaryKey};
-use dbtouch_types::{
-    DbTouchError, KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value,
-};
+use dbtouch_types::{KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -85,16 +83,11 @@ pub struct SessionStats {
     /// Device/cloud traffic of the session's remote split (all zero without
     /// one). Progressive requests are fine-level summaries answered coarse
     /// locally with an asynchronous refinement; `rows_shipped` and
-    /// `remote_wait_micros` accrue when refinements land (or inline, in
-    /// blocking mode).
+    /// `remote_wait_micros` accrue when refinements land. The session never
+    /// stalls on the link: any wait happens at the owner's drain barrier and
+    /// is recorded there.
     #[serde(default)]
     pub remote: RemoteStats,
-    /// Microseconds this session actually stalled waiting for the simulated
-    /// server link (blocking-mode fetches). Overlapped sessions keep
-    /// processing — their stall, if any, happens at the owner's drain
-    /// barrier and is recorded there.
-    #[serde(default)]
-    pub remote_blocked_micros: u64,
     /// Refinements applied to this session's outcomes so far.
     #[serde(default)]
     pub remote_refinements_applied: u64,
@@ -123,7 +116,6 @@ dbtouch_types::wire_struct!(SessionStats {
     shared_cache_misses: u64,
     shared_cache_inserts: u64,
     remote: RemoteStats,
-    remote_blocked_micros: u64,
     remote_refinements_applied: u64,
     remote_refinements_dropped: u64,
 });
@@ -151,13 +143,13 @@ pub struct SessionOutcome {
     /// group value).
     pub final_groups: Vec<(Value, f64)>,
     /// Refinements still in flight on the remote executor, in touch order.
-    /// Empty for all-local and blocking-mode sessions; drained by the
-    /// outcome's owner (see [`crate::remote_exec::drain_outcome`]).
+    /// Empty for all-local sessions; drained by the outcome's owner (see
+    /// [`crate::remote_exec::drain_outcome`]).
     #[serde(default)]
     pub pending: Vec<PendingRefinement>,
-    /// The ordered aggregate-contribution log of an overlapped summary
-    /// session (inactive otherwise); re-folded when refinements land so the
-    /// drained aggregate is bit-identical to the all-local run.
+    /// The ordered aggregate-contribution log of a summary session on a
+    /// device/cloud split (inactive otherwise); re-folded when refinements
+    /// land so the drained aggregate is bit-identical to the all-local run.
     #[serde(default)]
     pub ledger: RefinementLedger,
 }
@@ -199,7 +191,7 @@ pub struct Session<'a> {
     /// Refinements submitted to the remote executor during this run.
     pending: Vec<PendingRefinement>,
     /// Ordered aggregate contributions; active only for summary sessions on
-    /// an overlapped device/cloud split (see [`RefinementLedger`]).
+    /// a device/cloud split (see [`RefinementLedger`]).
     ledger: RefinementLedger,
 }
 
@@ -220,12 +212,12 @@ impl<'a> Session<'a> {
             // budget only needs the right order of magnitude.
             ResponseBudget::new(config.touch_budget_micros, 4.0)
         };
-        // An overlapped split defers summary-window aggregate contributions
+        // A device/cloud split defers summary-window aggregate contributions
         // to the ledger (folded in touch order at drain) so refinements that
         // land out of order cannot perturb the floating-point accumulation.
         let ledger = RefinementLedger {
             kind: match (&object.action, object.remote.as_ref()) {
-                (TouchAction::Summary { kind, .. }, Some(tier)) if tier.overlapped() => Some(*kind),
+                (TouchAction::Summary { kind, .. }, Some(_)) => Some(*kind),
                 _ => None,
             },
             contribs: Vec::new(),
@@ -533,11 +525,10 @@ impl<'a> Session<'a> {
         let admitted = self.budget.admit(full_window, timestamp);
 
         // Device/cloud split: a window at a level finer than the device
-        // holds is served by the (simulated) server. Overlapped mode answers
-        // provisionally from the coarsest local level and refines
-        // asynchronously; blocking mode stalls inline for the round trip and
-        // then computes the same fine answer the all-local path would.
-        // (Empty admitted windows are all-local trivially: nothing to ship.)
+        // holds is served by the (simulated) server. The touch is answered
+        // provisionally from the coarsest local level and refined
+        // asynchronously. (Empty admitted windows are all-local trivially:
+        // nothing to ship.)
         let remote = match self.object.remote.as_ref() {
             Some(tier)
                 if decision.sample_level < tier.effective_local_min(level_count)
@@ -548,28 +539,17 @@ impl<'a> Session<'a> {
             _ => None,
         };
         if let Some(tier) = remote {
-            if tier.overlapped() {
-                return self.do_summary_remote(
-                    &tier,
-                    row,
-                    attribute,
-                    fraction,
-                    timestamp,
-                    half_window,
-                    kind,
-                    decision.sample_level,
-                    admitted,
-                );
-            }
-            let micros = tier.network.cost_micros(admitted.len());
-            // Capped so an adversarial network model cannot park the session
-            // for centuries; the stats still record the uncapped cost.
-            std::thread::sleep(std::time::Duration::from_micros(micros.min(60_000_000)));
-            let s = &mut self.stats;
-            s.remote.remote_requests = s.remote.remote_requests.saturating_add(1);
-            s.remote.rows_shipped = s.remote.rows_shipped.saturating_add(admitted.len());
-            s.remote.remote_wait_micros = s.remote.remote_wait_micros.saturating_add(micros);
-            s.remote_blocked_micros = s.remote_blocked_micros.saturating_add(micros);
+            return self.do_summary_remote(
+                &tier,
+                row,
+                attribute,
+                fraction,
+                timestamp,
+                half_window,
+                kind,
+                decision.sample_level,
+                admitted,
+            );
         }
         // Aggregate only the admitted part of the window; any truncated tail is
         // queued as refinement debt and merged in during pauses. (This is the
@@ -643,9 +623,9 @@ impl<'a> Session<'a> {
 
     /// Feed one summary-window batch into the session's running aggregate:
     /// inline when the ledger is inactive, appended to the ledger (same
-    /// touch-order position, folded at drain) when an overlapped remote
-    /// split is active — either way the accumulation sequence is identical
-    /// to the all-local run.
+    /// touch-order position, folded at drain) when a device/cloud split is
+    /// active — either way the accumulation sequence is identical to the
+    /// all-local run.
     fn contribute(&mut self, count: u64, sum: f64, min: Option<f64>, max: Option<f64>) {
         if self.ledger.is_active() {
             self.ledger.contribs.push(Contribution::Ready {
@@ -659,7 +639,7 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// The overlapped remote path of one summary touch: answer immediately
+    /// The remote path of one summary touch: answer immediately
     /// with the coarsest device-resident level's value over the same logical
     /// window (a *provisional* result), ship the fine-level window to the
     /// executor, and record the refinement handle that will patch this very
@@ -695,10 +675,7 @@ impl<'a> Session<'a> {
         // outcome is final), so its rows are progressive traffic, not part
         // of the deterministic row accounting the refinement will charge.
         let provisional = summary_value(kind, &coarse).unwrap_or(0.0);
-        let executor = tier.executor.as_ref().ok_or_else(|| {
-            DbTouchError::Internal("overlapped remote tier has no executor".into())
-        })?;
-        let ticket = executor.submit(
+        let ticket = tier.executor.submit(
             Arc::clone(&self.object.data),
             attribute,
             fine_level,
@@ -1136,17 +1113,18 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_remote_summaries_drain_to_the_all_local_outcome() {
+    fn remote_summaries_drain_to_the_all_local_outcome() {
         use crate::catalog::SharedCatalog;
         use crate::remote_exec::drain_outcome;
         use dbtouch_types::RemoteSplitConfig;
         use std::sync::Arc;
 
         // Deep hierarchy + a high device boundary: slow slides decide level
-        // ~10, below the device's coarsest-resident level 11 -> remote.
+        // ~10, below the device's coarsest-resident level 11 -> remote. The
+        // link is latency-only, so every refinement costs one round trip.
         let split = RemoteSplitConfig::default()
             .with_local_min_level(11)
-            .with_network(2_000, 10_000);
+            .with_network(2_000, 0);
         let remote_config = KernelConfig::default()
             .with_sample_levels(12)
             .with_remote_split(Some(split.clone()));
@@ -1218,54 +1196,9 @@ mod tests {
             outcome.stats.remote.rows_shipped,
             baseline.stats.rows_touched - rows_before_drain
         );
-        assert!(outcome.stats.remote.remote_wait_micros >= applied * 2_000);
+        // Total simulated wait is exactly one round trip per refinement.
+        assert_eq!(outcome.stats.remote.remote_wait_micros, applied * 2_000);
         assert_eq!(outcome.stats.remote_refinements_dropped, 0);
-        // The overlapped session itself never stalled on the link.
-        assert_eq!(outcome.stats.remote_blocked_micros, 0);
-    }
-
-    #[test]
-    fn blocking_remote_summaries_stall_inline_but_stay_exact() {
-        use crate::kernel::Kernel;
-        use dbtouch_types::RemoteSplitConfig;
-
-        let split = RemoteSplitConfig::default()
-            .with_local_min_level(11)
-            .with_network(500, 0)
-            .with_overlapped(false);
-        let mut remote = Kernel::new(
-            KernelConfig::default()
-                .with_sample_levels(12)
-                .with_remote_split(Some(split)),
-        );
-        let mut local = Kernel::new(KernelConfig::default().with_sample_levels(12));
-        let action = TouchAction::Summary {
-            half_window: Some(5),
-            kind: AggregateKind::Avg,
-        };
-        let rid = remote
-            .load_column("col", (0..200_000).collect(), SizeCm::new(2.0, 10.0))
-            .unwrap();
-        let lid = local
-            .load_column("col", (0..200_000).collect(), SizeCm::new(2.0, 10.0))
-            .unwrap();
-        remote.set_action(rid, action.clone()).unwrap();
-        local.set_action(lid, action).unwrap();
-        let view = local.view(lid).unwrap();
-        let trace = GestureSynthesizer::new(60.0).slide_down(&view, 3.0);
-
-        let blocked = remote.run_trace(rid, &trace).unwrap();
-        let baseline = local.run_trace(lid, &trace).unwrap();
-        assert!(blocked.is_drained(), "blocking mode has nothing in flight");
-        assert_eq!(blocked.results, baseline.results);
-        assert_eq!(blocked.final_aggregate, baseline.final_aggregate);
-        assert_eq!(blocked.stats.rows_touched, baseline.stats.rows_touched);
-        let r = &blocked.stats.remote;
-        assert!(r.remote_requests > 20, "slow slide goes remote");
-        assert_eq!(r.progressive_requests, 0);
-        assert_eq!(r.remote_wait_micros, r.remote_requests * 500);
-        assert_eq!(blocked.stats.remote_blocked_micros, r.remote_wait_micros);
-        assert!(r.rows_shipped > 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub const PROTOCOL_NAME: &str = "dbtouch-net";
 /// sides. A peer offering any other version is refused with an error frame:
 /// binary layouts (the session report, for one) and the frame checksum
 /// differ between versions.
-pub const PROTOCOL_VERSION: u64 = 5;
+pub const PROTOCOL_VERSION: u64 = 6;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;
@@ -49,7 +49,7 @@ pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 /// Frame type tags (first payload byte).
 pub mod tag {
-    /// Client → server: JSON `{"proto": "dbtouch-net", "version": 4}`.
+    /// Client → server: JSON `{"proto": "dbtouch-net", "version": <PROTOCOL_VERSION>}`.
     pub const HELLO: u8 = 0x01;
     /// Server → client: JSON echo of the accepted protocol and version.
     pub const HELLO_ACK: u8 = 0x02;

@@ -32,7 +32,7 @@ use dbtouch_types::{PointCm, RowId, Timestamp, Value};
 use std::collections::BTreeMap;
 
 /// The protocol version the hex below was generated under.
-pub const GOLDEN_PROTOCOL_VERSION: u64 = 5;
+pub const GOLDEN_PROTOCOL_VERSION: u64 = 6;
 
 /// Upper bound on any corpus frame.
 pub const MAX_GOLDEN_FRAME: usize = 2 << 10;
@@ -116,13 +116,10 @@ fn stats() -> SessionStats {
         shared_cache_misses: 122,
         shared_cache_inserts: 123,
         remote: RemoteStats {
-            local_requests: 124,
-            remote_requests: 125,
             progressive_requests: 126,
             rows_shipped: 127,
             remote_wait_micros: 128,
         },
-        remote_blocked_micros: 129,
         remote_refinements_applied: 130,
         remote_refinements_dropped: 131,
     }
@@ -388,25 +385,24 @@ pub const GOLDEN: &[(&str, &str)] = &[
          000000000000006e000000000000006f00000000000000700000000000000071\
          0000000000000073000000000000007400000000000000020000000075000000\
          0000000003760000000000000079000000000000007a000000000000007b0000\
-         00000000007c000000000000007d000000000000007e000000000000007f0000\
-         0000000000800000000000000081000000000000008200000000000000830000\
-         0000000000010000000000000a4002000000030100000061000000000000f83f\
-         020000000000000000c001000000050000000000000006000000000000000200\
-         0000000000000100000000000000020301020300000000040000000000000000\
-         0000000000254001000000000000e03f00010500000000000000020400000000\
-         0000000400000000000000900100000000000020030000000000000000000000\
+         00000000007e000000000000007f000000000000008000000000000000820000\
+         00000000008300000000000000010000000000000a4002000000030100000061\
+         000000000000f83f020000000000000000c00100000005000000000000000600\
+         0000000000000200000000000000010000000000000002030102030000000004\
+         00000000000000000000000000254001000000000000e03f0001050000000000\
+         0000020400000000000000040000000000000090010000000000002003000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
-         0000000000000000000000000000000000000000000000000005000000000000\
-         00a14b0f0000000000000000000000000040420f000000000005000000000100\
-         0000000000000101000000000000000a01000000000000000b01000000000000\
-         0014010000000000000040420f00000000000200000001000000000000000200\
-         000000000000010000000000000001000000409c000000000000393000000000\
-         00000200000010000000756e6b6e6f776e206f626a656374203900000000",
+         0000000000000000000500000000000000a14b0f000000000000000000000000\
+         0040420f0000000000050000000001000000000000000101000000000000000a\
+         01000000000000000b010000000000000014010000000000000040420f000000\
+         0000020000000100000000000000020000000000000001000000000000000100\
+         0000409c00000000000039300000000000000200000010000000756e6b6e6f77\
+         6e206f626a656374203900000000",
     ),
     ("metrics_json", "230f0000007b226e65742e73686564223a20307d"),
     ("error", "240f0000006e6f2073657373696f6e206f70656e"),

@@ -207,22 +207,15 @@ impl SessionReport {
     }
 
     /// How much of the simulated remote wait was hidden behind useful work,
-    /// in `[0, 1]`: `1 -` (time actually stalled — inline blocking fetches
-    /// plus drain barriers) `/` (total simulated remote wait). A session with
-    /// no remote traffic reports 1.0 (nothing to hide); a blocking-mode
-    /// session reports ~0.0 (every simulated microsecond stalled the
-    /// worker).
+    /// in `[0, 1]`: `1 -` (time actually stalled at drain barriers) `/`
+    /// (total simulated remote wait). A session with no remote traffic
+    /// reports 1.0 (nothing to hide).
     pub fn remote_overlap_ratio(&self) -> f64 {
         let waited = self.total_remote().remote_wait_micros;
         if waited == 0 {
             return 1.0;
         }
-        let inline_blocked: u64 = self
-            .outcomes
-            .iter()
-            .map(|t| t.outcome.stats.remote_blocked_micros)
-            .fold(0, u64::saturating_add);
-        let blocked = inline_blocked.saturating_add(self.refinement_blocked_nanos / 1_000);
+        let blocked = self.refinement_blocked_nanos / 1_000;
         (1.0 - blocked as f64 / waited as f64).clamp(0.0, 1.0)
     }
 

@@ -14,12 +14,10 @@ use serde::{Deserialize, Serialize};
 /// and summary touches that need a finer level than the device holds are
 /// served over a modelled network link.
 ///
-/// With `overlapped` set (the default), fine-level requests go through the
-/// asynchronous remote executor: the session answers immediately from the
-/// coarsest local level and the refinement lands later, patched into the
-/// outcome when the completion queue is drained. With `overlapped` off, the
-/// session blocks inline for the simulated round trip — the baseline the
-/// `remote_overlap` benchmark compares against.
+/// Fine-level requests go through the asynchronous remote executor: the
+/// session answers immediately from the coarsest local level and the
+/// refinement lands later, patched into the outcome when the completion
+/// queue is drained. The session never blocks on the link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemoteSplitConfig {
     /// Coarsest sample level resident on the device: levels `>=` this are
@@ -32,11 +30,7 @@ pub struct RemoteSplitConfig {
     /// Transfer throughput of the link, in rows per millisecond (0 models a
     /// latency-only link).
     pub rows_per_milli: u64,
-    /// When `true`, remote fetches run asynchronously on the I/O executor and
-    /// overlap with touch processing; when `false` every remote fetch blocks
-    /// the session inline for the simulated latency.
-    pub overlapped: bool,
-    /// I/O threads of the remote executor (overlapped mode only).
+    /// I/O threads of the remote executor.
     pub io_threads: usize,
     /// Bound of the executor's submission queue: a session submitting faster
     /// than the I/O pool drains blocks (backpressure) instead of queueing
@@ -52,7 +46,6 @@ impl Default for RemoteSplitConfig {
             // 40ms round trip, ~2000 rows (16KB of int64) per ms.
             round_trip_micros: 40_000,
             rows_per_milli: 2_000,
-            overlapped: true,
             io_threads: 4,
             queue_depth: 256,
         }
@@ -67,23 +60,17 @@ impl RemoteSplitConfig {
                 "remote_split.local_min_level must be >= 1 (level 0 local means no split)".into(),
             ));
         }
-        if self.overlapped && self.io_threads == 0 {
+        if self.io_threads == 0 {
             return Err(DbTouchError::InvalidConfig(
-                "remote_split.io_threads must be > 0 in overlapped mode".into(),
+                "remote_split.io_threads must be > 0".into(),
             ));
         }
-        if self.overlapped && self.queue_depth == 0 {
+        if self.queue_depth == 0 {
             return Err(DbTouchError::InvalidConfig(
-                "remote_split.queue_depth must be > 0 in overlapped mode".into(),
+                "remote_split.queue_depth must be > 0".into(),
             ));
         }
         Ok(())
-    }
-
-    /// Builder-style setter for the blocking/overlapped mode.
-    pub fn with_overlapped(mut self, on: bool) -> Self {
-        self.overlapped = on;
-        self
     }
 
     /// Builder-style setter for the device-resident level range.
@@ -484,7 +471,7 @@ mod tests {
         let c = KernelConfig::default()
             .with_remote_split(Some(RemoteSplitConfig::default().with_local_min_level(0)));
         assert!(c.validate().is_err());
-        // Overlapped mode needs an I/O pool and a bounded queue...
+        // The executor needs an I/O pool and a bounded queue.
         let no_pool = RemoteSplitConfig {
             io_threads: 0,
             ..RemoteSplitConfig::default()
@@ -493,19 +480,14 @@ mod tests {
             .with_remote_split(Some(no_pool))
             .validate()
             .is_err());
-        let split = RemoteSplitConfig {
+        let unbounded = RemoteSplitConfig {
             queue_depth: 0,
             ..RemoteSplitConfig::default()
         };
         assert!(KernelConfig::default()
-            .with_remote_split(Some(split.clone()))
+            .with_remote_split(Some(unbounded))
             .validate()
             .is_err());
-        // ...but blocking mode does not touch the executor.
-        assert!(KernelConfig::default()
-            .with_remote_split(Some(split.with_overlapped(false)))
-            .validate()
-            .is_ok());
         // A zero-bandwidth link is a valid latency-only model.
         assert!(KernelConfig::default()
             .with_remote_split(Some(RemoteSplitConfig::default().with_network(1_000, 0)))

@@ -125,29 +125,6 @@ impl RowRange {
         row.0 >= self.start && row.0 < self.end
     }
 
-    /// True if the two ranges share at least one row.
-    pub fn overlaps(&self, other: &RowRange) -> bool {
-        self.start < other.end && other.start < self.end
-    }
-
-    /// Intersection of two ranges (possibly empty).
-    pub fn intersect(&self, other: &RowRange) -> RowRange {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        RowRange::new(start, end)
-    }
-
-    /// Smallest range covering both inputs.
-    pub fn union_hull(&self, other: &RowRange) -> RowRange {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        RowRange::new(self.start.min(other.start), self.end.max(other.end))
-    }
-
     /// Clamp the range to `[0, len)`.
     pub fn clamp_to(&self, len: u64) -> RowRange {
         RowRange::new(self.start.min(len), self.end.min(len))
@@ -235,20 +212,6 @@ mod tests {
         assert!(r.contains(RowId(5)));
         assert!(r.contains(RowId(9)));
         assert!(!r.contains(RowId(10)));
-        assert!(r.overlaps(&RowRange::new(9, 20)));
-        assert!(!r.overlaps(&RowRange::new(10, 20)));
-        assert!(!r.overlaps(&RowRange::new(0, 5)));
-    }
-
-    #[test]
-    fn intersect_and_union() {
-        let a = RowRange::new(0, 10);
-        let b = RowRange::new(5, 15);
-        assert_eq!(a.intersect(&b), RowRange::new(5, 10));
-        assert_eq!(a.union_hull(&b), RowRange::new(0, 15));
-        let empty = RowRange::empty(3);
-        assert_eq!(empty.union_hull(&a), a);
-        assert_eq!(a.union_hull(&empty), a);
     }
 
     #[test]

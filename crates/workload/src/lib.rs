@@ -31,7 +31,7 @@
 //!   the same seeded workload to bit-identical digests from paged storage.
 //! * [`remote`] — the device/cloud scenario: thin devices holding only
 //!   coarse samples, slow detail slides going to a simulated cloud server —
-//!   all-local vs. blocking vs. overlapped remote fetches, digest-verified.
+//!   all-local vs. coarse-now, refine-later remote fetches, digest-verified.
 
 pub mod churn;
 pub mod concurrent;
@@ -53,5 +53,8 @@ pub use patterns::{Pattern, PatternKind};
 pub use persistence::{
     build_and_persist, replay_persisted, ReplayOutcome, RoundTripRecord, RoundTripSpec,
 };
-pub use remote::{device_cloud_catalog, device_cloud_config, plan_device_cloud, RemoteMode};
+pub use remote::{
+    device_cloud_catalog, device_cloud_config, device_cloud_split, fine_level_windows,
+    plan_device_cloud,
+};
 pub use scenarios::Scenario;

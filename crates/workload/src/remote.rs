@@ -5,18 +5,16 @@
 //! column from a device that holds only the coarse sample levels. Slow,
 //! detail-seeking slides decide sample levels finer than the device holds and
 //! go to the (simulated) server; fast skimming slides stay device-local. The
-//! same plans run under three kernel configurations —
+//! same plans run with and without a split —
 //!
 //! * **all-local** (no split): the ground truth,
-//! * **blocking** split: every fine-level window stalls the session inline
-//!   for the simulated round trip,
-//! * **overlapped** split: fine-level windows answer provisionally from the
-//!   coarsest local level and refine asynchronously through
+//! * **device/cloud** split: fine-level windows answer provisionally from
+//!   the coarsest local level and refine asynchronously through
 //!   `core::remote_exec` —
 //!
-//! and a drained run must produce bit-identical digests in all three, which
-//! is what the `remote_overlap` benchmark verifies while measuring how much
-//! throughput overlapping recovers.
+//! and a drained split run must produce bit-identical digests to the
+//! all-local one, with exactly one progressive request per fine-level window
+//! of the plans, which is what the `remote_overlap` benchmark verifies.
 
 use crate::concurrent::ExplorerPlan;
 use crate::scenarios::Scenario;
@@ -24,32 +22,11 @@ use dbtouch_core::catalog::SharedCatalog;
 use dbtouch_core::kernel::{ObjectId, TouchAction};
 use dbtouch_core::operators::aggregate::AggregateKind;
 use dbtouch_gesture::synthesizer::GestureSynthesizer;
+use dbtouch_server::SessionReport;
 use dbtouch_types::{KernelConfig, RemoteSplitConfig, Result, SizeCm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Which storage tier configuration a device/cloud run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoteMode {
-    /// No split: everything device-resident (the ground-truth baseline).
-    AllLocal,
-    /// Device/cloud split with inline (synchronous) remote fetches.
-    Blocking,
-    /// Device/cloud split with asynchronous, overlapped remote fetches.
-    Overlapped,
-}
-
-impl RemoteMode {
-    /// Stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RemoteMode::AllLocal => "all_local",
-            RemoteMode::Blocking => "blocking",
-            RemoteMode::Overlapped => "overlapped",
-        }
-    }
-}
 
 /// Sample levels the device/cloud scenario builds per column. Deeper than
 /// the kernel default so there is a meaningful tier boundary: the device
@@ -61,44 +38,55 @@ pub const DEVICE_LOCAL_MIN_LEVEL: u8 = 11;
 
 /// The split `network` describes, at the scenario's standard boundary.
 /// `None` network uses the default WAN model (40ms round trip).
-pub fn device_cloud_split(
-    mode: RemoteMode,
-    network: Option<(u64, u64)>,
-) -> Option<RemoteSplitConfig> {
-    let overlapped = match mode {
-        RemoteMode::AllLocal => return None,
-        RemoteMode::Blocking => false,
-        RemoteMode::Overlapped => true,
-    };
-    let mut split = RemoteSplitConfig::default()
-        .with_local_min_level(DEVICE_LOCAL_MIN_LEVEL)
-        .with_overlapped(overlapped);
-    if let Some((round_trip_micros, rows_per_milli)) = network {
-        split = split.with_network(round_trip_micros, rows_per_milli);
+pub fn device_cloud_split(network: Option<(u64, u64)>) -> RemoteSplitConfig {
+    let split = RemoteSplitConfig::default().with_local_min_level(DEVICE_LOCAL_MIN_LEVEL);
+    match network {
+        Some((round_trip_micros, rows_per_milli)) => {
+            split.with_network(round_trip_micros, rows_per_milli)
+        }
+        None => split,
     }
-    Some(split)
 }
 
 /// The kernel configuration of a device/cloud run: a deep sample hierarchy
-/// plus the mode's split. All three modes share every other knob, so results
-/// are comparable bit for bit.
-pub fn device_cloud_config(mode: RemoteMode, network: Option<(u64, u64)>) -> KernelConfig {
+/// plus `split` (`None` is the all-local ground truth). Both share every
+/// other knob, so results are comparable bit for bit.
+pub fn device_cloud_config(split: Option<RemoteSplitConfig>) -> KernelConfig {
     KernelConfig::default()
         .with_sample_levels(DEVICE_CLOUD_SAMPLE_LEVELS)
-        .with_remote_split(device_cloud_split(mode, network))
+        .with_remote_split(split)
 }
 
-/// Load the scenario's signal column into a fresh catalog configured for
-/// `mode`. The view geometry is identical across modes, so one set of plans
-/// drives all of them.
+/// Load the scenario's signal column into a fresh catalog configured with
+/// `split`. The view geometry is identical with and without a split, so one
+/// set of plans drives both.
 pub fn device_cloud_catalog(
     scenario: &Scenario,
-    mode: RemoteMode,
-    network: Option<(u64, u64)>,
+    split: Option<RemoteSplitConfig>,
 ) -> Result<(Arc<SharedCatalog>, ObjectId)> {
-    let catalog = Arc::new(SharedCatalog::new(device_cloud_config(mode, network)));
+    let catalog = Arc::new(SharedCatalog::new(device_cloud_config(split)));
     let id = catalog.load_column_typed(scenario.signal_column(), SizeCm::new(2.0, 12.0))?;
     Ok((catalog, id))
+}
+
+/// Summary windows the sessions of `reports` decided at a sample level finer
+/// than the device holds. On a split each is one progressive request (a
+/// window the response budget admits no rows of has nothing to ship). It
+/// depends only on the plans, so an all-local run states what a split run
+/// must send.
+pub fn fine_level_windows(reports: &[SessionReport]) -> u64 {
+    reports
+        .iter()
+        .flat_map(|report| &report.outcomes)
+        .flat_map(|trace| {
+            trace
+                .outcome
+                .stats
+                .sample_level_usage
+                .range(..DEVICE_LOCAL_MIN_LEVEL)
+        })
+        .map(|(_, windows)| windows)
+        .sum()
 }
 
 /// Plan `explorers` device/cloud users: every plan is summary-only and
@@ -152,9 +140,9 @@ mod tests {
     #[test]
     fn plans_are_deterministic_and_mode_independent() {
         let scenario = Scenario::sky_survey(60_000, 3);
-        let (local, object) = device_cloud_catalog(&scenario, RemoteMode::AllLocal, None).unwrap();
+        let (local, object) = device_cloud_catalog(&scenario, None).unwrap();
         let (remote, robj) =
-            device_cloud_catalog(&scenario, RemoteMode::Overlapped, FAST_LINK).unwrap();
+            device_cloud_catalog(&scenario, Some(device_cloud_split(FAST_LINK))).unwrap();
         assert_eq!(object, robj);
         let a = plan_device_cloud(&local, object, 3, 4, 99).unwrap();
         let b = plan_device_cloud(&remote, robj, 3, 4, 99).unwrap();
@@ -165,30 +153,49 @@ mod tests {
     }
 
     #[test]
-    fn all_three_modes_digest_identically() {
+    fn split_and_all_local_digest_identically() {
         let scenario = Scenario::sky_survey(120_000, 21);
-        let (local, object) = device_cloud_catalog(&scenario, RemoteMode::AllLocal, None).unwrap();
+        let (local, object) = device_cloud_catalog(&scenario, None).unwrap();
         let plans = plan_device_cloud(&local, object, 4, 2, 7).unwrap();
         let expected = run_sequential(&local, object, &plans).unwrap();
 
-        for mode in [
-            RemoteMode::AllLocal,
-            RemoteMode::Blocking,
-            RemoteMode::Overlapped,
-        ] {
-            let (catalog, id) = device_cloud_catalog(&scenario, mode, FAST_LINK).unwrap();
+        let mut fine_windows = None;
+        for split in [None, Some(device_cloud_split(FAST_LINK))] {
+            let remote = split.is_some();
+            let (catalog, id) = device_cloud_catalog(&scenario, split).unwrap();
             let run = run_concurrent(&catalog, id, &plans, ServerConfig::with_workers(2)).unwrap();
-            assert!(run.errors().is_empty(), "{mode:?}: {:?}", run.errors());
-            assert_eq!(run.digests(), expected, "{mode:?} digests must match");
-            let remote: u64 = run
+            assert!(
+                run.errors().is_empty(),
+                "split {remote}: {:?}",
+                run.errors()
+            );
+            assert_eq!(
+                run.digests(),
+                expected,
+                "split {remote}: digests must match"
+            );
+            let progressive: u64 = run
                 .sessions
                 .iter()
-                .map(|s| s.total_remote().total_requests())
+                .map(|s| s.total_remote().progressive_requests)
                 .sum();
-            match mode {
-                RemoteMode::AllLocal => assert_eq!(remote, 0),
-                RemoteMode::Blocking | RemoteMode::Overlapped => {
-                    assert!(remote > 0, "{mode:?}: slow slides must go remote")
+            let applied: u64 = run
+                .sessions
+                .iter()
+                .map(|s| s.total_refinements_applied())
+                .sum();
+            match fine_windows {
+                // All-local: nothing goes remote, and the plans' fine-level
+                // windows are what the split run must send.
+                None => {
+                    assert_eq!(progressive, 0);
+                    let windows = fine_level_windows(&run.sessions);
+                    assert!(windows > 0, "slow slides must decide fine levels");
+                    fine_windows = Some(windows);
+                }
+                Some(windows) => {
+                    assert_eq!(progressive, windows, "one request per fine window");
+                    assert_eq!(applied, progressive, "every refinement lands");
                 }
             }
         }
