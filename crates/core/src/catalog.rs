@@ -1001,7 +1001,7 @@ impl SharedCatalog {
             table.name().to_string(),
             table.row_count(),
             table.column_count(),
-            obj.base_view.size(),
+            obj.base_view.size,
         )?;
         self.build_data(Matrix::from_table(table), view)
     }

@@ -570,7 +570,7 @@ mod tests {
             .load_column("a", (0..1000).collect(), SizeCm::new(2.0, 10.0))
             .unwrap();
         let v = k.zoom(id, 2.0).unwrap();
-        assert_eq!(v.size(), SizeCm::new(4.0, 20.0));
+        assert_eq!(v.size, SizeCm::new(4.0, 20.0));
         assert_eq!(k.view(id).unwrap().zoom, 2.0);
         assert!(k.zoom(id, 0.0).is_err());
     }

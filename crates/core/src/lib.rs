@@ -38,8 +38,6 @@
 //!   reaches next (Section 2.6).
 //! * [`response`] — per-touch response-time budget with approximate-first
 //!   refinement (Section 4, "Interactive Behavior").
-//! * [`optimizer`] — adaptive ordering of filter pipelines under user-controlled
-//!   data flow (Section 2.9, "Optimization").
 //! * [`remote`] — simulated remote/cloud processing where the device holds only
 //!   small samples (Section 4, "Remote Processing").
 //! * [`remote_exec`] — the asynchronous remote-processing executor: a bounded
@@ -52,25 +50,21 @@
 pub mod adaptive;
 pub mod catalog;
 pub mod epoch;
-pub mod join_session;
 pub mod kernel;
 pub mod mapping;
 pub mod morsel;
 pub mod operators;
-pub mod optimizer;
 pub mod persist;
 pub mod prefetch_policy;
 pub mod remote;
 pub mod remote_exec;
 pub mod response;
 pub mod result;
-pub mod screen_session;
 pub mod session;
 
 pub use adaptive::GranularityPolicy;
 pub use catalog::{CatalogSnapshot, ObjectData, ObjectState, SharedCatalog};
 pub use epoch::EpochCell;
-pub use join_session::{JoinOutcome, JoinSession, JoinSpec};
 pub use kernel::{Kernel, ObjectId, TouchAction};
 pub use mapping::TouchMapper;
 pub use morsel::{window_stats, MorselPool, SegmentLedger, WindowScan};
@@ -79,5 +73,4 @@ pub use remote_exec::{
     RemoteTier,
 };
 pub use result::{ResultStream, TouchResult};
-pub use screen_session::{ScreenOutcome, ScreenSession};
 pub use session::{Session, SessionOutcome, SessionStats};

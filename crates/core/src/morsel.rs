@@ -273,11 +273,6 @@ impl MorselPool {
         MorselPool { shared, helpers }
     }
 
-    /// Number of scan-helper threads.
-    pub fn helper_count(&self) -> usize {
-        self.helpers.len()
-    }
-
     /// Scan one planned window and block until every segment resolved. The
     /// calling thread starts on it alone and fans the rest out over the pool
     /// once it has scanned for [`HELPER_WAKE_AFTER`]; it keeps claiming

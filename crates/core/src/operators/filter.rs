@@ -139,20 +139,6 @@ impl Predicate {
         })
     }
 
-    /// An estimate of how expensive the predicate is to evaluate (number of
-    /// primitive comparisons). Used by the adaptive optimizer to order filter
-    /// pipelines.
-    pub fn cost(&self) -> u64 {
-        match self {
-            Predicate::Compare { .. } => 1,
-            Predicate::Between { .. } => 2,
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                ps.iter().map(Predicate::cost).sum::<u64>() + 1
-            }
-            Predicate::Not(p) => p.cost() + 1,
-        }
-    }
-
     /// The numeric bounds `[lo, hi]` the predicate can restrict a value to, if
     /// derivable. Used to exploit zone-map indexes during filtered slides.
     pub fn numeric_bounds(&self) -> Option<(f64, f64)> {
@@ -285,18 +271,6 @@ mod tests {
         let p = Predicate::compare(CompareOp::Eq, "error");
         assert!(p.eval(&Value::Str("error".into())).unwrap());
         assert!(!p.eval(&Value::Str("ok".into())).unwrap());
-    }
-
-    #[test]
-    fn cost_estimates() {
-        assert_eq!(Predicate::compare(CompareOp::Eq, 1i64).cost(), 1);
-        assert_eq!(Predicate::between(0i64, 1i64).cost(), 2);
-        let and = Predicate::And(vec![
-            Predicate::compare(CompareOp::Eq, 1i64),
-            Predicate::between(0i64, 1i64),
-        ]);
-        assert_eq!(and.cost(), 4);
-        assert_eq!(Predicate::Not(Box::new(and)).cost(), 5);
     }
 
     #[test]

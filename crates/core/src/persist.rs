@@ -72,11 +72,12 @@ pub(crate) struct Persistence {
     policy: EncodingPolicy,
 }
 
-/// The encoding policy a catalog's knobs ask for.
+/// The encoding policy a catalog's knobs ask for; the dictionary cap is the
+/// storage default.
 fn encoding_policy(config: &KernelConfig) -> EncodingPolicy {
     EncodingPolicy {
         enabled: config.encoding_enabled,
-        dict_max_cardinality: config.dict_max_cardinality,
+        ..EncodingPolicy::default()
     }
 }
 
@@ -106,8 +107,8 @@ impl Persistence {
             slots.push(Some(ObjectRecord {
                 name: data.name().to_string(),
                 is_table: schema.len() > 1,
-                size_w: data.base_view().size().width,
-                size_h: data.base_view().size().height,
+                size_w: data.base_view().size.width,
+                size_h: data.base_view().size.height,
                 action: wire::encode(data.default_action()),
                 attribute_names: schema.iter().map(|(n, _)| n.clone()).collect(),
                 row_count: data.row_count(),
@@ -450,6 +451,12 @@ mod tests {
     fn encoded_catalog_round_trips_and_exposes_encoding_metrics() {
         use crate::session::Session;
         use dbtouch_gesture::synthesizer::GestureSynthesizer;
+
+        // The dictionary cap is not a knob: every persist uses the storage
+        // default.
+        let policy = encoding_policy(&KernelConfig::default());
+        assert_eq!(policy.dict_max_cardinality, 64);
+        assert_eq!(policy, EncodingPolicy::default());
 
         // Long constant runs: prime RLE territory for the page-span encoder.
         let rows: Vec<i64> = (0..60_000).map(|i| (i / 500) % 4).collect();

@@ -10,10 +10,9 @@
 //! dbTouch adds database properties to each view: the number of tuples the
 //! object represents, the number of attributes, and the data types. [`View`]
 //! models exactly this: geometry plus the dbTouch-specific properties that the
-//! mapping layer of the kernel needs. A [`Screen`] is the master view holding
-//! the data-object views and supports hit testing.
+//! mapping layer of the kernel needs.
 
-use dbtouch_types::{DbTouchError, Orientation, PointCm, Rect, Result, SizeCm};
+use dbtouch_types::{DbTouchError, Orientation, Result, SizeCm};
 use serde::{Deserialize, Serialize};
 
 /// A view representing one data object on the touch screen.
@@ -21,8 +20,8 @@ use serde::{Deserialize, Serialize};
 pub struct View {
     /// Name of the data object the view renders (column or table name).
     pub name: String,
-    /// Frame of the view inside its master view.
-    pub frame: Rect,
+    /// Physical size of the view.
+    pub size: SizeCm,
     /// Orientation of the object: vertical objects are scrolled with vertical
     /// slides, horizontal objects with horizontal slides.
     pub orientation: Orientation,
@@ -40,7 +39,7 @@ impl View {
     pub fn for_column(name: impl Into<String>, tuple_count: u64, size: SizeCm) -> Result<View> {
         Self::validated(View {
             name: name.into(),
-            frame: Rect::new(PointCm::ORIGIN, size),
+            size,
             orientation: Orientation::Vertical,
             tuple_count,
             attribute_count: 1,
@@ -62,7 +61,7 @@ impl View {
         }
         Self::validated(View {
             name: name.into(),
-            frame: Rect::new(PointCm::ORIGIN, size),
+            size,
             orientation: Orientation::Vertical,
             tuple_count,
             attribute_count,
@@ -71,40 +70,24 @@ impl View {
     }
 
     fn validated(view: View) -> Result<View> {
-        if !view.frame.size.is_valid() {
+        if !view.size.is_valid() {
             return Err(DbTouchError::InvalidGeometry(format!(
                 "view {} has invalid size {}",
-                view.name, view.frame.size
+                view.name, view.size
             )));
         }
         Ok(view)
     }
 
-    /// Physical size of the view.
-    pub fn size(&self) -> SizeCm {
-        self.frame.size
-    }
-
     /// Extent of the view along the scroll axis (the axis that addresses
     /// tuples): the height for vertical objects, the width for horizontal ones.
     pub fn scroll_extent(&self) -> f64 {
-        self.frame.size.extent_along(self.orientation)
+        self.size.extent_along(self.orientation)
     }
 
     /// Extent across the scroll axis (the axis that addresses attributes).
     pub fn cross_extent(&self) -> f64 {
-        self.frame.size.extent_along(self.orientation.rotated())
-    }
-
-    /// Place the view at a position inside its master view.
-    pub fn positioned_at(mut self, origin: PointCm) -> View {
-        self.frame.origin = origin;
-        self
-    }
-
-    /// True if the point (in the view's local coordinates) lies inside the view.
-    pub fn contains_local(&self, p: PointCm) -> bool {
-        p.x >= 0.0 && p.y >= 0.0 && p.x < self.frame.size.width && p.y < self.frame.size.height
+        self.size.extent_along(self.orientation.rotated())
     }
 
     /// Apply a zoom gesture: scale the view by `factor` (>1 zoom-in, <1
@@ -120,7 +103,7 @@ impl View {
         let effective = new_zoom / self.zoom;
         let mut v = self.clone();
         v.zoom = new_zoom;
-        v.frame.size = self.frame.size.scaled(effective);
+        v.size = self.size.scaled(effective);
         Ok(v)
     }
 
@@ -132,7 +115,7 @@ impl View {
     pub fn rotated(&self) -> View {
         let mut v = self.clone();
         v.orientation = self.orientation.rotated();
-        v.frame.size = self.frame.size.transposed();
+        v.size = self.size.transposed();
         v
     }
 
@@ -147,63 +130,6 @@ impl View {
         (self.scroll_extent() / touch_resolution_cm)
             .floor()
             .max(1.0) as u64
-    }
-}
-
-/// The master view: a screen containing data-object views.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Screen {
-    views: Vec<View>,
-}
-
-impl Screen {
-    /// An empty screen.
-    pub fn new() -> Screen {
-        Screen { views: Vec::new() }
-    }
-
-    /// Add a view to the screen.
-    pub fn add(&mut self, view: View) {
-        self.views.push(view);
-    }
-
-    /// All views.
-    pub fn views(&self) -> &[View] {
-        &self.views
-    }
-
-    /// Find the view (by name) and the local coordinates of a touch given in
-    /// screen coordinates. Returns `None` if the touch lands on empty space.
-    pub fn hit_test(&self, p: PointCm) -> Option<(&View, PointCm)> {
-        // Iterate in reverse so that views added later (rendered on top) win.
-        self.views
-            .iter()
-            .rev()
-            .find(|v| v.frame.contains(p))
-            .map(|v| (v, v.frame.to_local(p)))
-    }
-
-    /// Find a view by the name of its data object.
-    pub fn view(&self, name: &str) -> Result<&View> {
-        self.views
-            .iter()
-            .find(|v| v.name == name)
-            .ok_or_else(|| DbTouchError::NotFound(format!("view {name}")))
-    }
-
-    /// Mutable access to a view by name.
-    pub fn view_mut(&mut self, name: &str) -> Result<&mut View> {
-        self.views
-            .iter_mut()
-            .find(|v| v.name == name)
-            .ok_or_else(|| DbTouchError::NotFound(format!("view {name}")))
-    }
-
-    /// Replace a view (after zooming or rotating it).
-    pub fn replace(&mut self, view: View) -> Result<()> {
-        let slot = self.view_mut(&view.name)?;
-        *slot = view;
-        Ok(())
     }
 }
 
@@ -236,11 +162,11 @@ mod tests {
     fn zoom_in_doubles_size() {
         let v = column_view();
         let z = v.zoomed(2.0).unwrap();
-        assert_eq!(z.size(), SizeCm::new(4.0, 20.0));
+        assert_eq!(z.size, SizeCm::new(4.0, 20.0));
         assert_eq!(z.zoom, 2.0);
         // zoom back out restores the original size
         let back = z.zoomed(0.5).unwrap();
-        assert!((back.size().height - 10.0).abs() < 1e-9);
+        assert!((back.size.height - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -259,7 +185,7 @@ mod tests {
         let v = column_view();
         let r = v.rotated();
         assert_eq!(r.orientation, Orientation::Horizontal);
-        assert_eq!(r.size(), SizeCm::new(10.0, 2.0));
+        assert_eq!(r.size, SizeCm::new(10.0, 2.0));
         assert_eq!(r.scroll_extent(), 10.0); // still 10cm along the scroll axis
         assert_eq!(r.rotated().orientation, Orientation::Vertical);
     }
@@ -272,54 +198,5 @@ mod tests {
         let zoomed = v.zoomed(2.0).unwrap();
         assert_eq!(zoomed.addressable_positions(0.05), 400);
         assert_eq!(v.addressable_positions(0.0), u64::MAX);
-    }
-
-    #[test]
-    fn contains_local() {
-        let v = column_view();
-        assert!(v.contains_local(PointCm::new(1.0, 5.0)));
-        assert!(!v.contains_local(PointCm::new(3.0, 5.0)));
-        assert!(!v.contains_local(PointCm::new(1.0, -0.1)));
-    }
-
-    #[test]
-    fn screen_hit_testing() {
-        let mut s = Screen::new();
-        s.add(
-            View::for_column("a", 100, SizeCm::new(2.0, 10.0))
-                .unwrap()
-                .positioned_at(PointCm::new(1.0, 1.0)),
-        );
-        s.add(
-            View::for_column("b", 100, SizeCm::new(2.0, 10.0))
-                .unwrap()
-                .positioned_at(PointCm::new(5.0, 1.0)),
-        );
-        let (v, local) = s.hit_test(PointCm::new(5.5, 2.0)).unwrap();
-        assert_eq!(v.name, "b");
-        assert_eq!(local, PointCm::new(0.5, 1.0));
-        assert!(s.hit_test(PointCm::new(20.0, 20.0)).is_none());
-        assert!(s.view("a").is_ok());
-        assert!(s.view("missing").is_err());
-    }
-
-    #[test]
-    fn screen_overlapping_views_topmost_wins() {
-        let mut s = Screen::new();
-        s.add(View::for_column("under", 100, SizeCm::new(4.0, 4.0)).unwrap());
-        s.add(View::for_column("over", 100, SizeCm::new(4.0, 4.0)).unwrap());
-        let (v, _) = s.hit_test(PointCm::new(1.0, 1.0)).unwrap();
-        assert_eq!(v.name, "over");
-    }
-
-    #[test]
-    fn screen_replace_view() {
-        let mut s = Screen::new();
-        s.add(column_view());
-        let zoomed = s.view("measurements").unwrap().zoomed(2.0).unwrap();
-        s.replace(zoomed).unwrap();
-        assert_eq!(s.view("measurements").unwrap().zoom, 2.0);
-        let bogus = View::for_column("nope", 1, SizeCm::new(1.0, 1.0)).unwrap();
-        assert!(s.replace(bogus).is_err());
     }
 }

@@ -2,17 +2,16 @@
 //!
 //! [`ServerConfig`] is the one validated builder every way of bringing up an
 //! [`ExplorationServer`] goes through: worker pool and queue knobs, the
-//! catalog source (an existing shared catalog, a persistent directory, or a
-//! fresh memory-only kernel), and — for the network serving layer in
-//! `dbtouch-net` — the listener address, connection limits and the admission
-//! control ([`ShedConfig`]) thresholds.
+//! catalog to serve (a shared catalog handed in — memory-only or opened from
+//! a persistent directory — or a fresh memory-only one), and — for the
+//! network serving layer in `dbtouch-net` — the listener address, connection
+//! limits and the admission control ([`ShedConfig`]) thresholds.
 //!
 //! [`ExplorationServer`]: crate::manager::ExplorationServer
 
 use dbtouch_core::catalog::SharedCatalog;
-use dbtouch_types::{DbTouchError, KernelConfig, Result};
+use dbtouch_types::{DbTouchError, Result};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Admission-control thresholds for the network serving layer.
@@ -69,24 +68,14 @@ pub struct ServerConfig {
     ///
     /// [`SessionHandle::run_trace`]: crate::manager::SessionHandle::run_trace
     pub session_queue_depth: usize,
-    /// Kernel configuration used when [`serve`] has to *create* a catalog
-    /// (no [`catalog`](Self::catalog) handed in): both for opening
-    /// [`catalog_dir`](Self::catalog_dir) and for a fresh memory-only
-    /// catalog. Ignored when an existing catalog is supplied.
+    /// The shared catalog to serve. A persistent one is opened with
+    /// [`SharedCatalog::open`] and handed in the same way; every epoch it
+    /// publishes is persisted as it happens. `None`: [`serve`] creates a
+    /// fresh memory-only catalog with the default
+    /// [`KernelConfig`](dbtouch_types::KernelConfig).
     ///
     /// [`serve`]: crate::manager::ExplorationServer::serve
-    pub kernel: KernelConfig,
-    /// An existing shared catalog to serve. Mutually exclusive with
-    /// [`catalog_dir`](Self::catalog_dir).
     pub catalog: Option<Arc<SharedCatalog>>,
-    /// Directory of the persistent catalog. When set, [`serve`] opens an
-    /// existing persisted catalog (or creates the directory) on startup, and
-    /// every published catalog epoch — loads, metadata edits, restructures —
-    /// is persisted as it happens, so a restart resumes from the last
-    /// published epoch. `None` serves a memory-only catalog.
-    ///
-    /// [`serve`]: crate::manager::ExplorationServer::serve
-    pub catalog_dir: Option<PathBuf>,
     /// Address the network layer (`dbtouch-net`) listens on, e.g.
     /// `"127.0.0.1:0"`. The in-process server ignores it; `dbtouch-net`
     /// requires it.
@@ -112,22 +101,9 @@ impl ServerConfig {
         }
     }
 
-    /// Builder-style setter for the kernel configuration used when a catalog
-    /// has to be created.
-    pub fn with_kernel(mut self, kernel: KernelConfig) -> ServerConfig {
-        self.kernel = kernel;
-        self
-    }
-
     /// Builder-style setter: serve an existing shared catalog.
     pub fn with_catalog(mut self, catalog: Arc<SharedCatalog>) -> ServerConfig {
         self.catalog = Some(catalog);
-        self
-    }
-
-    /// Builder-style setter for the persistent catalog directory.
-    pub fn with_catalog_dir(mut self, dir: impl Into<PathBuf>) -> ServerConfig {
-        self.catalog_dir = Some(dir.into());
         self
     }
 
@@ -164,13 +140,6 @@ impl ServerConfig {
                 "session_queue_depth must be at least 1".into(),
             ));
         }
-        if self.catalog.is_some() && self.catalog_dir.is_some() {
-            return Err(DbTouchError::InvalidConfig(
-                "catalog and catalog_dir are mutually exclusive: serve an \
-                 existing catalog or open a persistent one, not both"
-                    .into(),
-            ));
-        }
         if self.max_connections == 0 {
             return Err(DbTouchError::InvalidConfig(
                 "max_connections must be at least 1".into(),
@@ -202,9 +171,7 @@ impl Default for ServerConfig {
         ServerConfig {
             worker_threads: parallelism.clamp(2, 16),
             session_queue_depth: 64,
-            kernel: KernelConfig::default(),
             catalog: None,
-            catalog_dir: None,
             listen_addr: None,
             max_connections: 1024,
             shed: ShedConfig::default(),
@@ -222,7 +189,6 @@ impl fmt::Debug for ServerConfig {
                 "catalog",
                 &self.catalog.as_ref().map(|_| "Arc<SharedCatalog>"),
             )
-            .field("catalog_dir", &self.catalog_dir)
             .field("listen_addr", &self.listen_addr)
             .field("max_connections", &self.max_connections)
             .field("shed", &self.shed)
@@ -247,14 +213,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_contradictions() {
-        let both = ServerConfig::default()
-            .with_catalog(Arc::new(SharedCatalog::new(KernelConfig::default())))
-            .with_catalog_dir("/tmp/x");
-        assert!(matches!(
-            both.validate(),
-            Err(DbTouchError::InvalidConfig(_))
-        ));
-
         let zero_workers = ServerConfig {
             worker_threads: 0,
             ..ServerConfig::default()

@@ -37,7 +37,7 @@ use dbtouch_core::remote_exec::{self, CompletionQueue, RefinementApplied, Remote
 use dbtouch_core::session::Session;
 use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_obs::{clear_trace_ctx, set_trace_ctx_span, Telemetry, WireTraceContext};
-use dbtouch_types::{DbTouchError, Result};
+use dbtouch_types::{DbTouchError, KernelConfig, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -293,18 +293,15 @@ pub struct ExplorationServer {
 }
 
 impl ExplorationServer {
-    /// The one entry point: validate `config`, resolve the catalog it names
-    /// (an existing [`ServerConfig::catalog`], the persistent
-    /// [`ServerConfig::catalog_dir`] opened with [`ServerConfig::kernel`], or
-    /// a fresh memory-only catalog) and spawn the worker pool over it.
+    /// The one entry point: validate `config`, take the catalog it names
+    /// ([`ServerConfig::catalog`], or a fresh memory-only catalog with the
+    /// default [`KernelConfig`]) and spawn the worker pool over it.
     pub fn serve(config: ServerConfig) -> Result<ExplorationServer> {
         config.validate()?;
-        let catalog = match (&config.catalog, &config.catalog_dir) {
-            (Some(catalog), None) => Arc::clone(catalog),
-            (None, Some(dir)) => Arc::new(SharedCatalog::open(dir, config.kernel.clone())?),
-            (None, None) => Arc::new(SharedCatalog::new(config.kernel.clone())),
-            (Some(_), Some(_)) => unreachable!("validate() rejects catalog + catalog_dir"),
-        };
+        let catalog = config
+            .catalog
+            .clone()
+            .unwrap_or_else(|| Arc::new(SharedCatalog::new(KernelConfig::default())));
         Ok(ExplorationServer::spawn(catalog, &config))
     }
 
@@ -344,11 +341,6 @@ impl ExplorationServer {
     /// The catalog this server serves.
     pub fn catalog(&self) -> &Arc<SharedCatalog> {
         &self.catalog
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Open a new exploration session, pinned to the worker currently
@@ -771,7 +763,7 @@ mod tests {
     use crate::report::digest_outcomes;
     use dbtouch_core::operators::aggregate::AggregateKind;
     use dbtouch_gesture::synthesizer::GestureSynthesizer;
-    use dbtouch_types::{KernelConfig, SizeCm};
+    use dbtouch_types::SizeCm;
 
     fn catalog_with_column(rows: i64) -> (Arc<SharedCatalog>, ObjectId) {
         let catalog = Arc::new(SharedCatalog::new(KernelConfig::default()));
@@ -786,7 +778,10 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("dbtouch-server-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = || ServerConfig::with_workers(2).with_catalog_dir(&dir);
+        let config = || {
+            let catalog = SharedCatalog::open(&dir, KernelConfig::default()).unwrap();
+            ServerConfig::with_workers(2).with_catalog(Arc::new(catalog))
+        };
 
         // First service lifetime: create, load, serve, restructure.
         let first = ExplorationServer::serve(config()).unwrap();

@@ -110,14 +110,6 @@ impl Column {
         }
     }
 
-    /// Build a `Bool` column from raw values.
-    pub fn from_bool(name: impl Into<String>, values: Vec<bool>) -> Column {
-        Column {
-            name: name.into(),
-            data: ColumnData::Bool(values),
-        }
-    }
-
     /// Build a `Timestamp` column from raw millisecond values.
     pub fn from_timestamps(name: impl Into<String>, values: Vec<i64>) -> Column {
         Column {

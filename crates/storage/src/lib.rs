@@ -49,7 +49,6 @@ pub mod rotation;
 pub mod sample;
 pub mod segment;
 pub mod shared_cache;
-pub mod stats;
 pub mod table;
 
 pub use column::Column;
@@ -66,5 +65,4 @@ pub use segment::{plan_segments, Segment, SegmentStats, SegmentSum};
 pub use shared_cache::{
     next_object_identity, RangeAggregate, SharedCacheStats, SharedResultCache, SummaryKey,
 };
-pub use stats::ColumnStats;
 pub use table::Table;

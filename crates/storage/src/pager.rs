@@ -678,15 +678,6 @@ impl PagedColumn {
         }
         Ok((out, sampled))
     }
-
-    /// The persisted payload of every page of the extent, in order. For
-    /// packed extents these are the *encoded* span payloads — re-persisting
-    /// a column goes through [`raw_row_bytes`](PagedColumn::raw_row_bytes)
-    /// so the destination store makes its own packing decision.
-    pub fn page_payloads(&self) -> impl Iterator<Item = Result<Arc<Vec<u8>>>> + '_ {
-        (self.extent.start_page..self.extent.start_page + self.extent.page_count)
-            .map(move |id| self.pager.read_page(id))
-    }
 }
 
 /// Split a column's raw row bytes into page payloads and append them,

@@ -48,7 +48,6 @@
 //! ignorant of what an "action" is — layering is preserved.
 
 use crate::index::ZoneMapIndex;
-use crate::page::PAGE_HEADER_BYTES;
 use crate::pager::{io_err, ColumnExtent, Pager};
 use dbtouch_types::checksum::checksum64;
 use dbtouch_types::wire;
@@ -494,12 +493,6 @@ impl CatalogStore {
         }
         Ok(())
     }
-}
-
-/// Byte offset where a page's payload starts, exposed for crash-injection
-/// tests that corrupt specific pages.
-pub fn page_payload_offset(page_size: usize, page_id: u64) -> u64 {
-    page_id * page_size as u64 + PAGE_HEADER_BYTES as u64
 }
 
 #[cfg(test)]

@@ -169,13 +169,6 @@ pub struct KernelConfig {
     #[serde(default)]
     pub encoding_enabled: bool,
 
-    /// Most distinct values a page span may hold and still choose the
-    /// dictionary encoding. Codes are one byte, so the ceiling is 256; the
-    /// default (64) keeps dictionaries small enough that code-counting scans
-    /// stay cache-resident.
-    #[serde(default)]
-    pub dict_max_cardinality: u16,
-
     /// When `true` (the default), the kernel additionally captures
     /// hierarchical span trees per gesture trace — queue-wait vs service
     /// decomposition, per-segment scan spans, late remote refinements —
@@ -219,7 +212,6 @@ impl Default for KernelConfig {
             scan_parallelism: 1,
             segment_rows: 65_536,
             encoding_enabled: true,
-            dict_max_cardinality: 64,
             tracing_enabled: true,
             trace_tail_threshold_micros: 10_000,
             trace_head_sample_every: 64,
@@ -268,11 +260,6 @@ impl KernelConfig {
         if self.segment_rows == 0 {
             return Err(DbTouchError::InvalidConfig(
                 "segment_rows must be > 0".into(),
-            ));
-        }
-        if !(1..=256).contains(&self.dict_max_cardinality) {
-            return Err(DbTouchError::InvalidConfig(
-                "dict_max_cardinality must be in 1..=256 (codes are one byte)".into(),
             ));
         }
         if self.tracing_enabled && self.trace_retained_capacity == 0 {
@@ -369,12 +356,6 @@ impl KernelConfig {
     /// Builder-style toggle for page-span compression at persist time.
     pub fn with_encoding(mut self, on: bool) -> Self {
         self.encoding_enabled = on;
-        self
-    }
-
-    /// Builder-style setter for the dictionary-encoding cardinality ceiling.
-    pub fn with_dict_max_cardinality(mut self, values: u16) -> Self {
-        self.dict_max_cardinality = values;
         self
     }
 
@@ -553,30 +534,10 @@ mod tests {
 
     #[test]
     fn encoding_knobs_validate_and_chain() {
-        let c = KernelConfig::default();
-        assert!(c.encoding_enabled);
-        assert_eq!(c.dict_max_cardinality, 64);
-        assert!(KernelConfig::default()
-            .with_dict_max_cardinality(0)
-            .validate()
-            .is_err());
-        assert!(KernelConfig::default()
-            .with_dict_max_cardinality(257)
-            .validate()
-            .is_err());
-        let c = KernelConfig::default()
-            .with_encoding(false)
-            .with_dict_max_cardinality(256);
+        assert!(KernelConfig::default().encoding_enabled);
+        let c = KernelConfig::default().with_encoding(false);
         assert!(c.validate().is_ok());
         assert!(!c.encoding_enabled);
-        assert_eq!(c.dict_max_cardinality, 256);
-        // Even with encoding off the cardinality knob stays range-checked —
-        // it is persisted and may be re-enabled later.
-        assert!(KernelConfig::default()
-            .with_encoding(false)
-            .with_dict_max_cardinality(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

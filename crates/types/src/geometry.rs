@@ -11,80 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Div, Mul, Sub};
-
-/// A length in centimetres.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct Centimeters(pub f64);
-
-impl Centimeters {
-    /// Zero length.
-    pub const ZERO: Centimeters = Centimeters(0.0);
-
-    /// Construct, returning `None` for NaN or negative lengths.
-    pub fn checked(v: f64) -> Option<Centimeters> {
-        if v.is_finite() && v >= 0.0 {
-            Some(Centimeters(v))
-        } else {
-            None
-        }
-    }
-
-    /// Raw value.
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
-    /// True if this is a usable (finite, strictly positive) extent.
-    pub fn is_positive(self) -> bool {
-        self.0.is_finite() && self.0 > 0.0
-    }
-
-    /// Clamp into `[lo, hi]`.
-    pub fn clamp(self, lo: Centimeters, hi: Centimeters) -> Centimeters {
-        Centimeters(self.0.clamp(lo.0, hi.0))
-    }
-}
-
-impl fmt::Display for Centimeters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2}cm", self.0)
-    }
-}
-
-impl Add for Centimeters {
-    type Output = Centimeters;
-    fn add(self, rhs: Centimeters) -> Centimeters {
-        Centimeters(self.0 + rhs.0)
-    }
-}
-
-impl Sub for Centimeters {
-    type Output = Centimeters;
-    fn sub(self, rhs: Centimeters) -> Centimeters {
-        Centimeters(self.0 - rhs.0)
-    }
-}
-
-impl Mul<f64> for Centimeters {
-    type Output = Centimeters;
-    fn mul(self, rhs: f64) -> Centimeters {
-        Centimeters(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Centimeters {
-    type Output = Centimeters;
-    fn div(self, rhs: f64) -> Centimeters {
-        Centimeters(self.0 / rhs)
-    }
-}
-
-impl From<f64> for Centimeters {
-    fn from(v: f64) -> Self {
-        Centimeters(v)
-    }
-}
 
 /// A point within a view, in centimetres from the view's top-left corner.
 ///
@@ -155,11 +81,6 @@ impl SizeCm {
         self.width.is_finite() && self.height.is_finite() && self.width > 0.0 && self.height > 0.0
     }
 
-    /// Area in square centimetres.
-    pub fn area(&self) -> f64 {
-        self.width * self.height
-    }
-
     /// Scale both dimensions by a factor (used by zoom gestures).
     pub fn scaled(&self, factor: f64) -> SizeCm {
         SizeCm {
@@ -189,55 +110,6 @@ impl SizeCm {
 impl fmt::Display for SizeCm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2}x{:.2}cm", self.width, self.height)
-    }
-}
-
-/// An axis-aligned rectangle inside a master view (origin is its top-left
-/// corner, in the master view's coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Rect {
-    /// Top-left corner in the parent's coordinate space.
-    pub origin: PointCm,
-    /// Extent of the rectangle.
-    pub size: SizeCm,
-}
-
-impl Rect {
-    /// Construct from origin and size.
-    pub fn new(origin: PointCm, size: SizeCm) -> Rect {
-        Rect { origin, size }
-    }
-
-    /// Construct from raw coordinates.
-    pub fn from_xywh(x: f64, y: f64, w: f64, h: f64) -> Rect {
-        Rect::new(PointCm::new(x, y), SizeCm::new(w, h))
-    }
-
-    /// True if the point (in the parent's coordinates) falls inside this rect.
-    pub fn contains(&self, p: PointCm) -> bool {
-        p.x >= self.origin.x
-            && p.x < self.origin.x + self.size.width
-            && p.y >= self.origin.y
-            && p.y < self.origin.y + self.size.height
-    }
-
-    /// Translate a point from the parent's coordinates to this rect's local
-    /// coordinates (its own top-left becomes the origin).
-    pub fn to_local(&self, p: PointCm) -> PointCm {
-        PointCm::new(p.x - self.origin.x, p.y - self.origin.y)
-    }
-
-    /// Translate a local point back to the parent's coordinates.
-    pub fn to_parent(&self, p: PointCm) -> PointCm {
-        PointCm::new(p.x + self.origin.x, p.y + self.origin.y)
-    }
-
-    /// The centre of the rectangle, in parent coordinates.
-    pub fn center(&self) -> PointCm {
-        PointCm::new(
-            self.origin.x + self.size.width / 2.0,
-            self.origin.y + self.size.height / 2.0,
-        )
     }
 }
 
@@ -287,22 +159,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn centimeters_checked_rejects_bad_values() {
-        assert!(Centimeters::checked(f64::NAN).is_none());
-        assert!(Centimeters::checked(-1.0).is_none());
-        assert!(Centimeters::checked(f64::INFINITY).is_none());
-        assert_eq!(Centimeters::checked(2.0), Some(Centimeters(2.0)));
-    }
-
-    #[test]
-    fn centimeters_arithmetic() {
-        assert_eq!((Centimeters(2.0) + Centimeters(3.0)).value(), 5.0);
-        assert_eq!((Centimeters(5.0) - Centimeters(3.0)).value(), 2.0);
-        assert_eq!((Centimeters(2.0) * 3.0).value(), 6.0);
-        assert_eq!((Centimeters(6.0) / 2.0).value(), 3.0);
-    }
-
-    #[test]
     fn point_distance_and_lerp() {
         let a = PointCm::new(0.0, 0.0);
         let b = PointCm::new(3.0, 4.0);
@@ -322,7 +178,6 @@ mod tests {
         let s = SizeCm::new(2.0, 10.0).scaled(2.0);
         assert_eq!(s, SizeCm::new(4.0, 20.0));
         assert_eq!(s.transposed(), SizeCm::new(20.0, 4.0));
-        assert_eq!(s.area(), 80.0);
     }
 
     #[test]
@@ -330,19 +185,6 @@ mod tests {
         let s = SizeCm::new(2.0, 10.0);
         assert_eq!(s.extent_along(Orientation::Vertical), 10.0);
         assert_eq!(s.extent_along(Orientation::Horizontal), 2.0);
-    }
-
-    #[test]
-    fn rect_contains_and_coordinate_transforms() {
-        let r = Rect::from_xywh(1.0, 2.0, 3.0, 4.0);
-        assert!(r.contains(PointCm::new(1.0, 2.0)));
-        assert!(r.contains(PointCm::new(3.9, 5.9)));
-        assert!(!r.contains(PointCm::new(4.0, 5.0)));
-        assert!(!r.contains(PointCm::new(0.5, 3.0)));
-        let local = r.to_local(PointCm::new(2.0, 4.0));
-        assert_eq!(local, PointCm::new(1.0, 2.0));
-        assert_eq!(r.to_parent(local), PointCm::new(2.0, 4.0));
-        assert_eq!(r.center(), PointCm::new(2.5, 4.0));
     }
 
     #[test]
@@ -365,7 +207,6 @@ mod tests {
 
     #[test]
     fn display_forms() {
-        assert_eq!(Centimeters(1.5).to_string(), "1.50cm");
         assert_eq!(PointCm::new(1.0, 2.0).to_string(), "(1.00, 2.00)cm");
         assert_eq!(SizeCm::new(2.0, 10.0).to_string(), "2.00x10.00cm");
     }

@@ -24,7 +24,7 @@ pub mod wire;
 pub use config::{KernelConfig, RemoteSplitConfig};
 pub use datatype::DataType;
 pub use error::{DbTouchError, Result};
-pub use geometry::{Centimeters, Orientation, PointCm, Rect, SizeCm};
+pub use geometry::{Orientation, PointCm, SizeCm};
 pub use rowid::{RowId, RowRange};
 pub use time::{Millis, Timestamp};
 pub use value::Value;

@@ -70,8 +70,7 @@ fn main() -> Result<()> {
     let zoomed_view = kernel.view(object)?;
     println!(
         "after zoom-in the object is {} tall (was {})",
-        zoomed_view.size().height,
-        view.size().height
+        zoomed_view.size.height, view.size.height
     );
     let outcome = kernel.run_trace(object, &synthesizer.slide_down(&zoomed_view, 2.0))?;
     println!(
