@@ -282,7 +282,7 @@ mod tests {
         let (open, trace) = verdicts(&server, limit(0));
         assert!(open.is_admit() && trace.is_admit());
 
-        let session = server.open_session();
+        let mut session = server.open_session();
         session.set_action(object, TouchAction::Scan).unwrap();
         let trace = GestureSynthesizer::new(60.0).slide_down(&view, 0.2);
         session.run_trace(object, trace).unwrap();

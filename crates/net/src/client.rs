@@ -12,8 +12,15 @@
 //! shedding surfaces as [`DbTouchError::Overloaded`] with the server's
 //! suggested backoff, an `Error` frame as [`DbTouchError::Remote`], and a
 //! graceful server drain as [`DbTouchError::Remote`], with the final session
-//! report (delivered in the server's `GoAway`) retrievable via
+//! report (its last delta delivered in the server's `GoAway`) retrievable via
 //! [`TcpSession::take_goaway_report`] so no completed work is lost.
+//!
+//! A `Report` carries only what the session added since its previous one;
+//! the session absorbs each into the whole report it keeps
+//! ([`SessionReport::absorb`]), so `snapshot` and `close` still return all
+//! of it.
+//!
+//! [`SessionReport::absorb`]: dbtouch_server::SessionReport::absorb
 //!
 //! [`ExplorationServer`]: dbtouch_server::ExplorationServer
 //! [`ExplorationClient`]: dbtouch_server::ExplorationClient
@@ -122,7 +129,9 @@ pub struct TcpSession {
     id: SessionId,
     /// Trace ids this session stamped into `RunTrace` frames, in send order.
     stamped_traces: Vec<u64>,
-    /// The final report delivered by a server `GoAway` during drain.
+    /// Every `Report` delta received so far, absorbed.
+    report: SessionReport,
+    /// The last delta, delivered by a server `GoAway` during drain.
     goaway_report: Option<SessionReport>,
 }
 
@@ -165,7 +174,7 @@ fn handshake(stream: &mut TcpStream) -> Result<()> {
 
 /// The one translation of the refusals: `Shed` →
 /// [`DbTouchError::Overloaded`], `Error` → [`DbTouchError::Remote`], `GoAway`
-/// → [`DbTouchError::Remote`] with its final report (if any) moved into
+/// → [`DbTouchError::Remote`] with its last report delta (if any) moved into
 /// `goaway`. Every other response is the answer.
 fn answer(resp: Response, goaway: &mut Option<SessionReport>) -> Result<Response> {
     match resp {
@@ -196,11 +205,13 @@ impl TcpSession {
         answer(request(&mut self.stream, req)?, &mut self.goaway_report)
     }
 
-    /// The final [`SessionReport`] a draining server delivered in its
-    /// `GoAway`, if one arrived. The session closed server-side; every trace
+    /// The final [`SessionReport`], if a draining server delivered its last
+    /// delta in a `GoAway`. The session closed server-side; every trace
     /// acknowledged before the drain is reflected in this report.
     pub fn take_goaway_report(&mut self) -> Option<SessionReport> {
-        self.goaway_report.take()
+        let delta = self.goaway_report.take()?;
+        self.report.absorb(delta);
+        Some(std::mem::take(&mut self.report))
     }
 
     /// Trace ids this session stamped into its `RunTrace` frames, in send
@@ -239,21 +250,24 @@ impl ClientSession for TcpSession {
 
     fn snapshot(&mut self) -> Result<SessionReport> {
         match self.call(&Request::Snapshot)? {
-            Response::Report(report) => Ok(report),
+            Response::Report(delta) => {
+                self.report.absorb(delta);
+                Ok(self.report.clone())
+            }
             other => Err(unexpected("Report", &other)),
         }
     }
 
     fn close(mut self) -> Result<SessionReport> {
         match self.call(&Request::CloseSession) {
-            Ok(Response::Report(report)) => Ok(report),
+            Ok(Response::Report(delta)) => {
+                self.report.absorb(delta);
+                Ok(self.report)
+            }
             Ok(other) => Err(unexpected("Report", &other)),
             // A drain raced the close: the server closed the session for us
-            // and delivered the final report in its GoAway.
-            Err(e) => match self.goaway_report.take() {
-                Some(report) => Ok(report),
-                None => Err(e),
-            },
+            // and delivered its last delta in its GoAway.
+            Err(e) => self.take_goaway_report().ok_or(e),
         }
     }
 }
@@ -268,6 +282,7 @@ impl ExplorationClient for TcpClient {
                 stream,
                 id,
                 stamped_traces: Vec::new(),
+                report: SessionReport::default(),
                 goaway_report: None,
             }),
             other => Err(unexpected("SessionOpened", &other)),

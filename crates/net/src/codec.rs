@@ -36,9 +36,9 @@ pub enum Request {
     /// Run one gesture trace, optionally carrying the client-stamped trace
     /// context (absent encodes as zero extra bytes).
     RunTrace(ObjectId, GestureTrace, Option<WireTraceContext>),
-    /// Barrier + copy of the session report.
+    /// Barrier + what the session added since its previous report.
     Snapshot,
-    /// Close the session, returning the final report.
+    /// Close the session, returning the rest of its report.
     CloseSession,
     /// The server's metrics snapshot as JSON text.
     Metrics,
@@ -139,7 +139,10 @@ dbtouch_types::wire_enum! {
         tag::SESSION_OPENED => SessionOpened(id: u64),
         /// The request completed with nothing to return.
         tag::ACK => Ack,
-        /// A session report (snapshot or close).
+        /// A session report (snapshot or close) as a delta: its `Vec`s hold
+        /// only what the session added since its previous report, its
+        /// scalars their current values. The client rebuilds the whole
+        /// report with `SessionReport::absorb`.
         tag::REPORT => Report(report: SessionReport),
         /// Metrics snapshot, JSON text.
         tag::METRICS_JSON => MetricsJson(text: String),
@@ -152,7 +155,8 @@ dbtouch_types::wire_enum! {
             /// The admission signal that tripped.
             reason: String,
         },
-        /// The server is draining; optionally carries the final session report.
+        /// The server is draining; optionally carries the session's last
+        /// report delta (what it added since its previous `Report`).
         tag::GO_AWAY => GoAway(report: Option<SessionReport>),
         /// Chrome trace-event JSON of retained span trees.
         tag::TRACES_JSON => TracesJson(text: String),

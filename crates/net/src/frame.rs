@@ -38,13 +38,15 @@ pub const PROTOCOL_NAME: &str = "dbtouch-net";
 /// The one protocol version, carried in the JSON handshake frame by both
 /// sides. A peer offering any other version is refused with an error frame:
 /// binary layouts (the session report, for one) and the frame checksum
-/// differ between versions.
-pub const PROTOCOL_VERSION: u64 = 6;
+/// differ between versions, and so may what a frame means (from version 7 a
+/// `Report` is a delta, not the whole session report).
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;
-/// Hard cap on any other frame payload. Reports of long sessions are large
-/// (result streams), but nothing legitimate approaches this.
+/// Hard cap on any other frame payload. A report holds every outcome since
+/// the session's previous one, and a session that never snapshots sends its
+/// whole result stream at close, but nothing legitimate approaches this.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
 
 /// Frame type tags (first payload byte).
@@ -61,9 +63,9 @@ pub mod tag {
     /// Request: run one gesture trace (acked only once enqueued, so server
     /// backpressure becomes client backpressure).
     pub const RUN_TRACE: u8 = 0x12;
-    /// Request: barrier + copy of the session report.
+    /// Request: barrier + what the session added since its previous report.
     pub const SNAPSHOT: u8 = 0x13;
-    /// Request: close the session, returning its final report.
+    /// Request: close the session, returning the rest of its report.
     pub const CLOSE_SESSION: u8 = 0x14;
     /// Request: the server's metrics snapshot as JSON text (debug dump).
     pub const METRICS: u8 = 0x15;

@@ -20,8 +20,15 @@
 //! live sessions, remote-executor backlog, the per-touch p99 — and answers
 //! `Shed { retry_after_ms, reason }` instead of queueing without bound.
 //! Graceful shutdown drains instead of dropping: accepted connections flush
-//! their in-flight traces and receive their final [`SessionReport`] in a
-//! `GoAway` frame.
+//! their in-flight traces and receive the rest of their [`SessionReport`] in
+//! a `GoAway` frame.
+//!
+//! Each outcome crosses the wire once. A `Report` (and a `GoAway`'s report)
+//! is a delta: it carries the outcomes, epochs, refinement latencies and
+//! errors the session added since its previous report, plus the current
+//! values of the report's scalar fields. [`TcpSession`] absorbs every delta
+//! into the whole report it keeps, so a snapshot's bytes do not grow with
+//! the session's length.
 //!
 //! Everything network-facing is observable as the `net.*` metric source
 //! ([`metrics`]) in the same [`metrics_snapshot`] scrape as the rest of the

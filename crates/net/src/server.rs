@@ -27,9 +27,9 @@
 //! **Graceful drain** ([`NetServer::shutdown`]): the acceptor stops
 //! accepting, every handler finishes the frame in flight, closes its session
 //! (flushing queued traces through the barrier), sends `GoAway` carrying the
-//! final [`SessionReport`], and answers any straggling requests with an
-//! error until the client hangs up. Only then is the inner exploration
-//! server shut down.
+//! session's last [`SessionReport`] delta, and answers any straggling
+//! requests with an error until the client hangs up. Only then is the inner
+//! exploration server shut down.
 
 use crate::admission::{Admission, ShedReason, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
@@ -211,10 +211,10 @@ impl NetServer {
     }
 
     /// Graceful drain: stop accepting, let every connection flush its
-    /// in-flight traces and receive its final report via `GoAway`, then shut
-    /// the inner exploration server down. Connections that have not finished
-    /// within `DRAIN_TIMEOUT` are abandoned (their handler threads
-    /// die with the process).
+    /// in-flight traces and receive the rest of its report via `GoAway`,
+    /// then shut the inner exploration server down. Connections that have
+    /// not finished within `DRAIN_TIMEOUT` are abandoned (their handler
+    /// threads die with the process).
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(a) = self.acceptor.take() {
@@ -537,14 +537,14 @@ fn serve_request(shared: &Shared, payload: &[u8], session: &mut Option<SessionHa
             None => no_session(),
         },
         Request::Snapshot => match session {
-            Some(s) => match s.snapshot() {
+            Some(s) => match s.delta(false) {
                 Ok(report) => Response::Report(report),
                 Err(e) => Response::Error(e.to_string()),
             },
             None => no_session(),
         },
         Request::CloseSession => match session.take() {
-            Some(s) => match s.close() {
+            Some(mut s) => match s.delta(true) {
                 Ok(report) => Response::Report(report),
                 Err(e) => Response::Error(e.to_string()),
             },
@@ -565,13 +565,13 @@ fn serve_request(shared: &Shared, payload: &[u8], session: &mut Option<SessionHa
 }
 
 /// Graceful drain of one connection: close the session (a barrier — every
-/// queued trace completes and every in-flight refinement lands), deliver the
-/// final report in a `GoAway`, then answer any straggling requests with an
+/// queued trace completes and every in-flight refinement lands), deliver its
+/// last report delta in a `GoAway`, then answer any straggling requests with an
 /// error until the client hangs up. Waiting for the client's EOF (instead of
 /// closing immediately) keeps the kernel from discarding the buffered
 /// `GoAway` with a reset.
 fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<SessionHandle>) {
-    let final_report: Option<SessionReport> = session.and_then(|s| s.close().ok());
+    let final_report: Option<SessionReport> = session.and_then(|mut s| s.delta(true).ok());
     if !send(shared, &mut stream, &Response::GoAway(final_report)) {
         return;
     }

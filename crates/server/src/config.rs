@@ -113,12 +113,6 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style setter for the connection cap.
-    pub fn with_max_connections(mut self, max: usize) -> ServerConfig {
-        self.max_connections = max;
-        self
-    }
-
     /// Builder-style setter for the admission-control thresholds.
     pub fn with_shed(mut self, shed: ShedConfig) -> ServerConfig {
         self.shed = shed;
@@ -225,10 +219,11 @@ mod tests {
         };
         assert!(zero_depth.validate().is_err());
 
-        assert!(ServerConfig::default()
-            .with_max_connections(0)
-            .validate()
-            .is_err());
+        let zero_connections = ServerConfig {
+            max_connections: 0,
+            ..ServerConfig::default()
+        };
+        assert!(zero_connections.validate().is_err());
         assert!(ServerConfig::default()
             .with_listen_addr("")
             .validate()
@@ -246,7 +241,6 @@ mod tests {
     fn builders_compose() {
         let c = ServerConfig::with_workers(3)
             .with_listen_addr("127.0.0.1:0")
-            .with_max_connections(7)
             .with_shed(ShedConfig {
                 max_live_sessions: Some(1),
                 retry_after_ms: 50,
@@ -254,7 +248,6 @@ mod tests {
             });
         assert_eq!(c.worker_threads, 3);
         assert_eq!(c.listen_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(c.max_connections, 7);
         assert_eq!(c.shed.max_live_sessions, Some(1));
         assert_eq!(c.shed.retry_after_ms, 50);
         assert!(c.validate().is_ok());

@@ -7,15 +7,6 @@
 
 use dbtouch_obs::HistogramSnapshot;
 
-/// Nearest-rank percentile over an already-sorted slice. Returns 0 when empty.
-pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Summary of per-touch latency across many traces.
 ///
 /// The percentiles are over each trace's *mean* per-touch time — the
@@ -67,14 +58,11 @@ impl LatencySummary {
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentiles_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_sorted(&samples, 50.0), 50);
-        assert_eq!(percentile_sorted(&samples, 99.0), 99);
-        assert_eq!(percentile_sorted(&samples, 100.0), 100);
-        assert_eq!(percentile_sorted(&[], 50.0), 0);
-        assert_eq!(percentile_sorted(&[7], 99.0), 7);
+    /// Nearest-rank percentile over an already-sorted, non-empty slice: the
+    /// exact value the histogram's estimate must bound.
+    fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
     }
 
     #[test]

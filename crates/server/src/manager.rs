@@ -62,9 +62,9 @@ enum SessionEvent {
         wire: Option<WireTraceContext>,
         enqueued: Instant,
     },
-    /// Reply with a copy of the session's report so far.
+    /// Reply with what the session added since its previous report.
     Snapshot { reply: SyncSender<SessionReport> },
-    /// Tear the session down and reply with its final report.
+    /// Tear the session down and reply with what is left of its report.
     Close { reply: SyncSender<SessionReport> },
 }
 
@@ -147,11 +147,17 @@ impl QueueGate {
 /// asynchronous (fire-and-forget with backpressure);
 /// [`snapshot`](SessionHandle::snapshot) and [`close`](SessionHandle::close)
 /// are synchronous barriers.
+///
+/// The worker hands each outcome out once: every barrier answers with a
+/// delta ([`SessionHandle::delta`]), and `snapshot`/`close` fold it into
+/// the whole report the handle keeps.
 pub struct SessionHandle {
     id: SessionId,
     sender: Sender<Envelope>,
     gate: Arc<QueueGate>,
     closed: bool,
+    /// Every delta this handle's `snapshot` fetched, absorbed.
+    report: SessionReport,
 }
 
 impl SessionHandle {
@@ -208,25 +214,48 @@ impl SessionHandle {
         })
     }
 
-    /// Wait for everything submitted so far to finish and return a copy of
-    /// the session's report.
-    pub fn snapshot(&self) -> Result<SessionReport> {
+    /// Barrier: wait for everything submitted so far to finish (every
+    /// in-flight refinement included) and return what the session added
+    /// since its previous delta (see [`SessionReport`]). With `close`, the
+    /// session is torn down too and this is its last delta.
+    ///
+    /// The delta is not folded into the report [`snapshot`](Self::snapshot)
+    /// and [`close`](Self::close) return: a caller that takes deltas
+    /// assembles the whole report itself, or forwards the deltas to a peer
+    /// that does.
+    pub fn delta(&mut self, close: bool) -> Result<SessionReport> {
+        if self.closed {
+            return Err(DbTouchError::Internal(format!(
+                "session {} is closed",
+                self.id
+            )));
+        }
         let (reply, receive) = sync_channel(1);
-        self.submit(SessionEvent::Snapshot { reply })?;
+        if close {
+            self.submit(SessionEvent::Close { reply })?;
+            self.closed = true;
+        } else {
+            self.submit(SessionEvent::Snapshot { reply })?;
+        }
         receive
             .recv()
             .map_err(|_| DbTouchError::Internal("exploration server has shut down".into()))
     }
 
+    /// Wait for everything submitted so far to finish and return a copy of
+    /// the session's whole report.
+    pub fn snapshot(&mut self) -> Result<SessionReport> {
+        let delta = self.delta(false)?;
+        self.report.absorb(delta);
+        Ok(self.report.clone())
+    }
+
     /// Wait for everything submitted so far to finish, tear the session down
     /// and return its final report.
     pub fn close(mut self) -> Result<SessionReport> {
-        let (reply, receive) = sync_channel(1);
-        self.submit(SessionEvent::Close { reply })?;
-        self.closed = true;
-        receive
-            .recv()
-            .map_err(|_| DbTouchError::Internal("exploration server has shut down".into()))
+        let delta = self.delta(true)?;
+        self.report.absorb(delta);
+        Ok(std::mem::take(&mut self.report))
     }
 }
 
@@ -383,6 +412,7 @@ impl ExplorationServer {
             sender: self.workers[worker].sender.clone().expect("server running"),
             gate: Arc::new(QueueGate::new(self.queue_depth)),
             closed: false,
+            report: SessionReport::default(),
         }
     }
 
@@ -440,13 +470,15 @@ impl Drop for ExplorationServer {
 #[derive(Default)]
 struct SessionSlot {
     states: HashMap<ObjectId, ObjectState>,
+    /// What the session produced since its last delta went out; the
+    /// scalar fields are running totals.
     report: SessionReport,
     /// The one completion queue all of this session's states feed (created
     /// lazily when the session first touches a remote-split object), so the
     /// worker drains a single queue per session at event boundaries.
     remote_queue: Option<Arc<CompletionQueue>>,
-    /// In-flight refinement tickets → (index of the trace outcome they
-    /// patch, telemetry trace id of the issuing trace).
+    /// In-flight refinement tickets → (index into `report.outcomes` of the
+    /// trace outcome they patch, telemetry trace id of the issuing trace).
     outstanding: HashMap<u64, (usize, u64)>,
 }
 
@@ -518,6 +550,19 @@ impl SessionSlot {
             Ok(RefinementApplied::UnknownTicket) => {}
             Err(e) => self.report.errors.push(format!("refinement {ticket}: {e}")),
         }
+    }
+
+    /// Hand out what the session added since its last delta. Only after a
+    /// barrier drain: a refinement patches its outcome by index into
+    /// `report.outcomes`, so an outcome may leave the worker only once no
+    /// refinement is in flight — after that, nothing ever patches it again,
+    /// and the indices of later traces count from the now-empty `Vec`.
+    fn take_delta(&mut self) -> SessionReport {
+        assert!(
+            self.outstanding.is_empty(),
+            "a delta left with refinements in flight"
+        );
+        self.report.take_delta()
     }
 
     /// Drain the session's completion queue. Between events this is
@@ -736,7 +781,7 @@ fn serve(
             SessionEvent::Snapshot { reply } => {
                 // A barrier: the snapshot is fully refined.
                 slot.drain_remote(true, &telemetry);
-                let _ = reply.send(slot.report.clone());
+                let _ = reply.send(slot.take_delta());
             }
             SessionEvent::Close { reply } => {
                 let mut slot = sessions.remove(&session).expect("slot exists");
@@ -750,7 +795,7 @@ fn serve(
                 // ever served.
                 gates.remove(&session);
                 live_sessions.fetch_sub(1, Ordering::Relaxed);
-                let _ = reply.send(slot.report);
+                let _ = reply.send(slot.take_delta());
             }
         }
         gate.release();
@@ -917,20 +962,80 @@ mod tests {
 
     #[test]
     fn snapshot_is_a_barrier() {
-        let (catalog, id) = catalog_with_column(200_000);
+        use dbtouch_types::RemoteSplitConfig;
+
+        // A 5 ms link: a slow trace's refinements are still in flight when
+        // the next event arrives.
+        let split = RemoteSplitConfig::default()
+            .with_local_min_level(11)
+            .with_network(5_000, 10_000);
+        let catalog = Arc::new(SharedCatalog::new(
+            KernelConfig::default()
+                .with_sample_levels(12)
+                .with_remote_split(Some(split)),
+        ));
+        let id = catalog
+            .load_column("col", (0..200_000).collect(), SizeCm::new(2.0, 10.0))
+            .unwrap();
         let view = catalog.data(id).unwrap().base_view().clone();
+        let slow = GestureSynthesizer::new(60.0).slide_down(&view, 3.0);
         let server =
             ExplorationServer::serve(ServerConfig::with_workers(1).with_catalog(catalog)).unwrap();
-        let session = server.open_session();
-        for _ in 0..5 {
-            session
-                .run_trace(id, GestureSynthesizer::new(60.0).slide_down(&view, 0.5))
-                .unwrap();
+        let mut session = server.open_session();
+        let action = TouchAction::Summary {
+            half_window: Some(5),
+            kind: AggregateKind::Avg,
+        };
+        session.set_action(id, action).unwrap();
+        // Every refinement an outcome asked for landed on that outcome.
+        let refined = |outcomes: &[TraceOutcome]| {
+            outcomes.iter().all(|t| {
+                let stats = &t.outcome.stats;
+                t.outcome.is_drained()
+                    && stats.remote.progressive_requests > 0
+                    && stats.remote_refinements_applied == stats.remote.progressive_requests
+            })
+        };
+        for _ in 0..3 {
+            session.run_trace(id, slow.clone()).unwrap();
         }
-        let snapshot = session.snapshot().unwrap();
-        assert_eq!(snapshot.traces_run(), 5);
+        let first = session.snapshot().unwrap();
+        assert!(first.errors.is_empty(), "{:?}", first.errors);
+        assert_eq!(first.traces_run(), 3);
+        assert!(refined(&first.outcomes));
+
+        // More traces with refinements in flight across them, then the next
+        // barrier: every refinement lands on the new outcomes, none on an
+        // outcome the first snapshot delivered.
+        for _ in 0..3 {
+            session.run_trace(id, slow.clone()).unwrap();
+        }
+        let second = session.snapshot().unwrap();
+        assert!(second.errors.is_empty(), "{:?}", second.errors);
+        assert_eq!(second.traces_run(), 6);
+        assert_eq!(second.outcomes[..3], first.outcomes[..]);
+        assert!(refined(&second.outcomes[3..]));
+        assert_eq!(
+            second.refinement_latencies.len() as u64,
+            second.total_remote().progressive_requests
+        );
         let report = session.close().unwrap();
-        assert_eq!(report.traces_run(), 5);
+        assert_eq!(report, second, "nothing was left after the last barrier");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_closed_handle_refuses_further_barriers() {
+        let (catalog, _) = catalog_with_column(1_000);
+        let server =
+            ExplorationServer::serve(ServerConfig::with_workers(1).with_catalog(catalog)).unwrap();
+        let mut session = server.open_session();
+        assert_eq!(session.delta(true).unwrap().traces_run(), 0);
+        assert!(session.delta(false).is_err());
+        assert!(session.delta(true).is_err());
+        // The one Close the worker saw freed the one session it served.
+        assert_eq!(server.worker_loads(), vec![0]);
+        drop(session);
         server.shutdown();
     }
 
@@ -963,7 +1068,7 @@ mod tests {
         let view = catalog.data(id).unwrap().base_view().clone();
         let server =
             ExplorationServer::serve(ServerConfig::with_workers(2).with_catalog(catalog)).unwrap();
-        let session = server.open_session();
+        let mut session = server.open_session();
         session
             .run_trace(id, GestureSynthesizer::new(60.0).slide_down(&view, 0.2))
             .unwrap();
@@ -1074,7 +1179,7 @@ mod tests {
             ServerConfig::with_workers(1).with_catalog(Arc::clone(&catalog)),
         )
         .unwrap();
-        let session = server.open_session();
+        let mut session = server.open_session();
         session.set_action(tid, TouchAction::Tuple).unwrap();
         session
             .run_trace(tid, GestureSynthesizer::new(60.0).slide_down(&view, 0.3))
@@ -1132,7 +1237,7 @@ mod tests {
             ServerConfig::with_workers(1).with_catalog(Arc::clone(&catalog)),
         )
         .unwrap();
-        let session = server.open_session();
+        let mut session = server.open_session();
         session
             .run_trace(
                 cid,
@@ -1197,7 +1302,7 @@ mod tests {
             ServerConfig::with_workers(1).with_catalog(Arc::clone(&remote_catalog)),
         )
         .unwrap();
-        let session = server.open_session();
+        let mut session = server.open_session();
         session.set_action(rid, action.clone()).unwrap();
         session.run_trace(rid, slow.clone()).unwrap();
         session.run_trace(rid, fast.clone()).unwrap();
@@ -1312,7 +1417,7 @@ mod tests {
             ServerConfig::with_workers(2).with_catalog(Arc::clone(&catalog)),
         )
         .unwrap();
-        let s1 = server.open_session();
+        let mut s1 = server.open_session();
         let s2 = server.open_session();
         s1.run_trace(id, GestureSynthesizer::new(60.0).slide_down(&view, 0.5))
             .unwrap();

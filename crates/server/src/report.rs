@@ -27,7 +27,13 @@ dbtouch_types::wire_struct!(TraceOutcome {
 /// per-touch latency histogram, the catalog epochs the session observed, and
 /// any per-event errors (a bad trace or unknown object records an error
 /// instead of killing the session).
-#[derive(Debug, Clone, Default)]
+///
+/// A worker hands a report out as a *delta*: its four `Vec`s (`outcomes`,
+/// `epochs`, `refinement_latencies`, `errors`) hold only what the session
+/// appended since its previous delta, its scalar fields their current
+/// values. [`absorb`](Self::absorb) folds successive deltas back into the
+/// whole report, which is what `snapshot` and `close` return.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReport {
     /// The session this report describes.
     pub session_id: SessionId,
@@ -78,6 +84,44 @@ dbtouch_types::wire_struct!(SessionReport {
 });
 
 impl SessionReport {
+    /// Move out what was appended since the last take (the four `Vec`s) and
+    /// copy the scalar fields, leaving this report with empty `Vec`s.
+    pub(crate) fn take_delta(&mut self) -> SessionReport {
+        SessionReport {
+            outcomes: std::mem::take(&mut self.outcomes),
+            epochs: std::mem::take(&mut self.epochs),
+            refinement_latencies: std::mem::take(&mut self.refinement_latencies),
+            errors: std::mem::take(&mut self.errors),
+            latency_hist: self.latency_hist.clone(),
+            ..*self
+        }
+    }
+
+    /// Fold a delta into this report: append its `Vec`s, adopt its scalar
+    /// fields.
+    pub fn absorb(&mut self, delta: SessionReport) {
+        let SessionReport {
+            session_id,
+            outcomes,
+            latency_hist,
+            max_touch_nanos,
+            epochs,
+            restructures_seen,
+            refinement_latencies,
+            refinement_blocked_nanos,
+            errors,
+        } = delta;
+        self.outcomes.extend(outcomes);
+        self.epochs.extend(epochs);
+        self.refinement_latencies.extend(refinement_latencies);
+        self.errors.extend(errors);
+        self.session_id = session_id;
+        self.latency_hist = latency_hist;
+        self.max_touch_nanos = max_touch_nanos;
+        self.restructures_seen = restructures_seen;
+        self.refinement_blocked_nanos = refinement_blocked_nanos;
+    }
+
     /// Number of traces that completed.
     pub fn traces_run(&self) -> usize {
         self.outcomes.len()
@@ -132,18 +176,6 @@ impl SessionReport {
             .iter()
             .map(|t| t.outcome.stats.shared_cache_inserts)
             .sum()
-    }
-
-    /// Shared-cache hit rate of this session in `[0, 1]` (0 when the session
-    /// never consulted it).
-    pub fn shared_cache_hit_rate(&self) -> f64 {
-        let hits = self.total_shared_cache_hits();
-        let total = hits + self.total_shared_cache_misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Per-touch latency summary of this session, read from its histogram
@@ -353,16 +385,58 @@ mod tests {
         assert_eq!(report.total_shared_cache_hits(), 7);
         assert_eq!(report.total_shared_cache_misses(), 2);
         assert_eq!(report.total_shared_cache_inserts(), 2);
-        assert!((report.shared_cache_hit_rate() - 7.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_has_zero_hit_rate() {
         let report = SessionReport::default();
-        assert_eq!(report.shared_cache_hit_rate(), 0.0);
         assert_eq!(report.total_shared_cache_hits(), 0);
         assert_eq!(report.last_epoch(), 0);
         assert_eq!(report.restructures_seen, 0);
+    }
+
+    /// A report grown step by step and handed out as deltas at irregular
+    /// points: absorbing the deltas in order rebuilds it exactly.
+    #[test]
+    fn absorbing_successive_deltas_rebuilds_the_report() {
+        let mut whole = SessionReport {
+            session_id: 7,
+            ..SessionReport::default()
+        };
+        let mut source = whole.clone();
+        let mut assembled = SessionReport::default();
+        for step in 0..24u64 {
+            for report in [&mut whole, &mut source] {
+                for k in 0..step % 4 {
+                    let mut outcome = SessionOutcome::default();
+                    outcome.stats.entries_returned = step * 10 + k;
+                    outcome.final_aggregate = Some(step as f64 / 3.0);
+                    report.outcomes.push(TraceOutcome {
+                        object: ObjectId(k),
+                        outcome,
+                    });
+                    report.epochs.push(step);
+                    report.latency_hist.record(1_000 + step * k);
+                }
+                if step % 3 == 0 {
+                    report.refinement_latencies.push(step * 100);
+                    report.refinement_blocked_nanos += step;
+                }
+                if step % 5 == 2 {
+                    report.errors.push(format!("error at step {step}"));
+                    report.restructures_seen += 1;
+                }
+                report.max_touch_nanos = report.max_touch_nanos.max(step * 7 % 50);
+            }
+            if step % 4 != 3 {
+                let delta = source.take_delta();
+                assert!(source.outcomes.is_empty() && source.errors.is_empty());
+                assembled.absorb(delta);
+            }
+        }
+        assembled.absorb(source.take_delta());
+        assert_eq!(assembled, whole);
+        assert!(assembled.traces_run() > 20);
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Integration tests of the network serving layer: loopback replay with
-//! bit-identical digests, malformed-frame robustness, load shedding under
-//! deliberately tiny thresholds, and graceful drain.
+//! bit-identical digests, report deltas that assemble into the whole report
+//! and keep a snapshot's bytes flat, malformed-frame robustness, load
+//! shedding under deliberately tiny thresholds, and graceful drain.
 
-use dbtouch::net::codec::{decode_response, Response};
+use dbtouch::core::kernel::ObjectId;
+use dbtouch::net::codec::{decode_response, encode_request, Request, Response};
 use dbtouch::net::frame::{self, tag};
 use dbtouch::net::{NetServer, TcpClient};
-use dbtouch::server::{ClientSession, ExplorationClient, ServerConfig, SessionReport, ShedConfig};
-use dbtouch::types::{DbTouchError, KernelConfig};
-use dbtouch::workload::concurrent::{
-    drive_plans_over, plan_explorers, run_sequential, scenario_catalog,
+use dbtouch::server::{
+    ClientSession, ExplorationClient, ExplorationServer, ServerConfig, SessionReport, ShedConfig,
+    TraceOutcome,
 };
+use dbtouch::types::{DbTouchError, KernelConfig, RemoteSplitConfig};
+use dbtouch::workload::concurrent::{
+    drive_plans_over, plan_explorers, run_sequential, scenario_catalog, ExplorerPlan,
+};
+use dbtouch::workload::remote::{device_cloud_catalog, device_cloud_split, plan_device_cloud};
 use dbtouch::workload::Scenario;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Bring up a loopback server over a seeded scenario catalog.
 fn serve_scenario(
@@ -63,6 +69,191 @@ fn loopback_replay_digests_match_in_process() {
     assert!(snap.scalar("net.bytes_out").unwrap() > 0);
     assert_eq!(snap.scalar("net.frame_errors"), Some(0));
     assert!(snap.histogram("net.frame_nanos").unwrap().count() > 0);
+    server.shutdown();
+}
+
+/// Run `plan` in one session of `client`, snapshotting after every gesture
+/// when `snapshot_each`; returns those snapshots and the close report.
+fn run_plan<C: ExplorationClient>(
+    client: &C,
+    object: ObjectId,
+    plan: &ExplorerPlan,
+    snapshot_each: bool,
+) -> (Vec<SessionReport>, SessionReport) {
+    let mut session = client.open_session().unwrap();
+    session.set_action(object, plan.action.clone()).unwrap();
+    let mut snapshots = Vec::new();
+    for trace in &plan.traces {
+        session.run_trace(object, trace.clone()).unwrap();
+        if snapshot_each {
+            snapshots.push(session.snapshot().unwrap());
+        }
+    }
+    (snapshots, session.close().unwrap())
+}
+
+/// [`run_plan`] against a server of its own over a fresh catalog (so no
+/// shared-cache entry of another session changes its accounting), reached
+/// over loopback TCP or in-process.
+fn run_plan_served(
+    scenario: &Scenario,
+    split: Option<RemoteSplitConfig>,
+    tcp: bool,
+    plan: &ExplorerPlan,
+    snapshot_each: bool,
+) -> (Vec<SessionReport>, SessionReport) {
+    let (catalog, object) = device_cloud_catalog(scenario, split).unwrap();
+    let config = ServerConfig::with_workers(1).with_catalog(catalog);
+    if tcp {
+        let server = NetServer::serve(config.with_listen_addr("127.0.0.1:0")).unwrap();
+        let client = TcpClient::new(server.local_addr().to_string());
+        let run = run_plan(&client, object, plan, snapshot_each);
+        server.shutdown();
+        run
+    } else {
+        let server = ExplorationServer::serve(config).unwrap();
+        let run = run_plan(&server, object, plan, snapshot_each);
+        server.shutdown();
+        run
+    }
+}
+
+/// A report's outcomes without their wall-clock fields, which differ run
+/// to run.
+fn timeless(report: &SessionReport) -> Vec<TraceOutcome> {
+    let mut outcomes = report.outcomes.clone();
+    for t in &mut outcomes {
+        t.outcome.stats.compute_nanos = 0;
+        t.outcome.stats.max_touch_nanos = 0;
+    }
+    outcomes
+}
+
+/// Session A snapshots after every gesture, so it receives its report as
+/// deltas; session B runs the same plan and receives one report at close.
+/// A's assembled report is B's, on both transports, over a plain object and
+/// over a remote split whose refinements are in flight across gestures.
+#[test]
+fn assembled_deltas_equal_one_full_report() {
+    let scenario = Scenario::sky_survey(60_000, 5);
+    let (local, object) = device_cloud_catalog(&scenario, None).unwrap();
+    let plans = plan_device_cloud(&local, object, 1, 4, 31).unwrap();
+    let expected = run_sequential(&local, object, &plans).unwrap()[0];
+    // A 2 ms link: without a snapshot in between, a slow slide's
+    // refinements are typically still in flight when the next gesture runs.
+    let remote = device_cloud_split(Some((2_000, 10_000)));
+    for split in [None, Some(remote)] {
+        for tcp in [true, false] {
+            let case = format!("split {}, tcp {tcp}", split.is_some());
+            let (snapshots, a) = run_plan_served(&scenario, split.clone(), tcp, &plans[0], true);
+            let (_, b) = run_plan_served(&scenario, split.clone(), tcp, &plans[0], false);
+            assert!(a.errors.is_empty(), "{case}: {:?}", a.errors);
+            assert_eq!(a.errors, b.errors, "{case}");
+            assert_eq!(a.traces_run(), plans[0].traces.len(), "{case}");
+            assert_eq!(timeless(&a), timeless(&b), "{case}");
+            assert_eq!(
+                a.refinement_latencies.len(),
+                b.refinement_latencies.len(),
+                "{case}"
+            );
+            assert_eq!(a.result_digest(), expected, "{case}");
+            assert_eq!(b.result_digest(), expected, "{case}");
+            let progressive = a.total_remote().progressive_requests;
+            assert_eq!(progressive > 0, split.is_some(), "{case}");
+            assert_eq!(a.refinement_latencies.len() as u64, progressive, "{case}");
+            // Snapshot k is a prefix of the final report.
+            for (k, snapshot) in snapshots.iter().enumerate() {
+                assert_eq!(snapshot.outcomes[..], a.outcomes[..=k], "{case}, {k}");
+                assert_eq!(snapshot.epochs[..], a.epochs[..=k], "{case}, {k}");
+                let landed = snapshot.refinement_latencies.len();
+                assert_eq!(
+                    snapshot.refinement_latencies[..],
+                    a.refinement_latencies[..landed],
+                    "{case}, {k}"
+                );
+            }
+        }
+    }
+}
+
+/// Send one request on a raw stream; returns the response and its frame's
+/// size on the wire.
+fn raw_call(stream: &mut TcpStream, req: &Request) -> (Response, u64) {
+    frame::write_frame(stream, &encode_request(req)).unwrap();
+    let (outcome, n) = frame::read_frame(stream, frame::MAX_FRAME_LEN).unwrap();
+    match outcome {
+        frame::ReadOutcome::Frame(p) => (decode_response(&p).unwrap(), n),
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+/// A `Report` carries only what the session added since the previous one,
+/// so the snapshot after gesture 32 of identical gestures costs what the
+/// one after gesture 1 did. Judged on the server's own `net.bytes_out`
+/// count, read once it has counted every byte the client received.
+#[test]
+fn snapshot_bytes_stay_flat_over_a_long_session() {
+    let (server, catalog, object) = serve_scenario(5_000, ServerConfig::with_workers(1));
+    let view = catalog.data(object).unwrap().base_view().clone();
+    let trace = dbtouch::gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.3);
+    let (mut stream, hello_ack) = raw_hello(&server, frame::PROTOCOL_VERSION);
+    assert_eq!(hello_ack.first(), Some(&tag::HELLO_ACK));
+    // Every frame is its payload plus a 4-byte length and a 4-byte checksum.
+    let mut received = hello_ack.len() as u64 + 8;
+    // The handler counts a frame just after writing it: wait for the count
+    // to reach what the client holds.
+    let counted = |received: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let out = server.metrics_snapshot().scalar("net.bytes_out").unwrap();
+            if out == received {
+                return out;
+            }
+            assert!(Instant::now() < deadline, "bytes_out {out} != {received}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut call = |req: &Request| {
+        let (resp, n) = raw_call(&mut stream, req);
+        received += n;
+        (resp, received)
+    };
+    assert!(matches!(
+        call(&Request::OpenSession).0,
+        Response::SessionOpened(_)
+    ));
+    let scan = dbtouch::core::kernel::TouchAction::Scan;
+    assert!(matches!(
+        call(&Request::SetAction(object, scan)).0,
+        Response::Ack
+    ));
+    let mut growth = Vec::new();
+    let mut carried = Vec::new();
+    for _ in 0..32 {
+        let (ack, before) = call(&Request::RunTrace(object, trace.clone(), None));
+        assert!(matches!(ack, Response::Ack));
+        let before = counted(before);
+        let (report, after) = call(&Request::Snapshot);
+        growth.push(counted(after) - before);
+        match report {
+            Response::Report(delta) => carried.push(delta.traces_run()),
+            other => panic!("expected a Report, got {other:?}"),
+        }
+    }
+    let (first, last) = (growth[0], growth[31]);
+    assert!(
+        last * 10 <= first * 11,
+        "snapshot bytes grew with the session: {first} B after gesture 1, {last} B after 32"
+    );
+    assert!(
+        carried.iter().all(|&n| n == 1),
+        "outcomes per report: {carried:?}"
+    );
+    assert!(matches!(
+        call(&Request::CloseSession).0,
+        Response::Report(_)
+    ));
+    drop(stream);
     server.shutdown();
 }
 
@@ -331,18 +522,22 @@ fn admission_takes_no_scrape_per_request() {
 fn graceful_drain_delivers_final_report() {
     let (server, catalog, object) = serve_scenario(10_000, ServerConfig::with_workers(1));
     let client = TcpClient::new(server.local_addr().to_string());
+    let plans = plan_explorers(&catalog, object, 1, 4, 2024).unwrap();
+    let plan = &plans[0];
 
+    // Three gestures, each delivered by its own snapshot, then one more
+    // trace acknowledged but not snapshotted.
     let mut session = client.open_session().unwrap();
-    session
-        .set_action(object, dbtouch::core::kernel::TouchAction::Scan)
-        .unwrap();
-    let view = catalog.data(object).unwrap().base_view().clone();
-    let trace = dbtouch::gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.3);
-    session.run_trace(object, trace).unwrap();
+    session.set_action(object, plan.action.clone()).unwrap();
+    for (g, trace) in plan.traces[..3].iter().enumerate() {
+        session.run_trace(object, trace.clone()).unwrap();
+        assert_eq!(session.snapshot().unwrap().traces_run(), g + 1);
+    }
+    session.run_trace(object, plan.traces[3].clone()).unwrap();
 
     // Shut down while the client sits idle: the handler closes the session,
     // flushes the acknowledged trace through the close barrier and sends
-    // GoAway with the final report.
+    // GoAway with the rest of the report.
     let shutdown = std::thread::spawn(move || server.shutdown());
     // The client's next request crosses the drain and fails...
     let err = loop {
@@ -352,12 +547,15 @@ fn graceful_drain_delivers_final_report() {
         }
     };
     assert!(matches!(err, DbTouchError::Remote(_) | DbTouchError::Io(_)));
-    // ...but the final report was delivered: the acknowledged trace is in it.
+    // ...but the whole session was delivered: every gesture from the first
+    // on, the one acknowledged last included, digesting like the replay.
     let report = session
         .take_goaway_report()
         .expect("drain should deliver the final SessionReport");
-    assert_eq!(report.traces_run(), 1);
-    assert!(report.errors.is_empty());
+    assert_eq!(report.traces_run(), 4);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let expected = run_sequential(&catalog, object, &plans).unwrap();
+    assert_eq!(report.result_digest(), expected[0]);
     drop(session);
     shutdown.join().unwrap();
 
