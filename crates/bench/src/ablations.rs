@@ -13,6 +13,7 @@ use dbtouch_core::mapping::TouchMapper;
 use dbtouch_core::operators::aggregate::AggregateKind;
 use dbtouch_core::operators::join::{BlockingHashJoin, JoinSide, SymmetricHashJoin};
 use dbtouch_core::prefetch_policy;
+use dbtouch_core::session::{SessionOutcome, ASSUMED_NANOS_PER_ROW};
 use dbtouch_gesture::kinematics::GestureKinematics;
 use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
 use dbtouch_gesture::synthesizer::GestureSynthesizer;
@@ -351,24 +352,33 @@ pub fn ablation_rotation(rows: u64, chunk_rows: u64) -> Result<RotationAblation>
 /// A6 — per-touch response budget (Section 4, "Interactive Behavior").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BudgetAblation {
-    /// Mean rows aggregated per returned entry with the budget enabled
-    /// (`rows_touched / entries_returned`).
-    pub mean_rows_per_touch_with: u64,
-    /// Mean rows aggregated per returned entry without a budget.
-    pub mean_rows_per_touch_without: u64,
-    /// Refinement steps executed with the budget enabled.
+    /// The row cap the budget sets: `budget_micros` at the session's
+    /// assumed [`ASSUMED_NANOS_PER_ROW`].
+    pub cap_rows: u64,
+    /// Rows read with the budget: each capped window's first `cap_rows`,
+    /// then the whole window when it is refined.
+    pub rows_with: u64,
+    /// Rows read without a budget.
+    pub rows_without: u64,
+    /// Windows over the cap with the budget: each answered from its first
+    /// `cap_rows` rows, then refined.
     pub refinements_with: u64,
+    /// Windows over the cap without a budget.
+    pub refinements_without: u64,
     /// Entries returned with the budget enabled.
     pub entries_with: u64,
     /// Entries returned without a budget.
     pub entries_without: u64,
+    /// Every result value and the final aggregate are the same, to the bit,
+    /// with and without the budget.
+    pub identical: bool,
 }
 
 /// Run ablation A6: interactive summaries with an oversized half-window so a
 /// full window cannot fit the per-touch budget of `budget_micros`
 /// microseconds; the comparison run has no budget at all.
 pub fn ablation_budget(rows: u64, half_window: u64, budget_micros: u64) -> Result<BudgetAblation> {
-    let run = |budget_micros: u64| -> Result<(u64, u64, u64)> {
+    let run = |budget_micros: u64| -> Result<SessionOutcome> {
         let mut config = KernelConfig::default().with_adaptive_sampling(false);
         config.touch_budget_micros = budget_micros;
         let mut kernel = Kernel::new(config);
@@ -381,32 +391,38 @@ pub fn ablation_budget(rows: u64, half_window: u64, budget_micros: u64) -> Resul
             },
         )?;
         let view = kernel.view(id)?;
-        // An exploratory slide includes pauses, giving the budgeted kernel idle
-        // time to pay down refinement debt.
+        // An exploratory slide includes a pause, where the budgeted kernel
+        // refines the windows it capped; the rest are refined at the end.
         let trace = GestureSynthesizer::new(60.0).exploratory_slide(&view, 2.0);
-        let outcome = kernel.run_trace(id, &trace)?;
-        // A mean over returned entries: `rows_touched` also counts the rows
-        // of refinements paid down at pauses, which return no entry.
-        let mean_rows_per_touch = outcome
-            .stats
-            .rows_touched
-            .checked_div(outcome.stats.entries_returned)
-            .unwrap_or(0);
-        Ok((
-            mean_rows_per_touch,
-            outcome.stats.refinements,
-            outcome.stats.entries_returned,
-        ))
+        kernel.run_trace(id, &trace)
     };
-    let (with_mean, refinements, entries_with) = run(budget_micros.max(1))?;
-    let (without_mean, _, entries_without) = run(u64::MAX)?;
+    let budget_micros = budget_micros.max(1);
+    let with = run(budget_micros)?;
+    let without = run(u64::MAX)?;
     Ok(BudgetAblation {
-        mean_rows_per_touch_with: with_mean,
-        mean_rows_per_touch_without: without_mean,
-        refinements_with: refinements,
-        entries_with,
-        entries_without,
+        cap_rows: budget_micros.saturating_mul(1000) / ASSUMED_NANOS_PER_ROW,
+        rows_with: with.stats.rows_touched,
+        rows_without: without.stats.rows_touched,
+        refinements_with: with.stats.refinements,
+        refinements_without: without.stats.refinements,
+        entries_with: with.stats.entries_returned,
+        entries_without: without.stats.entries_returned,
+        identical: with.results == without.results
+            && with.final_aggregate.map(f64::to_bits) == without.final_aggregate.map(f64::to_bits),
     })
+}
+
+impl BudgetAblation {
+    /// A6's verdict: the budget capped windows (and only with it on), each
+    /// capped window's provisional read was exactly `cap_rows` rows, and the
+    /// refined answers are the unbudgeted ones.
+    pub fn holds(&self) -> bool {
+        self.refinements_with > 0
+            && self.refinements_without == 0
+            && self.rows_with.checked_sub(self.rows_without)
+                == Some(self.refinements_with * self.cap_rows)
+            && self.identical
+    }
 }
 
 #[cfg(test)]
@@ -466,13 +482,9 @@ mod tests {
     #[test]
     fn a6_budget_caps_per_touch_work() {
         let r = ablation_budget(500_000, 100_000, 200).unwrap();
-        assert!(
-            r.mean_rows_per_touch_with < r.mean_rows_per_touch_without,
-            "with {} without {}",
-            r.mean_rows_per_touch_with,
-            r.mean_rows_per_touch_without
-        );
-        assert!(r.entries_with > 0);
-        assert!(r.entries_without > 0);
+        assert_eq!(r.cap_rows, 50_000);
+        assert!(r.holds(), "{r:?}");
+        assert_eq!(r.refinements_with, r.entries_with);
+        assert_eq!(r.entries_with, r.entries_without);
     }
 }

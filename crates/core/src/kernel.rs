@@ -17,8 +17,8 @@
 //! right before the trace runs and then keeps that exact view for the whole
 //! trace — a restructure published mid-trace (by this kernel's catalog handle
 //! or any concurrent session) becomes visible only at the next boundary.
-//! [`Kernel::observed_epoch`] and [`Kernel::restructures_seen`] expose what a
-//! kernel session has seen.
+//! [`Kernel::restructures_seen`] counts the restructures a kernel session
+//! has observed.
 //!
 //! For many concurrent explorers over the same data, share the kernel's
 //! catalog ([`Kernel::catalog`]) with `dbtouch-server`'s session manager —
@@ -375,12 +375,6 @@ impl Kernel {
             crate::remote_exec::drain_outcome(&mut outcome, &queue)?;
         }
         Ok(outcome)
-    }
-
-    /// The catalog epoch this kernel's session over `id` last observed (at
-    /// checkout or its most recent gesture boundary).
-    pub fn observed_epoch(&self, id: ObjectId) -> Result<u64> {
-        Ok(self.state(id)?.epoch())
     }
 
     /// How many restructures of `id` this kernel's session has observed.
@@ -844,7 +838,6 @@ mod tests {
         .unwrap();
         let tid = k.load_table(table, SizeCm::new(6.0, 10.0)).unwrap();
         k.set_action(tid, TouchAction::Tuple).unwrap();
-        let epoch_before = k.observed_epoch(tid).unwrap();
         assert_eq!(k.restructures_seen(tid).unwrap(), 0);
 
         // A restructure published through the *catalog handle* (as another
@@ -853,14 +846,13 @@ mod tests {
         catalog
             .drag_column_out(tid, "v", SizeCm::new(2.0, 10.0))
             .unwrap();
-        assert_eq!(k.observed_epoch(tid).unwrap(), epoch_before);
+        assert_eq!(k.restructures_seen(tid).unwrap(), 0);
         assert_eq!(k.schema(tid).unwrap().len(), 2, "pre-boundary view");
 
         let view = k.view(tid).unwrap();
         let trace =
             dbtouch_gesture::synthesizer::GestureSynthesizer::new(60.0).slide_down(&view, 0.3);
         let outcome = k.run_trace(tid, &trace).unwrap();
-        assert!(k.observed_epoch(tid).unwrap() > epoch_before);
         assert_eq!(k.restructures_seen(tid).unwrap(), 1);
         assert_eq!(k.schema(tid).unwrap().len(), 1, "post-boundary view");
         // The whole trace ran against the rebuilt single-column table.

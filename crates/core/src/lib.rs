@@ -36,8 +36,6 @@
 //!   speed and object size (Sections 2.5, 2.6).
 //! * [`prefetch_policy`] — gesture extrapolation into the row range a slide
 //!   reaches next (Section 2.6).
-//! * [`response`] — per-touch response-time budget with approximate-first
-//!   refinement (Section 4, "Interactive Behavior").
 //! * [`remote`] — simulated remote/cloud processing where the device holds only
 //!   small samples (Section 4, "Remote Processing").
 //! * [`remote_exec`] — the asynchronous remote-processing executor: a bounded
@@ -58,7 +56,6 @@ pub mod persist;
 pub mod prefetch_policy;
 pub mod remote;
 pub mod remote_exec;
-pub mod response;
 pub mod result;
 pub mod session;
 

@@ -439,9 +439,8 @@ pub struct WindowScan {
 }
 
 /// The one window-statistics kernel every execution path computes through —
-/// the session's summary scan, its pause-time refinement debt, and the
-/// remote executor's server-side fetch — so no pair of paths can ever
-/// disagree:
+/// the session's summary scan, its fold of a capped window, and the remote
+/// executor's server-side fetch — so no pair of paths can ever disagree:
 ///
 /// * **Integer columns** are planned into segments of `segment_rows` and
 ///   merged from exact `i128` partial sums: the result is bit-identical for

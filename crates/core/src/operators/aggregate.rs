@@ -147,14 +147,6 @@ impl RunningAggregate {
             AggregateKind::Max => self.max,
         }
     }
-
-    /// Reset to the empty state.
-    pub fn reset(&mut self) {
-        self.count = 0;
-        self.sum = 0.0;
-        self.min = None;
-        self.max = None;
-    }
 }
 
 #[cfg(test)]
@@ -223,15 +215,6 @@ mod tests {
         let mut a = RunningAggregate::new(AggregateKind::Min);
         let b = RunningAggregate::new(AggregateKind::Max);
         assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut a = RunningAggregate::new(AggregateKind::Sum);
-        a.update(5.0);
-        a.reset();
-        assert_eq!(a.value(), None);
-        assert_eq!(a.count(), 0);
     }
 
     #[test]

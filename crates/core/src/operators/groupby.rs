@@ -45,11 +45,6 @@ impl IncrementalGroupBy {
         entry.1.update(value);
     }
 
-    /// Number of distinct groups seen so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Rows consumed so far.
     pub fn rows_consumed(&self) -> u64 {
         self.rows_consumed
@@ -85,7 +80,7 @@ mod tests {
         g.update(Value::Str("a".into()), 1.0);
         g.update(Value::Str("b".into()), 10.0);
         g.update(Value::Str("a".into()), 2.0);
-        assert_eq!(g.group_count(), 2);
+        assert_eq!(g.results().len(), 2);
         assert_eq!(g.rows_consumed(), 3);
         assert_eq!(g.group(&Value::Str("a".into())), Some(3.0));
         assert_eq!(g.group(&Value::Str("b".into())), Some(10.0));
@@ -123,14 +118,14 @@ mod tests {
         let mut g = IncrementalGroupBy::new(AggregateKind::Count);
         g.update(Value::Int(2), 0.0);
         g.update(Value::Float(2.0), 0.0);
-        assert_eq!(g.group_count(), 1);
+        assert_eq!(g.results().len(), 1);
         assert_eq!(g.group(&Value::Int(2)), Some(2.0));
     }
 
     #[test]
     fn empty_group_by() {
         let g = IncrementalGroupBy::new(AggregateKind::Sum);
-        assert_eq!(g.group_count(), 0);
+        assert_eq!(g.results().len(), 0);
         assert!(g.results().is_empty());
     }
 }

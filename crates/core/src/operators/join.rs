@@ -101,12 +101,6 @@ impl SymmetricHashJoin {
     pub fn rows_consumed(&self) -> u64 {
         self.rows_consumed
     }
-
-    /// Number of distinct keys currently held across both hash tables (a proxy
-    /// for the operator's memory footprint).
-    pub fn state_size(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
 }
 
 /// A classical blocking hash join: build the whole left side, then probe.
@@ -134,11 +128,6 @@ impl BlockingHashJoin {
         self.built = true;
     }
 
-    /// True if the build phase has been finished.
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
     /// Probe with one right-side row; only valid after `finish_build`.
     pub fn probe(&self, row: RowId, key: Value) -> Vec<JoinMatch> {
         assert!(self.built, "probe before finish_build");
@@ -154,11 +143,6 @@ impl BlockingHashJoin {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Number of rows on the build side.
-    pub fn build_rows(&self) -> usize {
-        self.build.values().map(Vec::len).sum()
     }
 }
 
@@ -196,7 +180,9 @@ mod tests {
         let mut j = SymmetricHashJoin::new();
         j.push(JoinSide::Left, RowId(0), Value::Int(1));
         assert!(j.push(JoinSide::Right, RowId(1), Value::Int(2)).is_empty());
-        assert_eq!(j.state_size(), 2);
+        // Both unmatched rows are held: each matches its late partner.
+        assert_eq!(j.push(JoinSide::Left, RowId(2), Value::Int(2)).len(), 1);
+        assert_eq!(j.push(JoinSide::Right, RowId(3), Value::Int(1)).len(), 1);
     }
 
     #[test]
@@ -260,10 +246,7 @@ mod tests {
     fn blocking_join_produces_nothing_until_built() {
         let mut b = BlockingHashJoin::new();
         b.build_row(RowId(0), Value::Int(1));
-        assert!(!b.is_built());
         b.finish_build();
-        assert!(b.is_built());
-        assert_eq!(b.build_rows(), 1);
         assert_eq!(b.probe(RowId(9), Value::Int(1)).len(), 1);
         assert!(b.probe(RowId(9), Value::Int(2)).is_empty());
     }

@@ -11,11 +11,9 @@ pub mod filter;
 pub mod groupby;
 pub mod join;
 pub mod scan;
-pub mod summary;
 
 pub use aggregate::{AggregateKind, RunningAggregate};
 pub use filter::{CompareOp, Predicate};
 pub use groupby::IncrementalGroupBy;
 pub use join::{BlockingHashJoin, JoinMatch, SymmetricHashJoin};
 pub use scan::PointScan;
-pub use summary::{InteractiveSummary, SummaryValue};

@@ -24,7 +24,7 @@
 //!
 //! **Result transparency.** A drained outcome is bit-identical to what the
 //! all-local configuration produces: the refinement computes the exact
-//! window the budget admitted, on the exact immutable build the trace ran
+//! window the session decided, on the exact immutable build the trace ran
 //! against, and the [`RefinementLedger`] replays aggregate contributions in
 //! touch order (floating-point accumulation order matters). **Epoch
 //! safety.** Every refinement is stamped with the immutable build identity it
@@ -65,16 +65,16 @@ pub fn summary_value(kind: AggregateKind, stats: &RangeStats) -> Option<f64> {
 
 /// One aggregate contribution of a summary session, in touch order.
 ///
-/// All-local sessions feed their running aggregate inline, touch by touch.
-/// A remote session defers instead: every contribution — computed locally or
-/// pending remotely — is appended here, and the final aggregate is produced
-/// by folding the ledger *in order* once every pending slot resolved. This
-/// keeps the floating-point accumulation order identical to the all-local
-/// run no matter when refinements complete.
+/// Every contribution of a summary session — computed now, or pending a
+/// refinement (a capped window folded locally later, or a fine-level window
+/// in flight to the remote executor) — is appended here, and the final
+/// aggregate is produced by folding the ledger *in order* once every pending
+/// slot resolved. This keeps the floating-point accumulation order identical
+/// to the all-local, uncapped run no matter when refinements complete.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Contribution {
-    /// A contribution whose statistics are known (local level, or a landed
-    /// refinement).
+    /// A contribution whose statistics are known (a window read in full, or
+    /// a resolved refinement).
     Ready {
         /// Rows aggregated.
         count: u64,
@@ -85,9 +85,10 @@ pub enum Contribution {
         /// Maximum, `None` for empty.
         max: Option<f64>,
     },
-    /// A contribution whose refinement is still in flight.
+    /// A contribution whose refinement is still outstanding.
     Pending {
-        /// The executor ticket that will resolve it.
+        /// The executor ticket that will resolve it (0 for a capped local
+        /// window, which its own session resolves).
         ticket: u64,
     },
     /// A refinement that was dropped (stale build): excluded from the fold.
@@ -103,11 +104,23 @@ dbtouch_types::wire_enum!(Contribution {
     2 => Dropped { ticket: u64 },
 });
 
+impl Contribution {
+    /// The resolved contribution of a window with these statistics.
+    pub(crate) fn ready(stats: &RangeStats) -> Contribution {
+        Contribution::Ready {
+            count: stats.count,
+            sum: stats.sum,
+            min: stats.min,
+            max: stats.max,
+        }
+    }
+}
+
 /// The ordered aggregate-contribution log of one summary session.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RefinementLedger {
     /// The aggregate kind the session maintains, `None` when the ledger is
-    /// inactive (all-local session, or an action without an aggregate).
+    /// inactive (an action other than a summary, or an all-local outcome).
     pub kind: Option<AggregateKind>,
     /// Contributions in touch order.
     pub contribs: Vec<Contribution>,
@@ -657,12 +670,7 @@ pub fn apply_completion(
             .contribs
             .get_mut(entry.contrib_index as usize)
         {
-            *slot = Contribution::Ready {
-                count: stats.count,
-                sum: stats.sum,
-                min: stats.min,
-                max: stats.max,
-            };
+            *slot = Contribution::ready(&stats);
         }
         // Exactly the accounting the all-local inline path performs.
         outcome.stats.rows_touched += stats.count;

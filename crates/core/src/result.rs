@@ -8,8 +8,8 @@
 //!
 //! The [`ResultStream`] keeps every produced [`TouchResult`] together with the
 //! information a front-end needs to render that behaviour: where on the object
-//! the value belongs (as a fraction of the object extent) and how visible it is
-//! at a given time according to the fade policy.
+//! the value belongs (as a fraction of the object extent), when it was
+//! produced, and the fade policy it is shown under.
 
 use dbtouch_types::{RowId, Timestamp, Value};
 use serde::{Deserialize, Serialize};
@@ -115,23 +115,6 @@ impl Default for FadePolicy {
     }
 }
 
-impl FadePolicy {
-    /// Opacity of a result produced at `produced_at` when observed at `now`:
-    /// 1.0 while fully visible, linearly decreasing to 0.0 over the fade
-    /// window, 0.0 afterwards.
-    pub fn opacity(&self, produced_at: Timestamp, now: Timestamp) -> f64 {
-        let age_ms = now.since(produced_at).as_millis() as u64;
-        if age_ms <= self.visible_ms {
-            1.0
-        } else if self.fade_ms == 0 {
-            0.0
-        } else {
-            let fade_age = age_ms - self.visible_ms;
-            (1.0 - fade_age as f64 / self.fade_ms as f64).max(0.0)
-        }
-    }
-}
-
 /// The ordered stream of results produced during a session.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResultStream {
@@ -196,22 +179,6 @@ impl ResultStream {
     pub fn latest(&self) -> Option<&TouchResult> {
         self.results.last()
     }
-
-    /// The results still visible at `now` (opacity > 0), most recent last.
-    pub fn visible_at(&self, now: Timestamp) -> Vec<(&TouchResult, f64)> {
-        self.results
-            .iter()
-            .filter_map(|r| {
-                let o = self.fade.opacity(r.produced_at, now);
-                (o > 0.0).then_some((r, o))
-            })
-            .collect()
-    }
-
-    /// Count of results of a given kind.
-    pub fn count_of(&self, kind: ResultKind) -> usize {
-        self.results.iter().filter(|r| r.kind == kind).count()
-    }
 }
 
 #[cfg(test)]
@@ -237,8 +204,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.latest().unwrap().row, RowId(2));
         assert_eq!(s.results()[0].row, RowId(1));
-        assert_eq!(s.count_of(ResultKind::Scan), 2);
-        assert_eq!(s.count_of(ResultKind::Summary), 0);
+        assert!(s.results().iter().all(|r| r.kind == ResultKind::Scan));
     }
 
     #[test]
@@ -246,64 +212,5 @@ mod tests {
         let r = result_at(0, 7);
         assert_eq!(r.value(), Some(&Value::Int(7)));
         assert_eq!(r.position_fraction, 0.07);
-    }
-
-    #[test]
-    fn opacity_fully_visible_then_fades() {
-        let fade = FadePolicy {
-            visible_ms: 100,
-            fade_ms: 100,
-        };
-        let produced = Timestamp::from_millis(1000);
-        assert_eq!(fade.opacity(produced, Timestamp::from_millis(1000)), 1.0);
-        assert_eq!(fade.opacity(produced, Timestamp::from_millis(1100)), 1.0);
-        let half = fade.opacity(produced, Timestamp::from_millis(1150));
-        assert!((half - 0.5).abs() < 1e-9);
-        assert_eq!(fade.opacity(produced, Timestamp::from_millis(1300)), 0.0);
-    }
-
-    #[test]
-    fn zero_fade_duration_disappears_instantly() {
-        let fade = FadePolicy {
-            visible_ms: 50,
-            fade_ms: 0,
-        };
-        let produced = Timestamp::ZERO;
-        assert_eq!(fade.opacity(produced, Timestamp::from_millis(50)), 1.0);
-        assert_eq!(fade.opacity(produced, Timestamp::from_millis(51)), 0.0);
-    }
-
-    #[test]
-    fn visible_at_filters_faded_results() {
-        let mut s = ResultStream::new(FadePolicy {
-            visible_ms: 100,
-            fade_ms: 100,
-        });
-        s.push(result_at(0, 1)); // fully faded by t=500
-        s.push(result_at(450, 2)); // still visible at t=500
-        let visible = s.visible_at(Timestamp::from_millis(500));
-        assert_eq!(visible.len(), 1);
-        assert_eq!(visible[0].0.row, RowId(2));
-        assert_eq!(visible[0].1, 1.0);
-        // at t=120 the first result is mid-fade and the second not yet produced
-        let visible = s.visible_at(Timestamp::from_millis(120));
-        assert_eq!(visible.len(), 2); // produced_at in the future -> age 0 -> visible
-    }
-
-    #[test]
-    fn most_recent_result_is_boldest() {
-        // "the most recently touched data entry is responsible for the most
-        // bold result value visible"
-        let mut s = ResultStream::new(FadePolicy {
-            visible_ms: 0,
-            fade_ms: 1000,
-        });
-        s.push(result_at(0, 1));
-        s.push(result_at(400, 2));
-        let now = Timestamp::from_millis(500);
-        let visible = s.visible_at(now);
-        let older = visible.iter().find(|(r, _)| r.row == RowId(1)).unwrap().1;
-        let newer = visible.iter().find(|(r, _)| r.row == RowId(2)).unwrap().1;
-        assert!(newer > older);
     }
 }

@@ -8,27 +8,30 @@
 //! one data object and, for every touch, (1) maps the touch to a tuple
 //! identifier, (2) picks the granularity / sample level from the gesture speed
 //! and object size, (3) runs the object's configured per-touch action, and
-//! (4) appends the produced value to the result stream. Pauses pay down any
-//! refinement debt left by the response budget.
+//! (4) appends the produced value to the result stream. A summary window
+//! over the per-touch row cap is answered from its first rows and refined —
+//! the full window folded, the result patched in place — at the next pause or
+//! at the end of the trace.
 
 use crate::adaptive::GranularityPolicy;
 use crate::catalog::ObjectState;
 use crate::kernel::TouchAction;
 use crate::mapping::TouchMapper;
-use crate::operators::aggregate::RunningAggregate;
+use crate::operators::aggregate::{AggregateKind, RunningAggregate};
 use crate::operators::groupby::IncrementalGroupBy;
 use crate::operators::scan::PointScan;
 use crate::remote::RemoteStats;
 use crate::remote_exec::{
     summary_value, Contribution, PendingRefinement, RangeStats, RefinementLedger, RemoteTier,
 };
-use crate::response::ResponseBudget;
 use crate::result::{FadePolicy, ResultKind, ResultStream, TouchResult};
 use dbtouch_gesture::kinematics::GestureKinematics;
 use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
 use dbtouch_gesture::trace::GestureTrace;
-use dbtouch_storage::shared_cache::{RangeAggregate, SummaryKey};
-use dbtouch_types::{KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value};
+use dbtouch_storage::shared_cache::SummaryKey;
+use dbtouch_types::{
+    DbTouchError, KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,7 +57,8 @@ pub struct SessionStats {
     pub zooms: u64,
     /// Rotate gestures applied.
     pub rotations: u64,
-    /// Refinement steps executed.
+    /// Summary windows over the row cap that were answered from their first
+    /// rows and then folded in full (at a pause or at the end of the trace).
     pub refinements: u64,
     /// Touches answered without reading data because the zone-map index proved
     /// the touched block cannot satisfy the filter predicate (Section 2.6,
@@ -150,6 +154,8 @@ pub struct SessionOutcome {
     /// The ordered aggregate-contribution log of a summary session on a
     /// device/cloud split (inactive otherwise); re-folded when refinements
     /// land so the drained aggregate is bit-identical to the all-local run.
+    /// Every summary session keeps one, but only a split exports it: an
+    /// all-local outcome has nothing left to fold.
     #[serde(default)]
     pub ledger: RefinementLedger,
 }
@@ -182,7 +188,8 @@ pub struct Session<'a> {
     recognizer: GestureRecognizer,
     kinematics: GestureKinematics,
     granularity: GranularityPolicy,
-    budget: ResponseBudget,
+    /// Rows one touch reads before its summary window becomes a refinement.
+    row_cap: u64,
     aggregate: Option<RunningAggregate>,
     groupby: Option<IncrementalGroupBy>,
     results: ResultStream,
@@ -190,9 +197,29 @@ pub struct Session<'a> {
     last_row: Option<RowId>,
     /// Refinements submitted to the remote executor during this run.
     pending: Vec<PendingRefinement>,
-    /// Ordered aggregate contributions; active only for summary sessions on
-    /// a device/cloud split (see [`RefinementLedger`]).
+    /// Capped summary windows not yet folded in full.
+    local: Vec<LocalRefinement>,
+    /// Ordered aggregate contributions of a summary session (see
+    /// [`RefinementLedger`]); inactive for every other action.
     ledger: RefinementLedger,
+}
+
+/// Assumed cost of aggregating one in-memory row, in nanoseconds. It is not
+/// measured: it only turns `touch_budget_micros` into a row cap of the right
+/// order of magnitude (`touch_budget_micros * 1000 / ASSUMED_NANOS_PER_ROW`).
+pub const ASSUMED_NANOS_PER_ROW: u64 = 4;
+
+/// A summary window over the row cap, answered from its first rows: the
+/// provisional result and the ledger slot its full fold patches. A local
+/// refinement is a remote one with a zero round trip, so it resolves inside
+/// the run that issued it.
+struct LocalRefinement {
+    result_index: usize,
+    contrib_index: usize,
+    attribute: usize,
+    level: u8,
+    window: RowRange,
+    kind: AggregateKind,
 }
 
 impl<'a> Session<'a> {
@@ -200,24 +227,23 @@ impl<'a> Session<'a> {
     /// configuration (use [`crate::catalog::SharedCatalog::checkout`] to
     /// obtain the state).
     pub fn new(object: &'a mut ObjectState, config: &'a KernelConfig) -> Session<'a> {
-        let aggregate = object.action.aggregate_kind().map(RunningAggregate::new);
+        let aggregate = match &object.action {
+            TouchAction::Aggregate(kind) | TouchAction::FilteredAggregate { kind, .. } => {
+                Some(RunningAggregate::new(*kind))
+            }
+            _ => None,
+        };
         let groupby = match &object.action {
             TouchAction::GroupBy { kind, .. } => Some(IncrementalGroupBy::new(*kind)),
             _ => None,
         };
-        let budget = if config.touch_budget_micros == u64::MAX {
-            ResponseBudget::unlimited()
-        } else {
-            // ~4ns per aggregated row is a reasonable in-memory estimate; the
-            // budget only needs the right order of magnitude.
-            ResponseBudget::new(config.touch_budget_micros, 4.0)
-        };
-        // A device/cloud split defers summary-window aggregate contributions
-        // to the ledger (folded in touch order at drain) so refinements that
-        // land out of order cannot perturb the floating-point accumulation.
+        // A summary session appends each window's contribution to the ledger
+        // in touch order and folds it at the end, so a refinement that lands
+        // later — locally at a pause, or from the remote executor — cannot
+        // perturb the floating-point accumulation.
         let ledger = RefinementLedger {
-            kind: match (&object.action, object.remote.as_ref()) {
-                (TouchAction::Summary { kind, .. }, Some(_)) => Some(*kind),
+            kind: match &object.action {
+                TouchAction::Summary { kind, .. } => Some(*kind),
                 _ => None,
             },
             contribs: Vec::new(),
@@ -228,13 +254,14 @@ impl<'a> Session<'a> {
             recognizer: GestureRecognizer::default(),
             kinematics: GestureKinematics::default(),
             granularity: GranularityPolicy::new(config.clone()),
-            budget,
+            row_cap: config.touch_budget_micros.saturating_mul(1000) / ASSUMED_NANOS_PER_ROW,
             aggregate,
             groupby,
             results: ResultStream::new(FadePolicy::default()),
             stats: SessionStats::default(),
             last_row: None,
             pending: Vec::new(),
+            local: Vec::new(),
             ledger,
         }
     }
@@ -251,24 +278,28 @@ impl<'a> Session<'a> {
                 self.handle_gesture(g)?;
             }
         }
+        self.resolve_local()?;
         Ok(SessionOutcome {
-            // With an active ledger the aggregate is the in-order fold of
-            // the contributions (provisional while refinements are pending —
-            // re-folded at drain); otherwise the inline running aggregate.
-            final_aggregate: if self.ledger.is_active() {
-                self.ledger.fold_value()
-            } else {
-                self.aggregate.and_then(|a| a.value())
+            // A summary's aggregate is the in-order fold of its ledger
+            // (provisional while remote refinements are pending — re-folded
+            // at drain); otherwise the inline running aggregate.
+            final_aggregate: match &self.aggregate {
+                Some(aggregate) => aggregate.value(),
+                None => self.ledger.fold_value(),
             },
             final_groups: self
                 .groupby
                 .as_ref()
                 .map(|g| g.results())
                 .unwrap_or_default(),
+            ledger: if self.object.remote.is_some() {
+                self.ledger
+            } else {
+                RefinementLedger::default()
+            },
             results: self.results,
             stats: self.stats,
             pending: self.pending,
-            ledger: self.ledger,
         })
     }
 
@@ -286,7 +317,7 @@ impl<'a> Session<'a> {
                 location,
                 timestamp,
             } => self.process_touch(location, timestamp),
-            GestureEvent::SlidePaused { .. } => self.on_pause(),
+            GestureEvent::SlidePaused { .. } => self.resolve_local(),
             GestureEvent::SlideEnded { .. } => {
                 self.last_row = None;
                 Ok(())
@@ -359,17 +390,40 @@ impl<'a> Session<'a> {
         self.stats.bytes_touched += rows * 8; // fixed-width 8-byte numeric fields
     }
 
-    /// Compute one summary window through the shared segment kernel
-    /// ([`crate::morsel::window_stats`]): planned into `segment_rows`
-    /// morsels, fanned out over the catalog's scan pool when one exists,
-    /// index-answered where the zone map covers whole blocks — and always
-    /// bit-identical to the sequential scan.
-    fn window_stats(
+    /// The statistics of one summary window at `level` of `attribute`'s
+    /// hierarchy.
+    ///
+    /// Concurrent explorers of the same object keep requesting the same
+    /// windows; the shared cross-session cache serves the exact tuple a
+    /// recomputation would produce, so a hit only saves the compute —
+    /// results stay bit-identical with the cache on or off. Misses run
+    /// through the shared segment kernel ([`crate::morsel::window_stats`]):
+    /// planned into `segment_rows` morsels, fanned out over the catalog's scan
+    /// pool when one exists, index-answered where the zone map covers whole
+    /// blocks — and always bit-identical to the sequential scan.
+    fn window_aggregate(
         &mut self,
         attribute: usize,
         level: u8,
+        kind: AggregateKind,
         range: RowRange,
-    ) -> Result<(u64, f64, Option<f64>, Option<f64>)> {
+    ) -> Result<RangeStats> {
+        let shared_cache = self.object.shared_cache.clone();
+        let key = SummaryKey {
+            object: self.object.data.identity(),
+            attribute: attribute as u32,
+            level,
+            kind: kind as u8,
+            start: range.start,
+            end: range.end,
+        };
+        if let Some(cache) = shared_cache.as_ref() {
+            if let Some(hit) = cache.get(&key) {
+                self.stats.shared_cache_hits += 1;
+                return Ok(hit);
+            }
+            self.stats.shared_cache_misses += 1;
+        }
         let scan = crate::morsel::window_stats(
             &self.object.data,
             attribute,
@@ -381,7 +435,17 @@ impl<'a> Session<'a> {
         )?;
         self.stats.segments_scanned += scan.segments_scanned;
         self.stats.pruned_segments += scan.pruned_segments;
-        Ok((scan.count, scan.sum, scan.min, scan.max))
+        let stats = RangeStats {
+            count: scan.count,
+            sum: scan.sum,
+            min: scan.min,
+            max: scan.max,
+        };
+        if let Some(cache) = shared_cache {
+            cache.insert(key, stats);
+            self.stats.shared_cache_inserts += 1;
+        }
+        Ok(stats)
     }
 
     fn do_scan(
@@ -496,6 +560,19 @@ impl<'a> Session<'a> {
         Ok(())
     }
 
+    /// An interactive summary (Section 2.7): "When during a slide we register
+    /// position p which corresponds to tuple identifier id_p, then dbTouch
+    /// scans all entries within the tuple identifier range [id_p − k, id_p +
+    /// k] and calculates a single aggregate value." The window is taken at
+    /// the sample level the gesture speed picks.
+    ///
+    /// Section 4 asks that "results appear within the expected response time
+    /// and then they are continuously refined": a window over the row cap
+    /// answers from its first `row_cap` rows now and becomes a
+    /// [`LocalRefinement`], folded in full at the next pause or at the end of
+    /// the trace. A window finer than a device/cloud split's device holds is
+    /// shipped whole instead ([`Self::do_summary_remote`]); that refinement
+    /// is asynchronous, so the cap does not apply to it.
     fn do_summary(
         &mut self,
         row: RowId,
@@ -503,7 +580,7 @@ impl<'a> Session<'a> {
         fraction: f64,
         timestamp: Timestamp,
         half_window: u64,
-        kind: crate::operators::aggregate::AggregateKind,
+        kind: AggregateKind,
     ) -> Result<()> {
         // Pick the sample level from gesture speed and object size.
         let hierarchy = self.object.hierarchy(attribute)?;
@@ -512,28 +589,19 @@ impl<'a> Session<'a> {
             hierarchy,
             self.kinematics.speed_cm_per_s(),
         );
-        *self
-            .stats
-            .sample_level_usage
-            .entry(decision.sample_level)
-            .or_insert(0) += 1;
+        let level = decision.sample_level;
+        *self.stats.sample_level_usage.entry(level).or_insert(0) += 1;
 
         let level_count = hierarchy.level_count();
-        let column = hierarchy.level(decision.sample_level)?;
-        let center = hierarchy.map_row(row, decision.sample_level)?;
-        let full_window = RowRange::window(center, half_window, column.len());
-        let admitted = self.budget.admit(full_window, timestamp);
+        let column = hierarchy.level(level)?;
+        let center = hierarchy.map_row(row, level)?;
+        let window = RowRange::window(center, half_window, column.len());
 
         // Device/cloud split: a window at a level finer than the device
-        // holds is served by the (simulated) server. The touch is answered
-        // provisionally from the coarsest local level and refined
-        // asynchronously. (Empty admitted windows are all-local trivially:
-        // nothing to ship.)
+        // holds is served by the (simulated) server. (An empty window is
+        // all-local trivially: nothing to ship.)
         let remote = match self.object.remote.as_ref() {
-            Some(tier)
-                if decision.sample_level < tier.effective_local_min(level_count)
-                    && !admitted.is_empty() =>
-            {
+            Some(tier) if level < tier.effective_local_min(level_count) && !window.is_empty() => {
                 Some(tier.clone())
             }
             _ => None,
@@ -547,96 +615,71 @@ impl<'a> Session<'a> {
                 timestamp,
                 half_window,
                 kind,
-                decision.sample_level,
-                admitted,
+                level,
+                window,
             );
         }
-        // Aggregate only the admitted part of the window; any truncated tail is
-        // queued as refinement debt and merged in during pauses. (This is the
-        // session-integrated version of [`InteractiveSummary::summarize`].)
-        //
-        // Concurrent explorers of the same object keep requesting the same
-        // windows; the shared cross-session cache serves the exact tuple a
-        // recomputation would produce (and the same rows are charged either
-        // way), so a hit only saves the compute — results and accounting stay
-        // bit-identical with the cache on or off. Misses run through the
-        // segment kernel ([`Self::window_stats`]), which is bit-identical to
-        // the sequential scan at any `scan_parallelism` / `segment_rows`.
-        let shared_cache = self.object.shared_cache.clone();
-        let (count, sum, min, max) = match shared_cache.as_ref() {
-            Some(cache) => {
-                let key = SummaryKey {
-                    object: self.object.data.identity(),
-                    attribute: attribute as u32,
-                    level: decision.sample_level,
-                    kind: kind as u8,
-                    start: admitted.start,
-                    end: admitted.end,
-                };
-                match cache.get(&key) {
-                    Some(hit) => {
-                        self.stats.shared_cache_hits += 1;
-                        (hit.count, hit.sum, hit.min, hit.max)
-                    }
-                    None => {
-                        self.stats.shared_cache_misses += 1;
-                        let (count, sum, min, max) =
-                            self.window_stats(attribute, decision.sample_level, admitted)?;
-                        cache.insert(
-                            key,
-                            RangeAggregate {
-                                count,
-                                sum,
-                                min,
-                                max,
-                            },
-                        );
-                        self.stats.shared_cache_inserts += 1;
-                        (count, sum, min, max)
-                    }
-                }
-            }
-            None => self.window_stats(attribute, decision.sample_level, admitted)?,
+
+        let capped = window.len() > self.row_cap;
+        let read = if capped {
+            RowRange::new(window.start, window.start + self.row_cap)
+        } else {
+            window
         };
-        self.charge_rows(count);
-        let value = summary_value(
-            kind,
-            &RangeStats {
-                count,
-                sum,
-                min,
-                max,
-            },
-        );
-        if let Some(v) = value {
-            self.contribute(count, sum, min, max);
-            self.emit(TouchResult::single(
-                row,
-                fraction,
-                Value::Float(v),
-                timestamp,
-                ResultKind::Summary,
-            ));
-        }
+        let stats = self.window_aggregate(attribute, level, kind, read)?;
+        self.charge_rows(stats.count);
+        let value = summary_value(kind, &stats);
+        let contribution = if capped {
+            self.local.push(LocalRefinement {
+                result_index: self.results.len(),
+                contrib_index: self.ledger.contribs.len(),
+                attribute,
+                level,
+                window,
+                kind,
+            });
+            // Local slots are resolved before the outcome leaves the
+            // session, so their ticket names nothing.
+            Contribution::Pending { ticket: 0 }
+        } else if value.is_some() {
+            Contribution::ready(&stats)
+        } else {
+            return Ok(());
+        };
+        self.ledger.contribs.push(contribution);
+        self.emit(TouchResult::single(
+            row,
+            fraction,
+            Value::Float(value.unwrap_or(0.0)),
+            timestamp,
+            ResultKind::Summary,
+        ));
         Ok(())
     }
 
-    /// Feed one summary-window batch into the session's running aggregate:
-    /// inline when the ledger is inactive, appended to the ledger (same
-    /// touch-order position, folded at drain) when a device/cloud split is
-    /// active — either way the accumulation sequence is identical to the
-    /// all-local run.
-    fn contribute(&mut self, count: u64, sum: f64, min: Option<f64>, max: Option<f64>) {
-        if self.ledger.is_active() {
-            self.ledger.contribs.push(Contribution::Ready {
-                count,
-                sum,
-                min,
-                max,
-            });
-        } else if let Some(agg) = self.aggregate.as_mut() {
-            agg.update_batch(count, sum, min, max);
+    /// Fold every capped window in full, at its own attribute and level:
+    /// patch its provisional result in place, fill its ledger slot and charge
+    /// its rows. Runs at each pause and at the end of the trace, so no capped
+    /// window outlives the run that read it.
+    fn resolve_local(&mut self) -> Result<()> {
+        for refinement in std::mem::take(&mut self.local) {
+            let stats = self.window_aggregate(
+                refinement.attribute,
+                refinement.level,
+                refinement.kind,
+                refinement.window,
+            )?;
+            let value = summary_value(refinement.kind, &stats)
+                .ok_or_else(|| DbTouchError::Internal("refined window produced no value".into()))?;
+            let patched = self
+                .results
+                .set_value(refinement.result_index, Value::Float(value));
+            debug_assert!(patched, "a capped window's result is in the stream");
+            self.ledger.contribs[refinement.contrib_index] = Contribution::ready(&stats);
+            self.charge_rows(stats.count);
+            self.stats.refinements += 1;
         }
+        Ok(())
     }
 
     /// The remote path of one summary touch: answer immediately
@@ -653,9 +696,9 @@ impl<'a> Session<'a> {
         fraction: f64,
         timestamp: Timestamp,
         half_window: u64,
-        kind: crate::operators::aggregate::AggregateKind,
+        kind: AggregateKind,
         fine_level: u8,
-        admitted: RowRange,
+        window: RowRange,
     ) -> Result<()> {
         let coarse = {
             let hierarchy = self.object.hierarchy(attribute)?;
@@ -679,7 +722,7 @@ impl<'a> Session<'a> {
             Arc::clone(&self.object.data),
             attribute,
             fine_level,
-            admitted,
+            window,
             tier.queue(),
         )?;
         self.stats.remote.progressive_requests =
@@ -716,34 +759,12 @@ impl<'a> Session<'a> {
         });
         Ok(())
     }
-
-    /// A paused gesture: pay down refinement debt.
-    fn on_pause(&mut self) -> Result<()> {
-        // Use the idle time to refine a previously truncated summary. (This
-        // budget-debt refinement always reads locally, in both split modes:
-        // it feeds only the running aggregate, and the ledger keeps its
-        // contribution at the same touch-order position as the all-local
-        // run.)
-        if let Some(debt) = self.budget.next_refinement() {
-            if self.object.hierarchy(0).is_ok() {
-                // Same segment kernel as the summary path (window_stats clamps
-                // to the column internally), so debt refinement stays
-                // bit-identical under any scan_parallelism / segment_rows.
-                let (count, sum, min, max) = self.window_stats(0, 0, debt.remaining)?;
-                self.charge_rows(count);
-                self.contribute(count, sum, min, max);
-                self.stats.refinements += 1;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::{Kernel, TouchAction};
-    use crate::operators::aggregate::AggregateKind;
     use crate::operators::filter::{CompareOp, Predicate};
     use dbtouch_gesture::synthesizer::GestureSynthesizer;
     use dbtouch_types::wire::{encode, Wire};
@@ -1110,6 +1131,56 @@ mod tests {
         assert_eq!(s.shared_cache_hits, 0);
         assert_eq!(s.shared_cache_misses, 0);
         assert_eq!(s.shared_cache_inserts, 0);
+    }
+
+    /// A window over the row cap is answered from its first `cap` rows and
+    /// leaves a pending ledger slot; resolving it folds the full window at
+    /// its own attribute and level and patches the result in place.
+    #[test]
+    fn a_capped_window_is_provisional_until_resolved() {
+        use crate::catalog::SharedCatalog;
+
+        // 10 µs at the assumed 4 ns per row: a cap of 2 500 rows.
+        let mut config = KernelConfig::default().with_adaptive_sampling(false);
+        config.touch_budget_micros = 10;
+        let catalog = SharedCatalog::new(config);
+        let id = catalog
+            .load_column("col", (0..500_000).collect(), SizeCm::new(2.0, 10.0))
+            .unwrap();
+        let mut state = catalog.checkout(id).unwrap();
+        state.set_action(TouchAction::Summary {
+            half_window: Some(200_000),
+            kind: AggregateKind::Avg,
+        });
+        let mut session = Session::new(&mut state, catalog.config());
+        assert_eq!(session.row_cap, 2_500);
+        session
+            .process_touch(PointCm::new(1.0, 5.0), Timestamp::ZERO)
+            .unwrap();
+
+        assert_eq!(session.stats.rows_touched, 2_500);
+        assert!(matches!(
+            session.ledger.contribs[..],
+            [Contribution::Pending { .. }]
+        ));
+        let window = session.local[0].window;
+        assert_eq!(window.len(), 400_001);
+        let first_rows = (window.start..window.start + 2_500).sum::<u64>() as f64 / 2_500.0;
+        assert_eq!(
+            session.results.results()[0].value(),
+            Some(&Value::Float(first_rows))
+        );
+
+        session.resolve_local().unwrap();
+        assert!(session.local.is_empty());
+        assert_eq!(session.stats.refinements, 1);
+        assert_eq!(session.stats.rows_touched, 2_500 + 400_001);
+        let full = (window.start..window.end).sum::<u64>() as f64 / 400_001.0;
+        assert_eq!(
+            session.results.results()[0].value(),
+            Some(&Value::Float(full))
+        );
+        assert_eq!(session.ledger.fold_value(), Some(full));
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use kinematics::GestureKinematics;
 pub use recognizer::{GestureEvent, GestureRecognizer};
 pub use synthesizer::GestureSynthesizer;
 pub use touch::{TouchEvent, TouchPhase};
-pub use trace::GestureTrace;
+pub use trace::{GestureTrace, MAX_TRACE_TOUCHES};
 pub use view::View;

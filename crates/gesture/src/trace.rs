@@ -31,6 +31,11 @@ fn phase_from_name(name: &str) -> Option<TouchPhase> {
     }
 }
 
+/// The most touch samples one trace may carry: 65 536, about nine minutes of
+/// sliding at 120 Hz. A session is a sequence of traces, so the cap bounds the
+/// work one request asks for, not how long a user explores.
+pub const MAX_TRACE_TOUCHES: usize = 65_536;
+
 /// An ordered sequence of touch events over a single view.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct GestureTrace {
@@ -92,9 +97,16 @@ impl GestureTrace {
         self.events.iter().filter(move |e| e.finger == finger)
     }
 
-    /// Validate the trace: per-finger timestamps must be non-decreasing, every
-    /// finger must begin with a `Began` phase and locations must be finite.
+    /// Validate the trace: it holds at most [`MAX_TRACE_TOUCHES`] samples,
+    /// per-finger timestamps must be non-decreasing, every finger must begin
+    /// with a `Began` phase and locations must be finite.
     pub fn validate(&self) -> Result<()> {
+        if self.events.len() > MAX_TRACE_TOUCHES {
+            return Err(DbTouchError::InvalidGesture(format!(
+                "trace of {} touches exceeds the cap of {MAX_TRACE_TOUCHES}",
+                self.events.len()
+            )));
+        }
         for finger in 0..=1u8 {
             let mut last_ts = None;
             let mut seen_any = false;
@@ -277,6 +289,18 @@ mod tests {
             ],
         );
         assert!(matches!(r, Err(DbTouchError::InvalidGesture(_))));
+    }
+
+    #[test]
+    fn validation_caps_the_touch_count() {
+        let mut t = GestureTrace::new("col");
+        t.push(ev(0.0, 0, TouchPhase::Began));
+        for i in 1..MAX_TRACE_TOUCHES as u64 {
+            t.push(ev(1.0, i, TouchPhase::Moved));
+        }
+        assert!(t.validate().is_ok());
+        t.push(ev(1.0, MAX_TRACE_TOUCHES as u64, TouchPhase::Moved));
+        assert!(matches!(t.validate(), Err(DbTouchError::InvalidGesture(_))));
     }
 
     #[test]

@@ -112,7 +112,9 @@ pub struct KernelConfig {
 
     /// Maximum time the kernel may spend answering one touch, in microseconds.
     /// Section 4: "There should always be a maximum possible wait time for a
-    /// single touch regardless of the query and the data sizes."
+    /// single touch regardless of the query and the data sizes." A session
+    /// turns it into a row cap: a summary window longer than the cap is
+    /// answered from its first rows and folded in full later.
     pub touch_budget_micros: u64,
 
     /// When `true`, the kernel picks the sample level adaptively from the

@@ -70,10 +70,9 @@ pub fn device_cloud_catalog(
 }
 
 /// Summary windows the sessions of `reports` decided at a sample level finer
-/// than the device holds. On a split each is one progressive request (a
-/// window the response budget admits no rows of has nothing to ship). It
-/// depends only on the plans, so an all-local run states what a split run
-/// must send.
+/// than the device holds. On a split each is one progressive request (an
+/// empty window has nothing to ship). It depends only on the plans, so an
+/// all-local run states what a split run must send.
 pub fn fine_level_windows(reports: &[SessionReport]) -> u64 {
     reports
         .iter()

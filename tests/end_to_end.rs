@@ -8,6 +8,7 @@ use dbtouch::core::operators::filter::{CompareOp, Predicate};
 use dbtouch::gesture::synthesizer::SlideSegment;
 use dbtouch::prelude::*;
 use dbtouch::storage::column::Column as StorageColumn;
+use dbtouch::types::RemoteSplitConfig;
 use dbtouch::workload::explorer::{DbTouchExplorer, SqlExplorer};
 use dbtouch::workload::scenarios::Scenario;
 
@@ -314,4 +315,155 @@ fn baseline_and_dbtouch_agree_on_the_data() {
     let approx = outcome.final_aggregate.unwrap();
     let relative_error = (approx - exact).abs() / exact;
     assert!(relative_error < 0.05, "approx {approx} vs exact {exact}");
+}
+
+/// A table of two f64 columns — constant 0.0, then `values` — shown
+/// `height_cm` tall, whose slides touch column 1 (the middle of a
+/// two-attribute view), with a summary window far wider than a 10 µs
+/// budget's row cap.
+fn two_column_summary(
+    config: KernelConfig,
+    values: Vec<f64>,
+    height_cm: f64,
+) -> (Kernel, ObjectId) {
+    let mut kernel = Kernel::new(config);
+    let table = Table::from_columns(
+        "t",
+        vec![
+            StorageColumn::from_f64("zero", vec![0.0; values.len()]),
+            StorageColumn::from_f64("touched", values),
+        ],
+    )
+    .unwrap();
+    let id = kernel
+        .load_table(table, SizeCm::new(4.0, height_cm))
+        .unwrap();
+    kernel
+        .set_action(
+            id,
+            TouchAction::Summary {
+                half_window: Some(200_000),
+                kind: AggregateKind::Avg,
+            },
+        )
+        .unwrap();
+    (kernel, id)
+}
+
+/// 10 µs at the session's assumed 4 ns per row.
+const CAP_ROWS: u64 = 2_500;
+
+/// The outcome of `trace` over column 1 (see [`two_column_summary`]) under
+/// `config` with a 10 µs budget (a 2 500-row cap), and under the plain
+/// `reference` config with no budget.
+fn capped_and_uncapped(
+    config: KernelConfig,
+    reference: KernelConfig,
+    values: Vec<f64>,
+    height_cm: f64,
+    trace: impl Fn(&View) -> dbtouch::gesture::GestureTrace,
+) -> (SessionOutcome, SessionOutcome) {
+    let mut capped = config;
+    capped.touch_budget_micros = 10;
+    let mut uncapped = reference;
+    uncapped.touch_budget_micros = u64::MAX;
+    let run = |config: KernelConfig| {
+        let (mut kernel, id) = two_column_summary(config, values.clone(), height_cm);
+        let view = kernel.view(id).unwrap();
+        kernel.run_trace(id, &trace(&view)).unwrap()
+    };
+    (run(capped), run(uncapped))
+}
+
+/// A window over the row cap is answered from its first rows, then folded
+/// in full on the column and at the level the touch read — at the slide's
+/// pause or at the end of the trace — so the capped outcome is the uncapped
+/// one, value for value.
+#[test]
+fn capped_summaries_refine_to_the_touched_column() {
+    let config = KernelConfig::default().with_adaptive_sampling(false);
+    let (capped, full) =
+        capped_and_uncapped(config.clone(), config, vec![1.0; 500_000], 10.0, |v| {
+            GestureSynthesizer::new(60.0).exploratory_slide(v, 2.0)
+        });
+    assert!(full.stats.entries_returned > 20);
+    assert_eq!(full.final_aggregate, Some(1.0));
+    assert_eq!(
+        capped.final_aggregate.map(f64::to_bits),
+        Some(1.0f64.to_bits())
+    );
+    assert_eq!(capped.results, full.results);
+    // Every window (at least 200 001 rows) is over the cap, and each read
+    // exactly `CAP_ROWS` rows before its full fold.
+    assert_eq!(full.stats.refinements, 0);
+    assert_eq!(capped.stats.refinements, capped.stats.entries_returned);
+    assert_eq!(
+        capped.stats.rows_touched,
+        full.stats.rows_touched + capped.stats.refinements * CAP_ROWS
+    );
+}
+
+/// The same at sample levels above 0: a fast slide picks coarse levels, and
+/// each refinement reads its window in that level's row ids. Column 1 is a
+/// ramp, so a fold at the wrong level would read other values.
+#[test]
+fn capped_summaries_refine_at_their_sample_level() {
+    let ramp: Vec<f64> = (0..500_000).map(|i| i as f64).collect();
+    let config = KernelConfig::default();
+    let (capped, full) = capped_and_uncapped(config.clone(), config, ramp, 10.0, |v| {
+        GestureSynthesizer::new(60.0).exploratory_slide(v, 0.6)
+    });
+    assert!(capped.stats.sample_level_usage.keys().all(|&l| l > 0));
+    assert!(capped.stats.refinements > 0);
+    assert_eq!(capped.stats.refinements, capped.stats.entries_returned);
+    assert_eq!(capped.results, full.results);
+    assert_eq!(
+        capped.final_aggregate.map(f64::to_bits),
+        full.final_aggregate.map(f64::to_bits)
+    );
+    assert_eq!(
+        capped.stats.rows_touched,
+        full.stats.rows_touched + capped.stats.refinements * CAP_ROWS
+    );
+}
+
+/// On a device/cloud split the cap applies to device-local windows only: a
+/// fine-level window ships whole to the remote executor. Drained, the capped
+/// split outcome equals the all-local uncapped one.
+#[test]
+fn a_capped_split_drains_to_the_uncapped_all_local_outcome() {
+    let ramp: Vec<f64> = (0..500_000).map(|i| i as f64).collect();
+    let split = RemoteSplitConfig::default()
+        .with_local_min_level(6)
+        .with_network(500, 0);
+    let config = KernelConfig::default().with_remote_split(Some(split));
+    // 640 cm tall: the slow stretch reads level 5 (remote), the fast ones
+    // level 7 (local, and over the cap).
+    let (capped, full) = capped_and_uncapped(config, KernelConfig::default(), ramp, 640.0, |v| {
+        GestureSynthesizer::new(60.0).slide_profile(
+            v,
+            &[
+                SlideSegment::movement(0.0, 0.3, 0.3),
+                SlideSegment::movement(0.3, 0.302, 1.0),
+                SlideSegment::pause(0.302, 0.4),
+                SlideSegment::movement(0.302, 1.0, 0.4),
+            ],
+            Timestamp::ZERO,
+        )
+    });
+    assert!(capped.is_drained());
+    let remote = capped.stats.remote;
+    assert!(capped.stats.refinements > 0);
+    assert!(remote.progressive_requests > 0);
+    assert_eq!(
+        capped.stats.refinements + remote.progressive_requests,
+        capped.stats.entries_returned
+    );
+    // A shipped window is read whole, past the cap.
+    assert!(remote.rows_shipped > remote.progressive_requests * CAP_ROWS);
+    assert_eq!(capped.results, full.results);
+    assert_eq!(
+        capped.final_aggregate.map(f64::to_bits),
+        full.final_aggregate.map(f64::to_bits)
+    );
 }

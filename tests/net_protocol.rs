@@ -4,6 +4,7 @@
 //! shedding under deliberately tiny thresholds, and graceful drain.
 
 use dbtouch::core::kernel::ObjectId;
+use dbtouch::gesture::MAX_TRACE_TOUCHES;
 use dbtouch::net::codec::{decode_response, encode_request, Request, Response};
 use dbtouch::net::frame::{self, tag};
 use dbtouch::net::{NetServer, TcpClient};
@@ -516,6 +517,39 @@ fn admission_takes_no_scrape_per_request() {
         assert_ne!(scrapes(), before);
         server.shutdown();
     }
+}
+
+/// A trace one touch over [`MAX_TRACE_TOUCHES`] is refused as an invalid
+/// gesture before any touch runs; the session serves its next trace as if
+/// the refused one had never arrived.
+#[test]
+fn a_trace_over_the_touch_cap_is_an_invalid_gesture() {
+    let (server, catalog, object) = serve_scenario(10_000, ServerConfig::with_workers(1));
+    let client = TcpClient::new(server.local_addr().to_string());
+    let plans = plan_explorers(&catalog, object, 1, 1, 77).unwrap();
+    let plan = &plans[0];
+    let mut oversized = plan.traces[0].clone();
+    let last = *oversized.events.last().unwrap();
+    oversized.events.resize(MAX_TRACE_TOUCHES + 1, last);
+
+    let mut session = client.open_session().unwrap();
+    session.set_action(object, plan.action.clone()).unwrap();
+    session.run_trace(object, oversized).unwrap();
+    session.run_trace(object, plan.traces[0].clone()).unwrap();
+    let report = session.close().unwrap();
+
+    let invalid = DbTouchError::InvalidGesture(String::new()).to_string();
+    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+    assert!(report.errors[0].contains(&invalid), "{:?}", report.errors);
+    assert!(
+        report.errors[0].contains(&(MAX_TRACE_TOUCHES + 1).to_string()),
+        "{:?}",
+        report.errors
+    );
+    assert_eq!(report.traces_run(), 1);
+    let expected = run_sequential(&catalog, object, &plans).unwrap();
+    assert_eq!(report.result_digest(), expected[0]);
+    server.shutdown();
 }
 
 #[test]
