@@ -2,7 +2,7 @@
 //!
 //! Two simulated participants receive the same data set with a hidden pattern:
 //! one explores it through the dbTouch kernel (slides, summaries, zoom-in), the
-//! other through SQL aggregate queries against the blocking baseline engine.
+//! other through SQL-style aggregate queries against the blocking naive engine.
 //! The report compares localization accuracy, the amount of data each system
 //! had to touch, the number of interactions and the estimated elapsed time.
 

@@ -12,7 +12,7 @@
 //! tuples. The stride then picks the sample level to read from.
 
 use dbtouch_gesture::view::View;
-use dbtouch_storage::sample::SampleHierarchy;
+use dbtouch_storage::sample::LevelShape;
 use dbtouch_types::KernelConfig;
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +71,7 @@ impl GranularityPolicy {
     pub fn decide(
         &self,
         view: &View,
-        hierarchy: &SampleHierarchy,
+        shape: LevelShape,
         speed_cm_per_s: f64,
     ) -> GranularityDecision {
         let stride = self
@@ -86,7 +86,7 @@ impl GranularityPolicy {
         }
         GranularityDecision {
             stride_rows: stride,
-            sample_level: hierarchy.level_for_stride(stride),
+            sample_level: shape.level_for_stride(stride),
             adaptive: true,
         }
     }
@@ -96,14 +96,17 @@ impl GranularityPolicy {
 mod tests {
     use super::*;
     use dbtouch_storage::column::Column;
+    use dbtouch_storage::sample::SampleHierarchy;
     use dbtouch_types::SizeCm;
 
     fn view(tuples: u64) -> View {
         View::for_column("c", tuples, SizeCm::new(2.0, 10.0)).unwrap()
     }
 
-    fn hierarchy(rows: u64) -> SampleHierarchy {
-        SampleHierarchy::build(Column::from_i64("c", (0..rows as i64).collect()), 10).unwrap()
+    fn shape(rows: u64) -> LevelShape {
+        SampleHierarchy::build(Column::from_i64("c", (0..rows as i64).collect()), 10)
+            .unwrap()
+            .shape()
     }
 
     #[test]
@@ -136,12 +139,12 @@ mod tests {
     fn decision_takes_max_of_both_strides() {
         let p = GranularityPolicy::new(KernelConfig::default());
         let v = view(100_000);
-        let h = hierarchy(100_000);
+        let h = shape(100_000);
         // slow gesture: physical stride dominates (100k/200 = 500)
-        let slow = p.decide(&v, &h, 0.5);
+        let slow = p.decide(&v, h, 0.5);
         assert_eq!(slow.stride_rows, 500);
         // very fast gesture: speed stride dominates
-        let fast = p.decide(&v, &h, 50.0);
+        let fast = p.decide(&v, h, 50.0);
         assert!(fast.stride_rows > slow.stride_rows);
         assert!(fast.sample_level >= slow.sample_level);
         assert!(fast.adaptive);
@@ -151,8 +154,8 @@ mod tests {
     fn adaptive_disabled_pins_base_level() {
         let p = GranularityPolicy::new(KernelConfig::naive());
         let v = view(1_000_000);
-        let h = hierarchy(100_000);
-        let d = p.decide(&v, &h, 20.0);
+        let h = shape(100_000);
+        let d = p.decide(&v, h, 20.0);
         assert_eq!(d.sample_level, 0);
         assert!(!d.adaptive);
         assert!(d.stride_rows > 1);
@@ -162,8 +165,8 @@ mod tests {
     fn tiny_object_stride_is_one() {
         let p = GranularityPolicy::new(KernelConfig::default());
         let v = view(50);
-        let h = hierarchy(50);
-        let d = p.decide(&v, &h, 1.0);
+        let h = shape(50);
+        let d = p.decide(&v, h, 1.0);
         assert_eq!(d.stride_rows, 1);
         assert_eq!(d.sample_level, 0);
     }

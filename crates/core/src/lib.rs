@@ -20,7 +20,10 @@
 //! * [`operators`] — *Execute*: per-touch operators — point scans, running
 //!   aggregates, interactive summaries, selections, incremental group-bys and
 //!   non-blocking joins (Sections 2.3, 2.7, 2.9).
-//! * [`session`] — query sessions that feed recognized gestures through the
+//! * [`plan`] — the gesture half of a session: each recognized touch becomes
+//!   a [`plan::TouchPlan`] (tuple, attribute, sample level, summary window)
+//!   read off the view and the sample levels' shape alone.
+//! * [`session`] — query sessions that fold each planned touch through the
 //!   operators and collect the result stream and its statistics.
 //! * [`catalog`] — the shared data catalog: immutable loaded data (matrixes,
 //!   sample hierarchies, indexes) behind `Arc`, split from per-session mutable
@@ -53,6 +56,7 @@ pub mod mapping;
 pub mod morsel;
 pub mod operators;
 pub mod persist;
+pub mod plan;
 pub mod prefetch_policy;
 pub mod remote;
 pub mod remote_exec;

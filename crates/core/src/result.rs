@@ -1,4 +1,4 @@
-//! Result delivery: in-place, fading result values.
+//! Result delivery: in-place result values.
 //!
 //! Section 2.3 ("Inspecting Results"): results appear in place as the gesture
 //! progresses — "every single result value pops up from the position in the
@@ -8,8 +8,8 @@
 //!
 //! The [`ResultStream`] keeps every produced [`TouchResult`] together with the
 //! information a front-end needs to render that behaviour: where on the object
-//! the value belongs (as a fraction of the object extent), when it was
-//! produced, and the fade policy it is shown under.
+//! the value belongs (as a fraction of the object extent) and when it was
+//! produced. How long a value stays visible is the front-end's choice.
 
 use dbtouch_types::{RowId, Timestamp, Value};
 use serde::{Deserialize, Serialize};
@@ -25,8 +25,6 @@ pub enum ResultKind {
     Summary,
     /// A value that passed a where-restriction.
     FilteredScan,
-    /// A join match (the value is the join key).
-    JoinMatch,
     /// A group-by partial result (the value is the group's aggregate).
     GroupResult,
     /// A full tuple revealed by a tap on a table.
@@ -38,7 +36,7 @@ dbtouch_types::wire_enum!(ResultKind {
     1 => RunningAggregate,
     2 => Summary,
     3 => FilteredScan,
-    4 => JoinMatch,
+    // Tag 4 (a join match) is retired: no session produces it.
     5 => GroupResult,
     6 => Tuple,
 });
@@ -69,49 +67,9 @@ dbtouch_types::wire_struct!(TouchResult {
 });
 
 impl TouchResult {
-    /// Convenience constructor for a single-value result.
-    pub fn single(
-        row: RowId,
-        position_fraction: f64,
-        value: Value,
-        produced_at: Timestamp,
-        kind: ResultKind,
-    ) -> TouchResult {
-        TouchResult {
-            row,
-            position_fraction,
-            values: vec![value],
-            produced_at,
-            kind,
-        }
-    }
-
     /// The first (usually only) value.
     pub fn value(&self) -> Option<&Value> {
         self.values.first()
-    }
-}
-
-/// The fade policy: how long results stay visible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FadePolicy {
-    /// Milliseconds a result stays fully visible.
-    pub visible_ms: u64,
-    /// Milliseconds over which it then fades to invisible.
-    pub fade_ms: u64,
-}
-
-dbtouch_types::wire_struct!(FadePolicy {
-    visible_ms: u64,
-    fade_ms: u64,
-});
-
-impl Default for FadePolicy {
-    fn default() -> Self {
-        FadePolicy {
-            visible_ms: 400,
-            fade_ms: 800,
-        }
     }
 }
 
@@ -119,21 +77,16 @@ impl Default for FadePolicy {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResultStream {
     results: Vec<TouchResult>,
-    fade: FadePolicy,
 }
 
 dbtouch_types::wire_struct!(ResultStream {
-    fade: FadePolicy,
     results: Vec<TouchResult>,
 });
 
 impl ResultStream {
-    /// Create an empty stream with the given fade policy.
-    pub fn new(fade: FadePolicy) -> ResultStream {
-        ResultStream {
-            results: Vec::new(),
-            fade,
-        }
+    /// Create an empty stream.
+    pub fn new() -> ResultStream {
+        ResultStream::default()
     }
 
     /// Append a result.
@@ -154,11 +107,6 @@ impl ResultStream {
     /// All results in production order.
     pub fn results(&self) -> &[TouchResult] {
         &self.results
-    }
-
-    /// The fade policy results are rendered under.
-    pub fn fade(&self) -> FadePolicy {
-        self.fade
     }
 
     /// Replace the value of the result at `index` in place — the progressive
@@ -186,13 +134,13 @@ mod tests {
     use super::*;
 
     fn result_at(ms: u64, row: u64) -> TouchResult {
-        TouchResult::single(
-            RowId(row),
-            row as f64 / 100.0,
-            Value::Int(row as i64),
-            Timestamp::from_millis(ms),
-            ResultKind::Scan,
-        )
+        TouchResult {
+            row: RowId(row),
+            position_fraction: row as f64 / 100.0,
+            values: vec![Value::Int(row as i64)],
+            produced_at: Timestamp::from_millis(ms),
+            kind: ResultKind::Scan,
+        }
     }
 
     #[test]
@@ -205,6 +153,13 @@ mod tests {
         assert_eq!(s.latest().unwrap().row, RowId(2));
         assert_eq!(s.results()[0].row, RowId(1));
         assert!(s.results().iter().all(|r| r.kind == ResultKind::Scan));
+    }
+
+    #[test]
+    fn the_retired_join_match_tag_is_refused() {
+        use dbtouch_types::wire::decode;
+        assert!(decode::<ResultKind>(&[4]).is_err());
+        assert_eq!(decode::<ResultKind>(&[5]).unwrap(), ResultKind::GroupResult);
     }
 
     #[test]

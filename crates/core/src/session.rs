@@ -4,34 +4,31 @@
 //! system needs to react to every touch, while the user is now in control of the
 //! data flow."
 //!
-//! A [`Session`] consumes the gesture events recognized from a touch trace over
-//! one data object and, for every touch, (1) maps the touch to a tuple
-//! identifier, (2) picks the granularity / sample level from the gesture speed
-//! and object size, (3) runs the object's configured per-touch action, and
-//! (4) appends the produced value to the result stream. A summary window
+//! A [`Session`] runs a touch trace over one data object in two halves. The
+//! [`TouchPlanner`] recognizes the gestures and, for every touch, (1) maps it
+//! to a tuple identifier and (2) picks the granularity / sample level from the
+//! gesture speed and object size; the session then (3) folds the object's
+//! configured per-touch action over that plan and (4) appends the produced
+//! value to the result stream. A summary window
 //! over the per-touch row cap is answered from its first rows and refined —
 //! the full window folded, the result patched in place — at the next pause or
 //! at the end of the trace.
 
-use crate::adaptive::GranularityPolicy;
 use crate::catalog::ObjectState;
 use crate::kernel::TouchAction;
-use crate::mapping::TouchMapper;
 use crate::operators::aggregate::{AggregateKind, RunningAggregate};
+use crate::operators::filter::Predicate;
 use crate::operators::groupby::IncrementalGroupBy;
 use crate::operators::scan::PointScan;
+use crate::plan::{PlanStep, SummaryWindow, TouchPlan, TouchPlanner};
 use crate::remote::RemoteStats;
 use crate::remote_exec::{
     summary_value, Contribution, PendingRefinement, RangeStats, RefinementLedger, RemoteTier,
 };
-use crate::result::{FadePolicy, ResultKind, ResultStream, TouchResult};
-use dbtouch_gesture::kinematics::GestureKinematics;
-use dbtouch_gesture::recognizer::{GestureEvent, GestureRecognizer};
+use crate::result::{ResultKind, ResultStream, TouchResult};
 use dbtouch_gesture::trace::GestureTrace;
 use dbtouch_storage::shared_cache::SummaryKey;
-use dbtouch_types::{
-    DbTouchError, KernelConfig, PointCm, Result, RowId, RowRange, Timestamp, Value,
-};
+use dbtouch_types::{DbTouchError, KernelConfig, Result, RowId, RowRange, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -182,19 +179,17 @@ impl SessionOutcome {
 /// state) and reads the shared, immutable object data through it. Sessions on
 /// different states never contend: `dbtouch-server` runs many of them
 /// concurrently over one [`crate::catalog::SharedCatalog`].
+///
+/// A run is the [`TouchPlanner`]'s steps, each folded here against the
+/// object's data.
 pub struct Session<'a> {
     object: &'a mut ObjectState,
     config: &'a KernelConfig,
-    recognizer: GestureRecognizer,
-    kinematics: GestureKinematics,
-    granularity: GranularityPolicy,
-    /// Rows one touch reads before its summary window becomes a refinement.
-    row_cap: u64,
+    planner: TouchPlanner,
     aggregate: Option<RunningAggregate>,
     groupby: Option<IncrementalGroupBy>,
     results: ResultStream,
     stats: SessionStats,
-    last_row: Option<RowId>,
     /// Refinements submitted to the remote executor during this run.
     pending: Vec<PendingRefinement>,
     /// Capped summary windows not yet folded in full.
@@ -248,18 +243,21 @@ impl<'a> Session<'a> {
             },
             contribs: Vec::new(),
         };
+        let shapes = object
+            .data
+            .hierarchies()
+            .iter()
+            .map(|h| h.shape())
+            .collect();
+        let planner = TouchPlanner::new(object.view.clone(), shapes, &object.action, config);
         Session {
             object,
             config,
-            recognizer: GestureRecognizer::default(),
-            kinematics: GestureKinematics::default(),
-            granularity: GranularityPolicy::new(config.clone()),
-            row_cap: config.touch_budget_micros.saturating_mul(1000) / ASSUMED_NANOS_PER_ROW,
+            planner,
             aggregate,
             groupby,
-            results: ResultStream::new(FadePolicy::default()),
+            results: ResultStream::new(),
             stats: SessionStats::default(),
-            last_row: None,
             pending: Vec::new(),
             local: Vec::new(),
             ledger,
@@ -269,13 +267,12 @@ impl<'a> Session<'a> {
     /// Run a full gesture trace through the session and return its outcome.
     pub fn run(mut self, trace: &GestureTrace) -> Result<SessionOutcome> {
         trace.validate()?;
+        let action = self.object.action.clone();
         for event in &trace.events {
-            self.stats.touches += 1;
-            self.kinematics.observe(event);
-            let gestures = self.recognizer.feed(event);
-            for g in gestures {
-                self.stats.gesture_events += 1;
-                self.handle_gesture(g)?;
+            for gesture in self.planner.observe(event, &mut self.stats) {
+                if let Some(step) = self.planner.plan(gesture, &mut self.stats)? {
+                    self.execute(&action, step)?;
+                }
             }
         }
         self.resolve_local()?;
@@ -303,81 +300,48 @@ impl<'a> Session<'a> {
         })
     }
 
-    fn handle_gesture(&mut self, gesture: GestureEvent) -> Result<()> {
-        match gesture {
-            GestureEvent::Tap {
-                location,
-                timestamp,
-            }
-            | GestureEvent::SlideBegan {
-                location,
-                timestamp,
-            }
-            | GestureEvent::SlideStep {
-                location,
-                timestamp,
-            } => self.process_touch(location, timestamp),
-            GestureEvent::SlidePaused { .. } => self.resolve_local(),
-            GestureEvent::SlideEnded { .. } => {
-                self.last_row = None;
+    fn execute(&mut self, action: &TouchAction, step: PlanStep) -> Result<()> {
+        match step {
+            PlanStep::Touch(plan) => {
+                let started = Instant::now();
+                self.process_touch(action, &plan)?;
+                let elapsed = started.elapsed().as_nanos() as u64;
+                self.stats.compute_nanos += elapsed;
+                self.stats.max_touch_nanos = self.stats.max_touch_nanos.max(elapsed);
                 Ok(())
             }
-            GestureEvent::Pinch { scale, .. } => {
-                self.object.view = self.object.view.zoomed(scale)?;
-                self.stats.zooms += 1;
+            PlanStep::Pause => self.resolve_local(),
+            PlanStep::Pinch => {
+                self.object.view.clone_from(self.planner.view());
                 Ok(())
             }
-            GestureEvent::Rotate { .. } => {
-                self.object.rotate_layout()?;
-                self.stats.rotations += 1;
-                Ok(())
-            }
+            // Rotating the session's matrix rotates its view as the planner
+            // rotated its own.
+            PlanStep::Rotate => self.object.rotate_layout(),
         }
     }
 
-    /// Process one touch that addresses data.
-    fn process_touch(&mut self, location: PointCm, timestamp: Timestamp) -> Result<()> {
-        let started = Instant::now();
-        let mapped = TouchMapper::row_and_attribute_for_touch(&self.object.view, location)?;
-        let (row, attribute) = match mapped {
-            Some(m) => m,
-            None => return Ok(()),
-        };
-        if self.last_row == Some(row) {
-            self.stats.duplicate_touches += 1;
-            return Ok(());
-        }
-        self.last_row = Some(row);
-
-        let fraction = TouchMapper::fraction_for_row(&self.object.view, row);
-        let action = self.object.action.clone();
+    /// Fold one planned touch with the object's action.
+    fn process_touch(&mut self, action: &TouchAction, plan: &TouchPlan) -> Result<()> {
         match action {
-            TouchAction::Scan => self.do_scan(row, attribute, fraction, timestamp, None)?,
-            TouchAction::FilteredScan { predicate } => {
-                self.do_scan(row, attribute, fraction, timestamp, Some(&predicate))?
-            }
-            TouchAction::Aggregate(_) => {
-                self.do_aggregate(row, attribute, fraction, timestamp, None)?
-            }
+            TouchAction::Scan => self.do_scan(plan, None),
+            TouchAction::FilteredScan { predicate } => self.do_scan(plan, Some(predicate)),
+            TouchAction::Aggregate(_) => self.do_aggregate(plan, None),
             TouchAction::FilteredAggregate { predicate, .. } => {
-                self.do_aggregate(row, attribute, fraction, timestamp, Some(&predicate))?
+                self.do_aggregate(plan, Some(predicate))
             }
             TouchAction::Summary { half_window, kind } => {
-                let k = half_window.unwrap_or(self.config.summary_half_window);
-                self.do_summary(row, attribute, fraction, timestamp, k, kind)?
+                let summary = plan.summary.expect("a summary touch plans its window");
+                let half_window = half_window.unwrap_or(self.config.summary_half_window);
+                self.do_summary(plan, summary, half_window, *kind)
             }
-            TouchAction::Tuple => self.do_tuple(row, fraction, timestamp)?,
+            TouchAction::Tuple => self.do_tuple(plan),
             TouchAction::GroupBy {
                 group_attribute,
                 value_attribute,
                 ..
-            } => self.do_group_by(row, group_attribute, value_attribute, fraction, timestamp)?,
+            } => self.do_group_by(plan, *group_attribute, *value_attribute),
         }
-
-        let elapsed = started.elapsed().as_nanos() as u64;
-        self.stats.compute_nanos += elapsed;
-        self.stats.max_touch_nanos = self.stats.max_touch_nanos.max(elapsed);
-        Ok(())
     }
 
     fn emit(&mut self, result: TouchResult) {
@@ -448,23 +412,16 @@ impl<'a> Session<'a> {
         Ok(stats)
     }
 
-    fn do_scan(
-        &mut self,
-        row: RowId,
-        attribute: usize,
-        fraction: f64,
-        timestamp: Timestamp,
-        predicate: Option<&crate::operators::filter::Predicate>,
-    ) -> Result<()> {
+    fn do_scan(&mut self, plan: &TouchPlan, predicate: Option<&Predicate>) -> Result<()> {
         // Index scan path (Section 2.6): if the predicate's bounds prove the
         // touched block cannot contain a match, answer without touching data.
         if let Some(p) = predicate {
-            if self.index_proves_no_match(row, attribute, p) {
+            if self.index_proves_no_match(plan.row, plan.attribute, p) {
                 self.stats.index_skips += 1;
                 return Ok(());
             }
         }
-        let value = PointScan::value(&self.object.matrix, row, attribute)?;
+        let value = PointScan::value(&self.object.matrix, plan.row, plan.attribute)?;
         self.charge_rows(1);
         let kind = if let Some(p) = predicate {
             if !p.eval(&value)? {
@@ -474,18 +431,13 @@ impl<'a> Session<'a> {
         } else {
             ResultKind::Scan
         };
-        self.emit(TouchResult::single(row, fraction, value, timestamp, kind));
+        self.emit(plan.result(vec![value], kind));
         Ok(())
     }
 
     /// True if the object's zone-map index proves that the block containing
     /// `row` has no value within the predicate's numeric bounds.
-    fn index_proves_no_match(
-        &self,
-        row: RowId,
-        attribute: usize,
-        predicate: &crate::operators::filter::Predicate,
-    ) -> bool {
+    fn index_proves_no_match(&self, row: RowId, attribute: usize, predicate: &Predicate) -> bool {
         let Some((lo, hi)) = predicate.numeric_bounds() else {
             return false;
         };
@@ -503,14 +455,12 @@ impl<'a> Session<'a> {
 
     fn do_group_by(
         &mut self,
-        row: RowId,
+        plan: &TouchPlan,
         group_attribute: usize,
         value_attribute: usize,
-        fraction: f64,
-        timestamp: Timestamp,
     ) -> Result<()> {
-        let group = PointScan::value(&self.object.matrix, row, group_attribute)?;
-        let value = PointScan::value(&self.object.matrix, row, value_attribute)?.as_f64()?;
+        let group = PointScan::value(&self.object.matrix, plan.row, group_attribute)?;
+        let value = PointScan::value(&self.object.matrix, plan.row, value_attribute)?.as_f64()?;
         self.charge_rows(2);
         let groupby = self
             .groupby
@@ -518,25 +468,12 @@ impl<'a> Session<'a> {
             .expect("group-by action always has group-by state");
         groupby.update(group.clone(), value);
         let current = groupby.group(&group).expect("group just updated");
-        self.emit(TouchResult {
-            row,
-            position_fraction: fraction,
-            values: vec![group, Value::Float(current)],
-            produced_at: timestamp,
-            kind: ResultKind::GroupResult,
-        });
+        self.emit(plan.result(vec![group, Value::Float(current)], ResultKind::GroupResult));
         Ok(())
     }
 
-    fn do_aggregate(
-        &mut self,
-        row: RowId,
-        attribute: usize,
-        fraction: f64,
-        timestamp: Timestamp,
-        predicate: Option<&crate::operators::filter::Predicate>,
-    ) -> Result<()> {
-        let value = PointScan::value(&self.object.matrix, row, attribute)?;
+    fn do_aggregate(&mut self, plan: &TouchPlan, predicate: Option<&Predicate>) -> Result<()> {
+        let value = PointScan::value(&self.object.matrix, plan.row, plan.attribute)?;
         self.charge_rows(1);
         if let Some(p) = predicate {
             if !p.eval(&value)? {
@@ -550,21 +487,12 @@ impl<'a> Session<'a> {
             .expect("aggregate action always has aggregate state");
         agg.update(numeric);
         let current = agg.value().expect("non-empty aggregate");
-        self.emit(TouchResult::single(
-            row,
-            fraction,
-            Value::Float(current),
-            timestamp,
-            ResultKind::RunningAggregate,
-        ));
+        self.emit(plan.result(vec![Value::Float(current)], ResultKind::RunningAggregate));
         Ok(())
     }
 
-    /// An interactive summary (Section 2.7): "When during a slide we register
-    /// position p which corresponds to tuple identifier id_p, then dbTouch
-    /// scans all entries within the tuple identifier range [id_p − k, id_p +
-    /// k] and calculates a single aggregate value." The window is taken at
-    /// the sample level the gesture speed picks.
+    /// An interactive summary (Section 2.7) over the window the planner
+    /// picked for this touch.
     ///
     /// Section 4 asks that "results appear within the expected response time
     /// and then they are continuously refined": a window over the row cap
@@ -575,31 +503,20 @@ impl<'a> Session<'a> {
     /// is asynchronous, so the cap does not apply to it.
     fn do_summary(
         &mut self,
-        row: RowId,
-        attribute: usize,
-        fraction: f64,
-        timestamp: Timestamp,
+        plan: &TouchPlan,
+        summary: SummaryWindow,
         half_window: u64,
         kind: AggregateKind,
     ) -> Result<()> {
-        // Pick the sample level from gesture speed and object size.
-        let hierarchy = self.object.hierarchy(attribute)?;
-        let decision = self.granularity.decide(
-            &self.object.view,
-            hierarchy,
-            self.kinematics.speed_cm_per_s(),
-        );
-        let level = decision.sample_level;
-        *self.stats.sample_level_usage.entry(level).or_insert(0) += 1;
-
-        let level_count = hierarchy.level_count();
-        let column = hierarchy.level(level)?;
-        let center = hierarchy.map_row(row, level)?;
-        let window = RowRange::window(center, half_window, column.len());
-
+        let SummaryWindow {
+            level,
+            window,
+            read,
+        } = summary;
         // Device/cloud split: a window at a level finer than the device
         // holds is served by the (simulated) server. (An empty window is
         // all-local trivially: nothing to ship.)
+        let level_count = self.object.hierarchy(plan.attribute)?.level_count();
         let remote = match self.object.remote.as_ref() {
             Some(tier) if level < tier.effective_local_min(level_count) && !window.is_empty() => {
                 Some(tier.clone())
@@ -607,33 +524,17 @@ impl<'a> Session<'a> {
             _ => None,
         };
         if let Some(tier) = remote {
-            return self.do_summary_remote(
-                &tier,
-                row,
-                attribute,
-                fraction,
-                timestamp,
-                half_window,
-                kind,
-                level,
-                window,
-            );
+            return self.do_summary_remote(&tier, plan, half_window, kind, level, window);
         }
 
-        let capped = window.len() > self.row_cap;
-        let read = if capped {
-            RowRange::new(window.start, window.start + self.row_cap)
-        } else {
-            window
-        };
-        let stats = self.window_aggregate(attribute, level, kind, read)?;
+        let stats = self.window_aggregate(plan.attribute, level, kind, read)?;
         self.charge_rows(stats.count);
         let value = summary_value(kind, &stats);
-        let contribution = if capped {
+        let contribution = if summary.capped() {
             self.local.push(LocalRefinement {
                 result_index: self.results.len(),
                 contrib_index: self.ledger.contribs.len(),
-                attribute,
+                attribute: plan.attribute,
                 level,
                 window,
                 kind,
@@ -647,11 +548,8 @@ impl<'a> Session<'a> {
             return Ok(());
         };
         self.ledger.contribs.push(contribution);
-        self.emit(TouchResult::single(
-            row,
-            fraction,
-            Value::Float(value.unwrap_or(0.0)),
-            timestamp,
+        self.emit(plan.result(
+            vec![Value::Float(value.unwrap_or(0.0))],
             ResultKind::Summary,
         ));
         Ok(())
@@ -687,24 +585,20 @@ impl<'a> Session<'a> {
     /// window (a *provisional* result), ship the fine-level window to the
     /// executor, and record the refinement handle that will patch this very
     /// result — and resolve this touch's ledger slot — when it lands.
-    #[allow(clippy::too_many_arguments)]
     fn do_summary_remote(
         &mut self,
         tier: &RemoteTier,
-        row: RowId,
-        attribute: usize,
-        fraction: f64,
-        timestamp: Timestamp,
+        plan: &TouchPlan,
         half_window: u64,
         kind: AggregateKind,
         fine_level: u8,
         window: RowRange,
     ) -> Result<()> {
         let coarse = {
-            let hierarchy = self.object.hierarchy(attribute)?;
+            let hierarchy = self.object.hierarchy(plan.attribute)?;
             let local_min = tier.effective_local_min(hierarchy.level_count());
             let coarse_column = hierarchy.level(local_min)?;
-            let coarse_center = hierarchy.map_row(row, local_min)?;
+            let coarse_center = hierarchy.shape().map_row(plan.row, local_min)?;
             let coarse_window = RowRange::window(coarse_center, half_window, coarse_column.len());
             let (count, sum, min, max) = coarse_column.numeric_range_stats(coarse_window)?;
             RangeStats {
@@ -720,7 +614,7 @@ impl<'a> Session<'a> {
         let provisional = summary_value(kind, &coarse).unwrap_or(0.0);
         let ticket = tier.executor.submit(
             Arc::clone(&self.object.data),
-            attribute,
+            plan.attribute,
             fine_level,
             window,
             tier.queue(),
@@ -737,26 +631,14 @@ impl<'a> Session<'a> {
             kind,
             level: fine_level,
         });
-        self.emit(TouchResult::single(
-            row,
-            fraction,
-            Value::Float(provisional),
-            timestamp,
-            ResultKind::Summary,
-        ));
+        self.emit(plan.result(vec![Value::Float(provisional)], ResultKind::Summary));
         Ok(())
     }
 
-    fn do_tuple(&mut self, row: RowId, fraction: f64, timestamp: Timestamp) -> Result<()> {
-        let values = PointScan::tuple(&self.object.matrix, row)?;
+    fn do_tuple(&mut self, plan: &TouchPlan) -> Result<()> {
+        let values = PointScan::tuple(&self.object.matrix, plan.row)?;
         self.charge_rows(1);
-        self.emit(TouchResult {
-            row,
-            position_fraction: fraction,
-            values,
-            produced_at: timestamp,
-            kind: ResultKind::Tuple,
-        });
+        self.emit(plan.result(values, ResultKind::Tuple));
         Ok(())
     }
 }
@@ -766,9 +648,11 @@ mod tests {
     use super::*;
     use crate::kernel::{Kernel, TouchAction};
     use crate::operators::filter::{CompareOp, Predicate};
+    use dbtouch_gesture::recognizer::GestureEvent;
     use dbtouch_gesture::synthesizer::GestureSynthesizer;
     use dbtouch_types::wire::{encode, Wire};
     use dbtouch_types::SizeCm;
+    use dbtouch_types::{PointCm, Timestamp};
 
     /// `MIN_BYTES` is what the smallest value of each layout actually
     /// encodes to: no sequence guard rejects a valid frame.
@@ -1152,11 +1036,18 @@ mod tests {
             half_window: Some(200_000),
             kind: AggregateKind::Avg,
         });
+        let action = state.action().clone();
         let mut session = Session::new(&mut state, catalog.config());
-        assert_eq!(session.row_cap, 2_500);
-        session
-            .process_touch(PointCm::new(1.0, 5.0), Timestamp::ZERO)
-            .unwrap();
+        let tap = GestureEvent::Tap {
+            location: PointCm::new(1.0, 5.0),
+            timestamp: Timestamp::ZERO,
+        };
+        let step = session.planner.plan(tap, &mut session.stats).unwrap();
+        let Some(PlanStep::Touch(plan)) = step else {
+            panic!("a tap plans a touch: {step:?}");
+        };
+        assert_eq!(plan.summary.unwrap().read.len(), 2_500);
+        session.execute(&action, PlanStep::Touch(plan)).unwrap();
 
         assert_eq!(session.stats.rows_touched, 2_500);
         assert!(matches!(

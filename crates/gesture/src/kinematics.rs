@@ -9,19 +9,7 @@
 
 use crate::touch::{TouchEvent, TouchPhase};
 use dbtouch_types::PointCm;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// The gross direction of movement along the scroll axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScrollDirection {
-    /// Moving towards larger scroll coordinates (down for vertical objects).
-    Forward,
-    /// Moving towards smaller scroll coordinates (up for vertical objects).
-    Backward,
-    /// Not moving (paused gesture or brand new gesture).
-    Stationary,
-}
 
 /// Estimates the velocity of an ongoing gesture from its recent touch samples.
 #[derive(Debug, Clone)]
@@ -59,11 +47,6 @@ impl GestureKinematics {
         }
     }
 
-    /// Number of samples currently in the window.
-    pub fn sample_count(&self) -> usize {
-        self.window.len()
-    }
-
     /// Current velocity in centimetres per second as `(vx, vy)`, or `None` when
     /// fewer than two samples (or zero elapsed time) are available.
     pub fn velocity(&self) -> Option<(f64, f64)> {
@@ -81,25 +64,6 @@ impl GestureKinematics {
         match self.velocity() {
             Some((vx, vy)) => (vx * vx + vy * vy).sqrt(),
             None => 0.0,
-        }
-    }
-
-    /// Direction of movement along the vertical axis (`y`); use the rotated
-    /// variant of the view to interpret horizontal objects.
-    pub fn direction_y(&self) -> ScrollDirection {
-        match self.velocity() {
-            Some((_, vy)) if vy > 1e-9 => ScrollDirection::Forward,
-            Some((_, vy)) if vy < -1e-9 => ScrollDirection::Backward,
-            _ => ScrollDirection::Stationary,
-        }
-    }
-
-    /// Direction of movement along the horizontal axis (`x`).
-    pub fn direction_x(&self) -> ScrollDirection {
-        match self.velocity() {
-            Some((vx, _)) if vx > 1e-9 => ScrollDirection::Forward,
-            Some((vx, _)) if vx < -1e-9 => ScrollDirection::Backward,
-            _ => ScrollDirection::Stationary,
         }
     }
 
@@ -140,8 +104,6 @@ mod tests {
         assert!(vx.abs() < 1e-9);
         assert!((vy - 10.0).abs() < 1e-9); // 2cm over 0.2s
         assert!((k.speed_cm_per_s() - 10.0).abs() < 1e-9);
-        assert_eq!(k.direction_y(), ScrollDirection::Forward);
-        assert_eq!(k.direction_x(), ScrollDirection::Stationary);
     }
 
     #[test]
@@ -150,7 +112,6 @@ mod tests {
         k.observe(&event(0.0, 0.0, 0, TouchPhase::Began));
         assert!(k.velocity().is_none());
         assert_eq!(k.speed_cm_per_s(), 0.0);
-        assert_eq!(k.direction_y(), ScrollDirection::Stationary);
     }
 
     #[test]
@@ -158,7 +119,8 @@ mod tests {
         let mut k = GestureKinematics::default();
         k.observe(&event(0.0, 5.0, 0, TouchPhase::Began));
         k.observe(&event(0.0, 4.0, 100, TouchPhase::Moved));
-        assert_eq!(k.direction_y(), ScrollDirection::Backward);
+        let (_, vy) = k.velocity().unwrap();
+        assert!((vy + 10.0).abs() < 1e-9); // 1 cm back over 0.1 s
     }
 
     #[test]
@@ -168,8 +130,8 @@ mod tests {
         k.observe(&event(0.0, 5.0, 100, TouchPhase::Moved));
         // a new gesture starts far away much later: speed must not blend
         k.observe(&event(0.0, 0.0, 10_000, TouchPhase::Began));
-        assert_eq!(k.sample_count(), 1);
         assert!(k.velocity().is_none());
+        assert_eq!(k.extrapolate(1.0).unwrap(), PointCm::new(0.0, 0.0));
     }
 
     #[test]
@@ -205,8 +167,10 @@ mod tests {
     fn window_bounded() {
         let mut k = GestureKinematics::new(3);
         for i in 0..10u64 {
-            k.observe(&event(0.0, i as f64, i * 16, TouchPhase::Moved));
+            k.observe(&event(0.0, (i * i) as f64, i * 16, TouchPhase::Moved));
         }
-        assert_eq!(k.sample_count(), 3);
+        // Only the last three samples (rows 7..=9) set the velocity.
+        let (_, vy) = k.velocity().unwrap();
+        assert!((vy - (81.0 - 49.0) / 0.032).abs() < 1e-6);
     }
 }

@@ -19,8 +19,6 @@ use crate::touch::{TouchEvent, TouchPhase};
 use crate::trace::GestureTrace;
 use crate::view::View;
 use dbtouch_types::{PointCm, Timestamp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One segment of a slide: move from `from_fraction` to `to_fraction` of the
 /// view's scroll extent over `duration_s` seconds. Equal fractions produce a
@@ -72,8 +70,6 @@ impl SlideSegment {
 #[derive(Debug, Clone)]
 pub struct GestureSynthesizer {
     sample_rate_hz: f64,
-    jitter_cm: f64,
-    rng: StdRng,
 }
 
 impl GestureSynthesizer {
@@ -87,17 +83,7 @@ impl GestureSynthesizer {
         };
         GestureSynthesizer {
             sample_rate_hz: rate,
-            jitter_cm: 0.0,
-            rng: StdRng::seed_from_u64(0x0db7_0c11),
         }
-    }
-
-    /// Add Gaussian-ish positional jitter (uniform in `[-jitter, +jitter]` per
-    /// axis) to every sample, seeded deterministically for reproducibility.
-    pub fn with_jitter(mut self, jitter_cm: f64, seed: u64) -> GestureSynthesizer {
-        self.jitter_cm = jitter_cm.max(0.0);
-        self.rng = StdRng::seed_from_u64(seed);
-        self
     }
 
     /// The sampling rate in Hz.
@@ -108,15 +94,6 @@ impl GestureSynthesizer {
     /// Interval between samples in milliseconds (at least 1).
     fn sample_interval_ms(&self) -> u64 {
         ((1000.0 / self.sample_rate_hz).round() as u64).max(1)
-    }
-
-    fn jittered(&mut self, p: PointCm) -> PointCm {
-        if self.jitter_cm == 0.0 {
-            return p;
-        }
-        let dx = self.rng.gen_range(-self.jitter_cm..=self.jitter_cm);
-        let dy = self.rng.gen_range(-self.jitter_cm..=self.jitter_cm);
-        PointCm::new(p.x + dx, p.y + dy)
     }
 
     /// Position in view-local coordinates for a given fraction of the scroll
@@ -139,7 +116,6 @@ impl GestureSynthesizer {
     /// A single tap starting at `start` (for chaining gestures into sessions).
     pub fn tap_at(&mut self, view: &View, at_fraction: f64, start: Timestamp) -> GestureTrace {
         let p = Self::position_at_fraction(view, at_fraction);
-        let p = self.jittered(p);
         let mut trace = GestureTrace::new(view.name.clone());
         trace.push(TouchEvent::new(p, start, TouchPhase::Began));
         trace.push(TouchEvent::new(
@@ -194,7 +170,7 @@ impl GestureSynthesizer {
         let mut now_ms = start.as_millis();
         let mut last_point = Self::position_at_fraction(view, segments[0].from_fraction);
         trace.push(TouchEvent::new(
-            self.jittered(last_point),
+            last_point,
             Timestamp::from_millis(now_ms),
             TouchPhase::Began,
         ));
@@ -212,17 +188,13 @@ impl GestureSynthesizer {
                 } else {
                     TouchPhase::Moved
                 };
-                trace.push(TouchEvent::new(
-                    self.jittered(p),
-                    Timestamp::from_millis(now_ms),
-                    phase,
-                ));
+                trace.push(TouchEvent::new(p, Timestamp::from_millis(now_ms), phase));
                 last_point = p;
             }
         }
         now_ms += interval;
         trace.push(TouchEvent::new(
-            self.jittered(last_point),
+            last_point,
             Timestamp::from_millis(now_ms),
             TouchPhase::Ended,
         ));
@@ -495,22 +467,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let view = view();
-        let t1 = GestureSynthesizer::new(60.0)
-            .with_jitter(0.1, 42)
-            .slide_down(&view, 1.0);
-        let t2 = GestureSynthesizer::new(60.0)
-            .with_jitter(0.1, 42)
-            .slide_down(&view, 1.0);
-        let t3 = GestureSynthesizer::new(60.0)
-            .with_jitter(0.1, 7)
-            .slide_down(&view, 1.0);
-        assert_eq!(t1, t2);
-        assert_ne!(t1, t3);
     }
 
     #[test]

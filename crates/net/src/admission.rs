@@ -15,9 +15,9 @@
 //! Signals are read by key through a lookup. The serving loop passes one
 //! over the telemetry hub ([`Telemetry::metric`]: only the named source is
 //! collected, and with no threshold set nothing is read at all), so a request
-//! never pays for a full [`metrics_snapshot`] scrape. [`Admission::admit_open`]
-//! and [`Admission::admit_trace`] run the same thresholds over a scrape
-//! already in hand.
+//! never pays for a full [`metrics_snapshot`] scrape.
+//! [`Admission::admit_trace`] runs the same thresholds over a scrape already
+//! in hand.
 //!
 //! A tripped threshold produces a [`Verdict::Shed`] that the connection
 //! handler turns into an explicit `Shed` frame with a suggested backoff —
@@ -81,13 +81,6 @@ pub enum Verdict {
         /// The signal that tripped.
         reason: ShedReason,
     },
-}
-
-impl Verdict {
-    /// True when the request was admitted.
-    pub fn is_admit(&self) -> bool {
-        matches!(self, Verdict::Admit)
-    }
 }
 
 /// Stateless evaluator of [`ShedConfig`] thresholds against signals read by
@@ -157,12 +150,6 @@ impl Admission {
         self.admit_trace_with(lookup)
     }
 
-    /// The session-open decision (live-session cap, then the pressure
-    /// checks) over a scrape already in hand.
-    pub fn admit_open(&self, snapshot: &ServerMetricsSnapshot) -> Verdict {
-        self.admit_open_with(|key| snapshot.inner.get(key).cloned())
-    }
-
     /// The trace-submission decision (the pressure checks) over a scrape
     /// already in hand.
     pub fn admit_trace(&self, snapshot: &ServerMetricsSnapshot) -> Verdict {
@@ -196,7 +183,10 @@ mod tests {
         let snap = server.metrics_snapshot();
         let open = admission.admit_open_with(|key| hub.metric(key));
         let trace = admission.admit_trace_with(|key| hub.metric(key));
-        assert_eq!(open, admission.admit_open(&snap));
+        assert_eq!(
+            open,
+            admission.admit_open_with(|key| snap.inner.get(key).cloned())
+        );
         assert_eq!(trace, admission.admit_trace(&snap));
         (open, trace)
     }
@@ -205,11 +195,11 @@ mod tests {
     fn unlimited_config_admits_everything_and_reads_nothing() {
         let server = server();
         let (open, trace) = verdicts(&server, ShedConfig::default());
-        assert!(open.is_admit() && trace.is_admit());
+        assert!(open == Verdict::Admit && trace == Verdict::Admit);
         let admission = Admission::new(ShedConfig::default());
         let unread = |key: &str| -> Option<MetricValue> { panic!("read {key}") };
-        assert!(admission.admit_open_with(unread).is_admit());
-        assert!(admission.admit_trace_with(unread).is_admit());
+        assert_eq!(admission.admit_open_with(unread), Verdict::Admit);
+        assert_eq!(admission.admit_trace_with(unread), Verdict::Admit);
         server.shutdown();
     }
 
@@ -222,7 +212,7 @@ mod tests {
             ..ShedConfig::default()
         };
         let (open, _) = verdicts(&server, shed.clone());
-        assert!(open.is_admit());
+        assert_eq!(open, Verdict::Admit);
         let session = server.open_session();
         let (open, trace) = verdicts(&server, shed.clone());
         assert_eq!(
@@ -233,11 +223,11 @@ mod tests {
             }
         );
         // The cap gates new sessions only; existing traffic still flows.
-        assert!(trace.is_admit());
+        assert_eq!(trace, Verdict::Admit);
         session.close().unwrap();
         // With the session closed, opens are admitted again.
         let (open, _) = verdicts(&server, shed);
-        assert!(open.is_admit());
+        assert_eq!(open, Verdict::Admit);
         server.shutdown();
     }
 
@@ -263,7 +253,7 @@ mod tests {
             Verdict::Admit => panic!("expected shed at a zero backlog limit"),
         }
         let (open, trace) = verdicts(&server, limit(1));
-        assert!(open.is_admit() && trace.is_admit());
+        assert!(open == Verdict::Admit && trace == Verdict::Admit);
         server.shutdown();
     }
 
@@ -280,7 +270,7 @@ mod tests {
         };
         // No latencies yet: nothing to judge.
         let (open, trace) = verdicts(&server, limit(0));
-        assert!(open.is_admit() && trace.is_admit());
+        assert!(open == Verdict::Admit && trace == Verdict::Admit);
 
         let mut session = server.open_session();
         session.set_action(object, TouchAction::Scan).unwrap();
@@ -298,7 +288,7 @@ mod tests {
             Verdict::Admit => panic!("expected shed above an impossible p99"),
         }
         let (open, trace) = verdicts(&server, limit(u64::MAX));
-        assert!(open.is_admit() && trace.is_admit());
+        assert!(open == Verdict::Admit && trace == Verdict::Admit);
         session.close().unwrap();
         server.shutdown();
     }

@@ -127,7 +127,8 @@ impl TcpClient {
 pub struct TcpSession {
     stream: TcpStream,
     id: SessionId,
-    /// Trace ids this session stamped into `RunTrace` frames, in send order.
+    /// Trace ids of the `RunTrace` frames the server acknowledged, in send
+    /// order.
     stamped_traces: Vec<u64>,
     /// Every `Report` delta received so far, absorbed.
     report: SessionReport,
@@ -215,8 +216,10 @@ impl TcpSession {
     }
 
     /// Trace ids this session stamped into its `RunTrace` frames, in send
-    /// order. All carry [`CLIENT_ID_BIT`]; server-side span trees for those
-    /// gestures carry these exact ids.
+    /// order, for every trace the server acknowledged (a refused or shed
+    /// trace ran nothing, so it has no span tree to find). All carry
+    /// [`CLIENT_ID_BIT`]; server-side span trees for those gestures carry
+    /// these exact ids.
     pub fn stamped_trace_ids(&self) -> &[u64] {
         &self.stamped_traces
     }
@@ -241,9 +244,11 @@ impl ClientSession for TcpSession {
             trace: mint_client_id(),
             root_span: mint_client_id(),
         };
-        self.stamped_traces.push(ctx.trace);
         match self.call(&Request::RunTrace(object, trace, Some(ctx)))? {
-            Response::Ack => Ok(()),
+            Response::Ack => {
+                self.stamped_traces.push(ctx.trace);
+                Ok(())
+            }
             other => Err(unexpected("Ack", &other)),
         }
     }

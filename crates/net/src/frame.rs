@@ -40,7 +40,7 @@ pub const PROTOCOL_NAME: &str = "dbtouch-net";
 /// binary layouts (the session report, for one) and the frame checksum
 /// differ between versions, and so may what a frame means (from version 7 a
 /// `Report` is a delta, not the whole session report).
-pub const PROTOCOL_VERSION: u64 = 7;
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;

@@ -13,7 +13,8 @@
 //! A version bump need not move a byte: version 7 changed what a `Report`
 //! means (a delta of the session since its previous report, not the whole
 //! report) and left every layout alone, so its corpus hex is byte-identical
-//! to version 6's.
+//! to version 6's. Version 8 dropped the `ResultStream` fade policy (16
+//! bytes per outcome that no reader used) and retired `ResultKind` tag 4.
 //!
 //! Every frame is at most [`MAX_GOLDEN_FRAME`] bytes, so exhaustive
 //! mutation of the corpus (`codec_props.rs`) stays fast in debug builds.
@@ -23,7 +24,7 @@ use dbtouch_core::operators::aggregate::AggregateKind;
 use dbtouch_core::operators::filter::{CompareOp, Predicate};
 use dbtouch_core::remote::RemoteStats;
 use dbtouch_core::remote_exec::{Contribution, PendingRefinement, RefinementLedger};
-use dbtouch_core::result::{FadePolicy, ResultKind, ResultStream, TouchResult};
+use dbtouch_core::result::{ResultKind, ResultStream, TouchResult};
 use dbtouch_core::session::{SessionOutcome, SessionStats};
 use dbtouch_gesture::touch::{TouchEvent, TouchPhase};
 use dbtouch_gesture::trace::GestureTrace;
@@ -37,7 +38,7 @@ use dbtouch_types::{PointCm, RowId, Timestamp, Value};
 use std::collections::BTreeMap;
 
 /// The protocol version the hex below was generated under.
-pub const GOLDEN_PROTOCOL_VERSION: u64 = 7;
+pub const GOLDEN_PROTOCOL_VERSION: u64 = 8;
 
 /// Upper bound on any corpus frame.
 pub const MAX_GOLDEN_FRAME: usize = 2 << 10;
@@ -138,14 +139,10 @@ fn outcome() -> SessionOutcome {
         ResultKind::RunningAggregate,
         ResultKind::Summary,
         ResultKind::FilteredScan,
-        ResultKind::JoinMatch,
         ResultKind::GroupResult,
         ResultKind::Tuple,
     ];
-    let mut results = ResultStream::new(FadePolicy {
-        visible_ms: 300,
-        fade_ms: 700,
-    });
+    let mut results = ResultStream::new();
     for (i, kind) in kinds.into_iter().enumerate() {
         let values = match kind {
             ResultKind::Tuple => vec![
@@ -375,39 +372,37 @@ pub const GOLDEN: &[(&str, &str)] = &[
     ("ack", "21"),
     (
         "report",
-        "2207000000000000000200000003000000000000002c01000000000000bc0200\
-         000000000007000000e803000000000000000000000000000001000000010000\
-         000000000000000000000000000000e903000000000000000000000000c03f00\
-         000000100000000000000001ea03000000000000000000000000d03f01000000\
-         01000000000000f03f200000000000000002eb03000000000000000000000000\
-         d83f0100000001000000000000f83f300000000000000003ec03000000000000\
-         000000000000e03f01000000010000000000000040400000000000000004ed03\
-         000000000000000000000000e43f010000000100000000000004405000000000\
-         00000005ee03000000000000000000000000e83f050000000007000000000000\
-         0001000000000000f07f02010304000000ceb1ceb204ffffffffffffffff6000\
-         0000000000000665000000000000006600000000000000670000000000000068\
-         0000000000000069000000000000006a000000000000006b000000000000006c\
-         000000000000006e000000000000006f00000000000000700000000000000071\
-         0000000000000073000000000000007400000000000000020000000075000000\
-         0000000003760000000000000079000000000000007a000000000000007b0000\
-         00000000007e000000000000007f000000000000008000000000000000820000\
-         00000000008300000000000000010000000000000a4002000000030100000061\
-         000000000000f83f020000000000000000c00100000005000000000000000600\
-         0000000000000200000000000000010000000000000002030102030000000004\
-         00000000000000000000000000254001000000000000e03f0001050000000000\
-         0000020400000000000000040000000000000090010000000000002003000000\
+        "22070000000000000002000000030000000000000006000000e8030000000000\
+         00000000000000000001000000010000000000000000000000000000000000e9\
+         03000000000000000000000000c03f00000000100000000000000001ea030000\
+         00000000000000000000d03f0100000001000000000000f03f20000000000000\
+         0002eb03000000000000000000000000d83f0100000001000000000000f83f30\
+         0000000000000003ec03000000000000000000000000e03f0100000001000000\
+         0000000040400000000000000005ed03000000000000000000000000e43f0500\
+         000000070000000000000001000000000000f07f02010304000000ceb1ceb204\
+         ffffffffffffffff500000000000000006650000000000000066000000000000\
+         006700000000000000680000000000000069000000000000006a000000000000\
+         006b000000000000006c000000000000006e000000000000006f000000000000\
+         0070000000000000007100000000000000730000000000000074000000000000\
+         000200000000750000000000000003760000000000000079000000000000007a\
+         000000000000007b000000000000007e000000000000007f0000000000000080\
+         0000000000000082000000000000008300000000000000010000000000000a40\
+         02000000030100000061000000000000f83f020000000000000000c001000000\
+         0500000000000000060000000000000002000000000000000100000000000000\
+         0203010203000000000400000000000000000000000000254001000000000000\
+         e03f000105000000000000000204000000000000000400000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000\
-         0000000000000000000500000000000000a14b0f000000000000000000000000\
-         0040420f0000000000050000000001000000000000000101000000000000000a\
-         01000000000000000b010000000000000014010000000000000040420f000000\
-         0000020000000100000000000000020000000000000001000000000000000100\
-         0000409c00000000000039300000000000000200000010000000756e6b6e6f77\
-         6e206f626a656374203900000000",
+         0000000500000000000000a14b0f0000000000000000000000000040420f0000\
+         000000050000000001000000000000000101000000000000000a010000000000\
+         00000b010000000000000014010000000000000040420f000000000002000000\
+         01000000000000000200000000000000010000000000000001000000409c0000\
+         0000000039300000000000000200000010000000756e6b6e6f776e206f626a65\
+         6374203900000000",
     ),
     ("metrics_json", "230f0000007b226e65742e73686564223a20307d"),
     ("error", "240f0000006e6f2073657373696f6e206f70656e"),

@@ -94,11 +94,6 @@ impl SpanTree {
         self.spans.iter().find(|s| s.parent == 0)
     }
 
-    /// Root duration — the touch's end-to-end latency as the server saw it.
-    pub fn root_duration_nanos(&self) -> u64 {
-        self.root().map_or(0, |r| r.duration_nanos)
-    }
-
     /// JSON exposition of the whole tree.
     pub fn to_json(&self) -> Json {
         object([
@@ -504,7 +499,7 @@ mod tests {
         assert_eq!(tree.spans.len(), 4);
         let by_id = |id: u64| tree.spans.iter().find(|s| s.id == id).unwrap();
         assert_eq!(tree.root().unwrap().id, root);
-        assert_eq!(tree.root_duration_nanos(), 1_500);
+        assert_eq!(tree.root().unwrap().duration_nanos, 1_500);
         assert_eq!(by_id(wait).parent, root);
         assert_eq!(by_id(service).duration_nanos, 1_000);
         assert_eq!(by_id(seg).parent, service);

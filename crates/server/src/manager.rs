@@ -192,7 +192,8 @@ impl SessionHandle {
 
     /// Enqueue a gesture trace. Returns as soon as the event is queued; blocks
     /// only when the session already has `session_queue_depth` events in
-    /// flight (backpressure).
+    /// flight (backpressure). An invalid trace (see [`GestureTrace::validate`])
+    /// is refused here and never queued.
     pub fn run_trace(&self, object: ObjectId, trace: GestureTrace) -> Result<()> {
         self.run_trace_traced(object, trace, None)
     }
@@ -206,6 +207,7 @@ impl SessionHandle {
         trace: GestureTrace,
         wire: Option<WireTraceContext>,
     ) -> Result<()> {
+        trace.validate()?;
         self.submit(SessionEvent::RunTrace {
             object,
             trace,

@@ -160,15 +160,6 @@ impl Column {
         }
     }
 
-    /// Build a column of the given type from dynamically typed values.
-    pub fn from_values(name: impl Into<String>, dt: DataType, values: &[Value]) -> Result<Column> {
-        let mut col = Column::empty(name, dt);
-        for v in values {
-            col.push(v.clone())?;
-        }
-        Ok(col)
-    }
-
     /// Wrap a [`PagedColumn`] reader as a column: rows fault through the
     /// store's buffer pool on first touch instead of living in memory. This
     /// is how a reopened catalog's columns are built.
@@ -532,23 +523,6 @@ impl Column {
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(RowId(i)).expect("in bounds"))
     }
-
-    /// Direct access to `i64` data when the column is an integer column; used by
-    /// hot paths in the benchmark workloads.
-    pub fn as_i64_slice(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Int64(v) | ColumnData::Timestamp(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Direct access to `f64` data when the column is a float column.
-    pub fn as_f64_slice(&self) -> Option<&[f64]> {
-        match &self.data {
-            ColumnData::Float64(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -614,11 +588,15 @@ mod tests {
 
     #[test]
     fn from_values_dynamic() {
-        let vals = vec![Value::Float(1.0), Value::Float(2.5)];
-        let c = Column::from_values("f", DataType::Float64, &vals).unwrap();
+        let mut c = Column::empty("f", DataType::Float64);
+        for v in [Value::Float(1.0), Value::Float(2.5)] {
+            c.push(v).unwrap();
+        }
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(RowId(1)).unwrap(), Value::Float(2.5));
-        assert!(Column::from_values("f", DataType::Int64, &vals).is_err());
+        assert!(Column::empty("f", DataType::Int64)
+            .push(Value::Float(1.0))
+            .is_err());
     }
 
     #[test]
@@ -710,15 +688,6 @@ mod tests {
         let c = int_col();
         let total: i64 = c.iter().map(|v| v.as_i64().unwrap()).sum();
         assert_eq!(total, 45);
-    }
-
-    #[test]
-    fn typed_slice_accessors() {
-        let c = int_col();
-        assert_eq!(c.as_i64_slice().unwrap().len(), 10);
-        assert!(c.as_f64_slice().is_none());
-        let f = Column::from_f64("f", vec![1.0, 2.0]);
-        assert!(f.as_f64_slice().is_some());
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl ZoneMapIndex {
         Ok(self)
     }
 
-    /// Exact per-block sums, present for integer columns.
-    pub fn block_sums(&self) -> Option<&[i128]> {
-        self.sums.as_deref()
-    }
-
     /// Answer a block-aligned segment from the index alone, bit-identically
     /// to scanning it: exact `i128` sum from the stored block sums, min/max
     /// folded across block bounds (associative, so identical to the
@@ -165,17 +160,6 @@ impl ZoneMapIndex {
         Some(stats)
     }
 
-    /// True if any block overlapping `range` might contain a value in
-    /// `[lo, hi]` — the per-segment prune decision.
-    pub fn range_may_match(&self, range: RowRange, lo: f64, hi: f64) -> bool {
-        if range.start >= range.end || range.start >= self.column_len {
-            return false;
-        }
-        let first = (range.start / self.block_rows) as usize;
-        let last = range.end.min(self.column_len).div_ceil(self.block_rows) as usize;
-        (first..last).any(|b| self.block_may_match(b, lo, hi))
-    }
-
     /// The `(min, max)` pairs of every block, in block order.
     pub fn zones(&self) -> &[(f64, f64)] {
         &self.zones
@@ -195,11 +179,6 @@ impl ZoneMapIndex {
     pub fn block_range(&self, b: usize) -> RowRange {
         let start = b as u64 * self.block_rows;
         RowRange::new(start, (start + self.block_rows).min(self.column_len))
-    }
-
-    /// `(min, max)` of block `b`.
-    pub fn block_bounds(&self, b: usize) -> Option<(f64, f64)> {
-        self.zones.get(b).copied()
     }
 
     /// True if block `b` might contain a value in `[lo, hi]`.
@@ -226,17 +205,6 @@ impl ZoneMapIndex {
             .map(|b| self.block_range(b))
             .collect()
     }
-
-    /// Fraction of blocks skipped for a `[lo, hi]` predicate.
-    pub fn selectivity(&self, lo: f64, hi: f64) -> f64 {
-        if self.zones.is_empty() {
-            return 0.0;
-        }
-        let matching = (0..self.block_count())
-            .filter(|&b| self.block_may_match(b, lo, hi))
-            .count();
-        1.0 - matching as f64 / self.block_count() as f64
-    }
 }
 
 #[cfg(test)]
@@ -254,8 +222,8 @@ mod tests {
         assert_eq!(idx.block_rows(), 10);
         assert_eq!(idx.block_range(0), RowRange::new(0, 10));
         assert_eq!(idx.block_range(9), RowRange::new(90, 100));
-        assert_eq!(idx.block_bounds(3), Some((30.0, 39.0)));
-        assert_eq!(idx.block_bounds(10), None);
+        assert_eq!(idx.zones()[3], (30.0, 39.0));
+        assert_eq!(idx.zones().get(10), None);
     }
 
     #[test]
@@ -264,7 +232,7 @@ mod tests {
         let idx = ZoneMapIndex::build(&c, 10).unwrap();
         assert_eq!(idx.block_count(), 3);
         assert_eq!(idx.block_range(2), RowRange::new(20, 25));
-        assert_eq!(idx.block_bounds(2), Some((20.0, 24.0)));
+        assert_eq!(idx.zones()[2], (20.0, 24.0));
     }
 
     #[test]
@@ -289,19 +257,20 @@ mod tests {
                 RowRange::new(30, 40)
             ]
         );
-        assert!((idx.selectivity(15.0, 34.0) - 0.7).abs() < 1e-12);
-        assert_eq!(idx.selectivity(-100.0, 1000.0), 0.0);
-        assert_eq!(idx.selectivity(1000.0, 2000.0), 1.0);
+        // 7 of 10 blocks skipped; an all-covering predicate skips none, a
+        // disjoint one every block.
+        assert_eq!(idx.candidate_ranges(-100.0, 1000.0).len(), 10);
+        assert!(idx.candidate_ranges(1000.0, 2000.0).is_empty());
     }
 
     #[test]
     fn integer_columns_record_exact_block_sums() {
         let idx = ZoneMapIndex::build(&sorted_column(), 10).unwrap();
-        let sums = idx.block_sums().unwrap();
-        assert_eq!(sums.len(), 10);
-        assert_eq!(sums[3], (30..40).sum::<i128>());
+        let block = idx.segment_stats(RowRange::new(30, 40)).unwrap();
+        assert_eq!(block.sum, SegmentSum::Int((30..40).sum::<i128>()));
         let f = Column::from_f64("f", vec![1.0, 2.0, 3.0]);
-        assert!(ZoneMapIndex::build(&f, 2).unwrap().block_sums().is_none());
+        let fidx = ZoneMapIndex::build(&f, 2).unwrap();
+        assert!(fidx.segment_stats(RowRange::new(0, 2)).is_none());
     }
 
     #[test]
@@ -329,23 +298,12 @@ mod tests {
     fn with_block_sums_round_trip_and_validation() {
         let built = ZoneMapIndex::build(&sorted_column(), 10).unwrap();
         let restored = ZoneMapIndex::from_parts(10, 100, built.zones().to_vec()).unwrap();
-        assert!(restored.block_sums().is_none());
-        let restored = restored
-            .with_block_sums(built.block_sums().unwrap().to_vec())
-            .unwrap();
+        assert!(restored.segment_stats(RowRange::new(0, 10)).is_none());
+        let sums = (0..10).map(|b| (b * 10..b * 10 + 10).sum()).collect();
+        let restored = restored.with_block_sums(sums).unwrap();
         assert_eq!(restored, built);
         let bad = ZoneMapIndex::from_parts(10, 100, built.zones().to_vec()).unwrap();
         assert!(bad.with_block_sums(vec![0; 3]).is_err());
-    }
-
-    #[test]
-    fn range_matching_spans_blocks() {
-        let idx = ZoneMapIndex::build(&sorted_column(), 10).unwrap();
-        assert!(idx.range_may_match(RowRange::new(0, 100), 25.0, 27.0));
-        assert!(idx.range_may_match(RowRange::new(20, 30), 25.0, 27.0));
-        assert!(!idx.range_may_match(RowRange::new(30, 100), 25.0, 27.0));
-        assert!(!idx.range_may_match(RowRange::new(0, 0), 25.0, 27.0));
-        assert!(!idx.range_may_match(RowRange::new(200, 300), 0.0, 100.0));
     }
 
     #[test]
@@ -360,7 +318,6 @@ mod tests {
         let idx = ZoneMapIndex::build(&c, 10).unwrap();
         assert_eq!(idx.block_count(), 0);
         assert!(idx.candidate_ranges(0.0, 1.0).is_empty());
-        assert_eq!(idx.selectivity(0.0, 1.0), 0.0);
     }
 
     #[test]
@@ -384,7 +341,7 @@ mod tests {
             assert_eq!(idx, expected);
             // Constant blocks degenerate to min == max, so a predicate on
             // any other value prunes them without touching data.
-            assert_eq!(idx.block_bounds(0), Some((0.0, 0.0)));
+            assert_eq!(idx.zones()[0], (0.0, 0.0));
             assert!(!idx.block_may_match(0, 1.0, 3.0));
             // Block-aligned segments answer from stored sums either way.
             let answered = idx.segment_stats(RowRange::new(128, 512)).unwrap();

@@ -60,7 +60,7 @@ pub use page::DEFAULT_PAGE_SIZE;
 pub use pager::{ColumnExtent, PagedColumn, Pager, PagerStats};
 pub use persist::{CatalogStore, ObjectRecord, StoreManifest};
 pub use rotation::RotationTask;
-pub use sample::SampleHierarchy;
+pub use sample::{LevelShape, SampleHierarchy};
 pub use segment::{plan_segments, Segment, SegmentStats, SegmentSum};
 pub use shared_cache::{
     next_object_identity, RangeAggregate, SharedCacheStats, SharedResultCache, SummaryKey,

@@ -73,15 +73,6 @@ impl Matrix {
         }
     }
 
-    /// Build a matrix in the requested layout from a table.
-    pub fn from_table_with_layout(table: Table, layout: Layout) -> Result<Matrix> {
-        let m = Matrix::from_table(table);
-        match layout {
-            Layout::ColumnMajor => Ok(m),
-            Layout::RowMajor => m.converted_to(Layout::RowMajor),
-        }
-    }
-
     /// Object name.
     pub fn name(&self) -> &str {
         &self.name
@@ -527,7 +518,9 @@ mod tests {
 
     #[test]
     fn from_table_with_layout() {
-        let m = Matrix::from_table_with_layout(demo_table(), Layout::RowMajor).unwrap();
+        let m = Matrix::from_table(demo_table())
+            .converted_to(Layout::RowMajor)
+            .unwrap();
         assert_eq!(m.layout(), Layout::RowMajor);
         assert_eq!(m.get(RowId(0), 2).unwrap(), Value::Str("a".into()));
     }

@@ -117,11 +117,6 @@ impl RotationTask {
         }
     }
 
-    /// Borrow the partially built target matrix (rows `[0, converted_rows)`).
-    pub fn partial_target(&self) -> &Matrix {
-        &self.target
-    }
-
     /// Borrow the source matrix.
     pub fn source(&self) -> &Matrix {
         &self.source
@@ -197,7 +192,7 @@ mod tests {
             task.get(RowId(90), 1).unwrap(),
             m.get(RowId(90), 1).unwrap()
         );
-        assert_eq!(task.partial_target().row_count(), 30);
+        assert_eq!(task.converted_rows(), 30);
         assert_eq!(task.source().row_count(), 100);
     }
 

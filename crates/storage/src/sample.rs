@@ -8,11 +8,12 @@
 //! hierarchy-of-samples idea.
 //!
 //! A [`SampleHierarchy`] keeps level 0 = base data and level `i` = every
-//! `2^i`-th row of the base data. Given a requested granularity (how many base
-//! rows one touch is expected to cover), [`SampleHierarchy::level_for_stride`]
-//! picks the coarsest level that still distinguishes the touched rows, and
-//! [`SampleHierarchy::map_row`] translates base-data row identifiers into rows
-//! of that sample.
+//! `2^i`-th row of the base data. Its [`LevelShape`] — base rows and level
+//! count, no values — is all a touch plan needs: given a requested
+//! granularity (how many base rows one touch is expected to cover),
+//! [`LevelShape::level_for_stride`] picks the coarsest level that still
+//! distinguishes the touched rows, and [`LevelShape::map_row`] translates
+//! base-data row identifiers into rows of that sample.
 
 use crate::column::Column;
 use dbtouch_types::{DbTouchError, Result, RowId};
@@ -26,12 +27,14 @@ use serde::{Deserialize, Serialize};
 /// use dbtouch_types::RowId;
 ///
 /// let hierarchy = SampleHierarchy::build(Column::from_i64("c", (0..1024).collect()), 6).unwrap();
+/// let shape = hierarchy.shape();
 /// // A gesture expected to skip ~16 base rows per touch reads level 4.
-/// let level = hierarchy.level_for_stride(16);
+/// let level = shape.level_for_stride(16);
 /// assert_eq!(level, 4);
 /// assert_eq!(hierarchy.level(level).unwrap().len(), 64);
+/// assert_eq!(shape.level_len(level).unwrap(), 64);
 /// // Base row 500 maps to sample row 31 of that level.
-/// assert_eq!(hierarchy.map_row(RowId(500), level).unwrap(), RowId(31));
+/// assert_eq!(shape.map_row(RowId(500), level).unwrap(), RowId(31));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleHierarchy {
@@ -116,6 +119,46 @@ impl SampleHierarchy {
         1u64 << level
     }
 
+    /// The hierarchy's shape: base rows and materialized levels.
+    pub fn shape(&self) -> LevelShape {
+        LevelShape {
+            base_rows: self.base_len(),
+            level_count: self.level_count(),
+        }
+    }
+
+    /// Map a row of `level` back to the base-data row it was sampled from.
+    pub fn unmap_row(&self, sample_row: RowId, level: u8) -> Result<RowId> {
+        self.level(level)?; // validate level
+        let base = RowId(sample_row.0 * self.stride(level));
+        Ok(base.clamp_to(self.base_len()).unwrap_or(RowId::ZERO))
+    }
+}
+
+/// The shape of a sample hierarchy: how many base rows it samples and how
+/// many levels it materializes. Level `i` holds every `2^i`-th base row, so
+/// the shape alone fixes every level's length and every row mapping — a
+/// touch plan reads it and never a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelShape {
+    /// Rows of the base data (level 0).
+    pub base_rows: u64,
+    /// Levels materialized (>= 1).
+    pub level_count: u8,
+}
+
+impl LevelShape {
+    /// Rows held by `level`: every `2^level`-th base row, the first included.
+    pub fn level_len(&self, level: u8) -> Result<u64> {
+        if level >= self.level_count {
+            return Err(DbTouchError::InvalidSampleLevel {
+                level,
+                max: self.level_count,
+            });
+        }
+        Ok(self.base_rows.div_ceil(1u64 << level))
+    }
+
     /// Pick the coarsest level whose stride does not exceed `stride` (the
     /// expected number of base rows between two consecutive touches). A stride
     /// of 0 or 1 always selects the base level.
@@ -125,27 +168,14 @@ impl SampleHierarchy {
         }
         // floor(log2(stride)), clamped to the materialized levels.
         let wanted = 63 - stride.leading_zeros() as u8;
-        wanted.min(self.level_count().saturating_sub(1))
+        wanted.min(self.level_count.saturating_sub(1))
     }
 
     /// Map a base-data row identifier to the nearest row of `level`.
     pub fn map_row(&self, base_row: RowId, level: u8) -> Result<RowId> {
-        let col = self.level(level)?;
-        let stride = self.stride(level);
-        let mapped = RowId(base_row.0 / stride);
-        Ok(mapped.clamp_to(col.len()).unwrap_or(RowId::ZERO))
-    }
-
-    /// Map a row of `level` back to the base-data row it was sampled from.
-    pub fn unmap_row(&self, sample_row: RowId, level: u8) -> Result<RowId> {
-        self.level(level)?; // validate level
-        let base = RowId(sample_row.0 * self.stride(level));
-        Ok(base.clamp_to(self.base_len()).unwrap_or(RowId::ZERO))
-    }
-
-    /// Total extra bytes used by the hierarchy beyond the base data.
-    pub fn auxiliary_bytes(&self) -> u64 {
-        self.levels.iter().skip(1).map(|c| c.byte_size()).sum()
+        let len = self.level_len(level)?;
+        let mapped = RowId(base_row.0 >> level);
+        Ok(mapped.clamp_to(len).unwrap_or(RowId::ZERO))
     }
 }
 
@@ -163,6 +193,13 @@ mod tests {
         let h = hierarchy();
         assert_eq!(h.level_count(), 6);
         assert_eq!(h.base_len(), 1000);
+        for level in 0..6 {
+            assert_eq!(
+                h.shape().level_len(level).unwrap(),
+                h.level(level).unwrap().len()
+            );
+        }
+        assert!(h.shape().level_len(6).is_err());
         assert_eq!(h.level(1).unwrap().len(), 500);
         assert_eq!(h.level(5).unwrap().len(), 1000 / 32 + 1);
         assert!(h.level(6).is_err());
@@ -199,7 +236,7 @@ mod tests {
 
     #[test]
     fn level_for_stride_picks_coarsest_fitting() {
-        let h = hierarchy();
+        let h = hierarchy().shape();
         assert_eq!(h.level_for_stride(0), 0);
         assert_eq!(h.level_for_stride(1), 0);
         assert_eq!(h.level_for_stride(2), 1);
@@ -211,7 +248,7 @@ mod tests {
     #[test]
     fn map_row_and_back() {
         let h = hierarchy();
-        let mapped = h.map_row(RowId(100), 3).unwrap();
+        let mapped = h.shape().map_row(RowId(100), 3).unwrap();
         assert_eq!(mapped, RowId(12));
         let back = h.unmap_row(mapped, 3).unwrap();
         assert_eq!(back, RowId(96));
@@ -219,16 +256,19 @@ mod tests {
     }
 
     #[test]
-    fn map_row_clamps_to_level_length() {
+    fn auxiliary_bytes_less_than_base() {
         let h = hierarchy();
-        let last = h.map_row(RowId(999), 5).unwrap();
-        assert!(last.0 < h.level(5).unwrap().len());
+        let auxiliary: u64 = (1..h.level_count())
+            .map(|level| h.level(level).unwrap().byte_size())
+            .sum();
+        assert!(auxiliary > 0);
+        assert!(auxiliary < h.base().byte_size());
     }
 
     #[test]
-    fn auxiliary_bytes_less_than_base() {
+    fn map_row_clamps_to_level_length() {
         let h = hierarchy();
-        assert!(h.auxiliary_bytes() > 0);
-        assert!(h.auxiliary_bytes() < h.base().byte_size());
+        let last = h.shape().map_row(RowId(999), 5).unwrap();
+        assert!(last.0 < h.level(5).unwrap().len());
     }
 }

@@ -4,8 +4,8 @@
 //! table reveals a full tuple; a vertical slide scans tuples; a horizontal slide
 //! walks the attributes of one tuple (Section 2.4). Users can also break tables
 //! apart (drag a column out) or build them up (drop columns into a table
-//! placeholder), which is supported here by [`Table::remove_column`] and
-//! [`Table::add_column`].
+//! placeholder); the catalog rebuilds a table from its columns for both, and
+//! [`Table::add_column`] checks each one.
 
 use crate::column::Column;
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, Value};
@@ -72,13 +72,6 @@ impl Table {
             .ok_or_else(|| DbTouchError::NotFound(format!("column {name}")))
     }
 
-    /// Look up a column by position.
-    pub fn column_at(&self, index: usize) -> Result<&Column> {
-        self.columns
-            .get(index)
-            .ok_or_else(|| DbTouchError::NotFound(format!("column index {index}")))
-    }
-
     /// Position of a column by name.
     pub fn column_index(&self, name: &str) -> Result<usize> {
         self.columns
@@ -103,13 +96,6 @@ impl Table {
         Ok(())
     }
 
-    /// Remove a column and return it (the "drag a column out of a fat table"
-    /// gesture of Section 2.8).
-    pub fn remove_column(&mut self, name: &str) -> Result<Column> {
-        let idx = self.column_index(name)?;
-        Ok(self.columns.remove(idx))
-    }
-
     /// Materialize a full tuple (one value per column) at `row`. This is what a
     /// single tap over a table object reveals.
     pub fn row(&self, row: RowId) -> Result<Vec<Value>> {
@@ -125,14 +111,6 @@ impl Table {
     /// Total size of the table's data in bytes.
     pub fn byte_size(&self) -> u64 {
         self.columns.iter().map(|c| c.byte_size()).sum()
-    }
-
-    /// Width of one row in bytes (sum of the fixed widths of all columns).
-    pub fn row_width_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| c.data_type().width_bytes())
-            .sum()
     }
 }
 
@@ -166,7 +144,6 @@ mod tests {
                 ("tag".to_string(), DataType::FixedStr(4)),
             ]
         );
-        assert_eq!(t.row_width_bytes(), 8 + 8 + 4);
         assert_eq!(t.byte_size(), 3 * (8 + 8 + 4) as u64);
     }
 
@@ -199,8 +176,6 @@ mod tests {
         let t = demo_table();
         assert_eq!(t.column("price").unwrap().data_type(), DataType::Float64);
         assert!(t.column("missing").is_err());
-        assert_eq!(t.column_at(0).unwrap().name(), "id");
-        assert!(t.column_at(9).is_err());
         assert_eq!(t.column_index("tag").unwrap(), 2);
     }
 
@@ -213,16 +188,6 @@ mod tests {
             vec![Value::Int(2), Value::Float(2.5), Value::Str("bb".into())]
         );
         assert!(t.row(RowId(3)).is_err());
-    }
-
-    #[test]
-    fn remove_column_drag_out() {
-        let mut t = demo_table();
-        let c = t.remove_column("price").unwrap();
-        assert_eq!(c.name(), "price");
-        assert_eq!(t.column_count(), 2);
-        assert!(t.column("price").is_err());
-        assert!(t.remove_column("price").is_err());
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl DataGenerator {
         (0..n).map(|_| self.rng.gen_range(low..high)).collect()
     }
 
-    /// `n` floats uniform in `[low, high)`.
-    pub fn uniform_floats(&mut self, n: usize, low: f64, high: f64) -> Vec<f64> {
-        (0..n).map(|_| self.rng.gen_range(low..high)).collect()
-    }
-
     /// `n` approximately Gaussian floats (sum of 12 uniforms) with the given
     /// mean and standard deviation.
     pub fn gaussian(&mut self, n: usize, mean: f64, std_dev: f64) -> Vec<f64> {
@@ -128,12 +123,6 @@ mod tests {
         // degenerate range doesn't panic
         let w = DataGenerator::new(1).uniform_ints(10, 5, 5);
         assert_eq!(w.len(), 10);
-    }
-
-    #[test]
-    fn uniform_floats_in_range() {
-        let v = DataGenerator::new(2).uniform_floats(1000, 0.0, 1.0);
-        assert!(v.iter().all(|&x| (0.0..1.0).contains(&x)));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   inside it.
 //! * [`explorer`] — simulated users: a dbTouch explorer that slides, reads
 //!   interactive summaries and zooms into suspicious regions, and a SQL
-//!   explorer that fires aggregate queries at the baseline engine. Both report
+//!   explorer that fires one bucket aggregate per query at the naive engine
+//!   (`dbtouch-baseline`), which scans the whole key column first. Both report
 //!   how much data they touched and how close they got to the hidden pattern.
 //! * [`concurrent`] — K simultaneous explorers driven through
 //!   `dbtouch-server` against one shared catalog, with a seeded sequential

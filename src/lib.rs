@@ -14,8 +14,9 @@
 //! * [`core`] — the dbTouch kernel: touch→tuple-identifier mapping, per-touch
 //!   operators (scan, running aggregates, interactive summaries, filters,
 //!   non-blocking joins), sessions, adaptive policies and layout gestures.
-//! * [`baseline`] — a traditional blocking column-store executor with a small
-//!   SQL-like query language, used as the comparison system.
+//! * [`baseline`] — the naive engine: a blocking, row-at-a-time column store,
+//!   used as the comparison system and as the reference every data path is
+//!   checked against.
 //! * [`workload`] — synthetic data generators, pattern injection and simulated
 //!   explorer policies for the evaluation scenarios, including concurrent
 //!   multi-explorer drivers.

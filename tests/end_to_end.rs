@@ -2,6 +2,7 @@
 //! layout gestures and the exploration scenarios, all at a scale small enough
 //! for CI.
 
+use dbtouch::baseline::NaiveEngine;
 use dbtouch::core::kernel::TouchAction;
 use dbtouch::core::operators::aggregate::AggregateKind;
 use dbtouch::core::operators::filter::{CompareOp, Predicate};
@@ -222,28 +223,17 @@ fn exploration_contest_dbtouch_touches_less_data() {
 
 #[test]
 fn group_by_gesture_approximates_baseline_group_sizes() {
-    // dbTouch group-by over a long slide vs. the exact group-by of the baseline
-    // engine: relative group sizes should agree (all groups are equally likely).
+    // dbTouch group-by over a long slide vs. the exact group sizes of the
+    // data: relative group sizes should agree (all groups are equally likely).
     let rows = 40_000usize;
     let regions: Vec<i64> = (0..rows as i64).map(|i| i % 5).collect();
     let amounts: Vec<f64> = (0..rows).map(|i| (i % 10) as f64).collect();
-
-    let mut db = dbtouch::baseline::engine::Database::new();
-    db.register(
-        Table::from_columns(
-            "sales",
-            vec![
-                StorageColumn::from_i64("region", regions.clone()),
-                StorageColumn::from_f64("amount", amounts.clone()),
-            ],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    let exact = db
-        .run_sql("select region, count(*) from sales group by region")
-        .unwrap();
-    assert_eq!(exact.rows.len(), 5);
+    let mut exact = std::collections::BTreeMap::new();
+    for region in &regions {
+        *exact.entry(*region).or_insert(0u64) += 1;
+    }
+    assert_eq!(exact.len(), 5);
+    assert!(exact.values().all(|&size| size == rows as u64 / 5));
 
     let mut kernel = Kernel::new(KernelConfig::default());
     let table = Table::from_columns(
@@ -269,7 +259,13 @@ fn group_by_gesture_approximates_baseline_group_sizes() {
     let outcome = kernel
         .run_trace(id, &GestureSynthesizer::new(60.0).slide_down(&view, 4.0))
         .unwrap();
-    assert_eq!(outcome.final_groups.len(), 5);
+    let groups: Vec<Value> = outcome
+        .final_groups
+        .iter()
+        .map(|(g, _)| g.clone())
+        .collect();
+    let exact_groups: Vec<Value> = exact.keys().map(|&region| Value::Int(region)).collect();
+    assert_eq!(groups, exact_groups);
     // groups are uniform, so the touched sample should be roughly balanced too
     let counts: Vec<f64> = outcome.final_groups.iter().map(|(_, c)| *c).collect();
     let max = counts.iter().cloned().fold(f64::MIN, f64::max);
@@ -279,21 +275,12 @@ fn group_by_gesture_approximates_baseline_group_sizes() {
 
 #[test]
 fn baseline_and_dbtouch_agree_on_the_data() {
-    // The baseline's exact average and the dbTouch running average from a slow
-    // slide should agree within a few percent on uniform data.
+    // The naive engine's exact average and the dbTouch running average from
+    // a slow slide should agree within a few percent on uniform data.
     let values: Vec<i64> = (0..200_000).collect();
-    let mut db = dbtouch::baseline::engine::Database::new();
-    db.register(
-        Table::from_columns("t", vec![StorageColumn::from_i64("v", values.clone())]).unwrap(),
-    )
-    .unwrap();
-    let exact = db
-        .run_sql("select avg(v) from t")
-        .unwrap()
-        .scalar()
-        .unwrap()
-        .as_f64()
-        .unwrap();
+    let mut naive = NaiveEngine::new(vec![values.iter().copied().map(Value::Int).collect()], 1);
+    let whole = naive.fold(0, 0, 0..values.len() as u64).unwrap();
+    let exact = whole.sum / whole.count as f64;
 
     let mut kernel = Kernel::new(KernelConfig::default());
     let id = kernel

@@ -520,8 +520,9 @@ fn admission_takes_no_scrape_per_request() {
 }
 
 /// A trace one touch over [`MAX_TRACE_TOUCHES`] is refused as an invalid
-/// gesture before any touch runs; the session serves its next trace as if
-/// the refused one had never arrived.
+/// gesture before it is queued — `run_trace` returns the typed error — and
+/// the session serves its next trace as if the refused one had never
+/// arrived.
 #[test]
 fn a_trace_over_the_touch_cap_is_an_invalid_gesture() {
     let (server, catalog, object) = serve_scenario(10_000, ServerConfig::with_workers(1));
@@ -534,18 +535,22 @@ fn a_trace_over_the_touch_cap_is_an_invalid_gesture() {
 
     let mut session = client.open_session().unwrap();
     session.set_action(object, plan.action.clone()).unwrap();
-    session.run_trace(object, oversized).unwrap();
+    // Refused at the edge, before it is queued: the reply is a typed error.
+    let refused = session
+        .run_trace(object, oversized)
+        .unwrap_err()
+        .to_string();
+    let invalid = DbTouchError::InvalidGesture(String::new()).to_string();
+    assert!(refused.contains(&invalid), "{refused}");
+    assert!(
+        refused.contains(&(MAX_TRACE_TOUCHES + 1).to_string()),
+        "{refused}"
+    );
     session.run_trace(object, plan.traces[0].clone()).unwrap();
+    assert_eq!(session.stamped_trace_ids().len(), 1);
     let report = session.close().unwrap();
 
-    let invalid = DbTouchError::InvalidGesture(String::new()).to_string();
-    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
-    assert!(report.errors[0].contains(&invalid), "{:?}", report.errors);
-    assert!(
-        report.errors[0].contains(&(MAX_TRACE_TOUCHES + 1).to_string()),
-        "{:?}",
-        report.errors
-    );
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(report.traces_run(), 1);
     let expected = run_sequential(&catalog, object, &plans).unwrap();
     assert_eq!(report.result_digest(), expected[0]);

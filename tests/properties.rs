@@ -3,9 +3,12 @@
 //! rotation, the gesture synthesizer, and the epoch-versioned catalog's
 //! live-restructure atomicity.
 
+use dbtouch::baseline::NaiveEngine;
 use dbtouch::core::mapping::TouchMapper;
 use dbtouch::core::operators::aggregate::{AggregateKind, RunningAggregate};
+use dbtouch::core::operators::filter::{CompareOp, Predicate};
 use dbtouch::core::operators::join::{BlockingHashJoin, JoinSide, SymmetricHashJoin};
+use dbtouch::gesture::synthesizer::SlideSegment;
 use dbtouch::gesture::view::View;
 use dbtouch::prelude::*;
 use dbtouch::server::{digest_outcomes, TraceOutcome};
@@ -16,6 +19,18 @@ use dbtouch::storage::rotation::RotationTask;
 use dbtouch::storage::sample::SampleHierarchy;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod oracle;
+
+/// The naive engine's column of integers.
+fn ints(values: &[i64]) -> Vec<Value> {
+    values.iter().copied().map(Value::Int).collect()
+}
+
+/// The naive engine's column of floats.
+fn floats(values: &[f64]) -> Vec<Value> {
+    values.iter().copied().map(Value::Float).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -79,7 +94,7 @@ proptest! {
         }
         let probe = probe % len;
         for level in 0..hierarchy.level_count() {
-            let mapped = hierarchy.map_row(RowId(probe), level).unwrap();
+            let mapped = hierarchy.shape().map_row(RowId(probe), level).unwrap();
             prop_assert!(mapped.0 < hierarchy.level(level).unwrap().len());
             let back = hierarchy.unmap_row(mapped, level).unwrap();
             prop_assert!(back.distance(RowId(probe)) < hierarchy.stride(level));
@@ -464,7 +479,10 @@ proptest! {
     /// `group_aggregates` are identical across `scan_parallelism ∈ {1, 2, 8}`
     /// × `segment_rows ∈ {small, large, unaligned-to-len}` — with the remote
     /// overlap executor active, and (membership in the sequential baselines)
-    /// under live `drag_column_out`/`drag_column_into` churn.
+    /// under live `drag_column_out`/`drag_column_into` churn. Every outcome
+    /// also equals the oracle's, and so does a capped run: a 10 µs
+    /// `touch_budget_micros` at base-level reads over zone-mapped 4 096-row
+    /// segments, whose every window is a refinement.
     #[test]
     fn scan_knob_grid_is_digest_invariant_under_churn_and_remote(
         rows in 60_000i64..120_000,
@@ -485,22 +503,33 @@ proptest! {
                 .with_segment_rows(segment_rows)
                 .with_remote_split(split)
         };
+        let ids: Vec<i64> = (0..rows).collect();
+        let prices: Vec<f64> = (0..rows).map(|i| i as f64 / 2.0).collect();
+        let qtys: Vec<i64> = (0..rows).map(|i| i % 7).collect();
         let build = |c: KernelConfig| {
             let catalog = Arc::new(SharedCatalog::new(c));
             let table = Table::from_columns(
                 "t",
                 vec![
-                    StorageColumn::from_i64("id", (0..rows).collect()),
-                    StorageColumn::from_f64("price", (0..rows).map(|i| i as f64 / 2.0).collect()),
-                    StorageColumn::from_i64("qty", (0..rows).map(|i| i % 7).collect()),
+                    StorageColumn::from_i64("id", ids.clone()),
+                    StorageColumn::from_f64("price", prices.clone()),
+                    StorageColumn::from_i64("qty", qtys.clone()),
                 ],
             )
             .unwrap();
             let tid = catalog.load_table(table, SizeCm::new(6.0, 10.0)).unwrap();
             (catalog, tid)
         };
-        // Wide windows over the integer `id` attribute: every touch
-        // decomposes into segment morsels at small segment_rows settings.
+        // The oracle's columns: the table as loaded, with `price` dragged
+        // out, and with it merged back (appended).
+        let (id, price, qty) = (ints(&ids), floats(&prices), ints(&qtys));
+        let layouts = [
+            vec![id.clone(), price.clone(), qty.clone()],
+            vec![id.clone(), qty.clone()],
+            vec![id, qty, price],
+        ];
+        // Wide windows: every touch of the integer columns decomposes into
+        // segment morsels at small segment_rows settings.
         let action = TouchAction::Summary {
             half_window: Some(20_000),
             kind: AggregateKind::Avg,
@@ -512,46 +541,83 @@ proptest! {
         };
 
         let (baseline_catalog, baseline_tid) = build(config(1, 65_536, false));
-        let view = baseline_catalog.data(baseline_tid).unwrap().base_view().clone();
+        let start_view = |catalog: &Arc<SharedCatalog>| {
+            catalog.data(baseline_tid).unwrap().base_view().clone()
+        };
+        let view = start_view(&baseline_catalog);
         let trace = GestureSynthesizer::new(60.0).slide_down(&view, duration);
         let run_local = |catalog: &Arc<SharedCatalog>, tid, action: &TouchAction| {
             let mut kernel = Kernel::from_catalog(Arc::clone(catalog));
             kernel.set_action(tid, action.clone()).unwrap();
             let outcome = kernel.run_trace(tid, &trace).unwrap();
-            let agg = outcome.final_aggregate.map(f64::to_bits);
-            let groups = outcome.final_groups.clone();
-            (digest_outcomes([TraceOutcome { object: tid, outcome }].iter()), agg, groups)
+            let digest = digest_outcomes([TraceOutcome { object: tid, outcome: outcome.clone() }].iter());
+            (digest, outcome)
+        };
+        let oracle = |layout: &[Vec<Value>], view: &View, action: &TouchAction, config: &KernelConfig| {
+            let mut engine = NaiveEngine::new(layout.to_vec(), config.sample_levels);
+            oracle::expected_outcome(&mut engine, view, action, config, &trace)
         };
         // Sequential baselines at scan_parallelism = 1: the untouched table,
-        // after dragging `price` out, and after merging it back.
-        let (d0, agg0, _) = run_local(&baseline_catalog, baseline_tid, &action);
-        let (_, _, groups0) = run_local(&baseline_catalog, baseline_tid, &group_action);
+        // after dragging `price` out, and after merging it back. Each is
+        // also the oracle's outcome over that layout.
+        let local = baseline_catalog.config().clone();
+        let expected0 = oracle(&layouts[0], &view, &action, &local);
+        let expected_groups = oracle(&layouts[0], &view, &group_action, &local);
+        let (d0, out0) = run_local(&baseline_catalog, baseline_tid, &action);
+        oracle::check(&out0, &expected0, true)?;
+        let (_, groups0) = run_local(&baseline_catalog, baseline_tid, &group_action);
+        oracle::check(&groups0, &expected_groups, true)?;
+        // The per-touch actions: the sorted `price` is under the slide, so
+        // its zone map lets the filtered scan skip the upper half's blocks.
+        let lower_half = Predicate::compare(CompareOp::Lt, rows as f64 / 4.0);
+        for point_action in [
+            TouchAction::Scan,
+            TouchAction::FilteredScan { predicate: lower_half.clone() },
+            TouchAction::Aggregate(AggregateKind::Sum),
+            TouchAction::FilteredAggregate { predicate: lower_half, kind: AggregateKind::Avg },
+        ] {
+            let expected = oracle(&layouts[0], &view, &point_action, &local);
+            let (_, outcome) = run_local(&baseline_catalog, baseline_tid, &point_action);
+            oracle::check(&outcome, &expected, true)
+                .map_err(|e| format!("{point_action:?}: {e}"))?;
+            if matches!(point_action, TouchAction::FilteredScan { .. }) {
+                prop_assert!(outcome.stats.index_skips > 0, "no touch was index-skipped");
+            }
+        }
         let qid = baseline_catalog
             .drag_column_out(baseline_tid, "price", SizeCm::new(2.0, 10.0))
             .unwrap();
-        let (d1, _, _) = run_local(&baseline_catalog, baseline_tid, &action);
+        let expected1 = oracle(&layouts[1], &start_view(&baseline_catalog), &action, &local);
+        let (d1, out1) = run_local(&baseline_catalog, baseline_tid, &action);
+        oracle::check(&out1, &expected1, true)?;
         baseline_catalog.drag_column_into(baseline_tid, qid).unwrap();
-        let (d2, _, _) = run_local(&baseline_catalog, baseline_tid, &action);
+        let expected2 = oracle(&layouts[2], &start_view(&baseline_catalog), &action, &local);
+        let (d2, out2) = run_local(&baseline_catalog, baseline_tid, &action);
+        oracle::check(&out2, &expected2, true)?;
         prop_assert_ne!(d0, d1);
 
+        let serve = |catalog: &Arc<SharedCatalog>, tid| {
+            let server =
+                ExplorationServer::serve(ServerConfig::with_workers(2).with_catalog(Arc::clone(catalog))).unwrap();
+            let session = server.open_session();
+            session.set_action(tid, action.clone()).unwrap();
+            session.run_trace(tid, trace.clone()).unwrap();
+            let report = session.close().unwrap();
+            server.shutdown();
+            report
+        };
         for &parallelism in &[1usize, 2, 8] {
             for &segment_rows in &[3_000u64, 65_536, 7_777] {
                 // Static sweep, remote overlap executor active: the served
                 // (drained) digest and aggregate bits must equal the
                 // sequential all-local baseline exactly.
                 let (catalog, tid) = build(config(parallelism, segment_rows, true));
-                let server =
-                    ExplorationServer::serve(ServerConfig::with_workers(2).with_catalog(Arc::clone(&catalog))).unwrap();
-                let session = server.open_session();
-                session.set_action(tid, action.clone()).unwrap();
-                session.run_trace(tid, trace.clone()).unwrap();
-                let report = session.close().unwrap();
-                server.shutdown();
+                let report = serve(&catalog, tid);
                 prop_assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
                 prop_assert_eq!(report.pending_refinements(), 0);
                 let outcome = &report.outcomes[0].outcome;
                 prop_assert!(
-                    outcome.final_aggregate.map(f64::to_bits) == agg0,
+                    outcome.final_aggregate.map(f64::to_bits) == out0.final_aggregate.map(f64::to_bits),
                     "final_aggregate drifted at parallelism={parallelism}, \
                      segment_rows={segment_rows}"
                 );
@@ -560,22 +626,39 @@ proptest! {
                     "digest drifted at parallelism={parallelism}, \
                      segment_rows={segment_rows}"
                 );
+                oracle::check(outcome, &expected0, false)?;
 
                 // Group-by rides the same session machinery; its per-group
                 // sums must not depend on the scan knobs either.
-                let (_, _, groups) = run_local(&catalog, tid, &group_action);
-                prop_assert_eq!(&groups, &groups0);
+                let (_, groups) = run_local(&catalog, tid, &group_action);
+                prop_assert_eq!(&groups.final_groups, &groups0.final_groups);
+                oracle::check(&groups, &expected_groups, true)?;
             }
+
+            // The capped input, all-local: `price` dragged out puts the
+            // integer `qty` under the slide, and every 40 001-row base-level
+            // window over the 2 500-row cap is answered from its first rows,
+            // then folded in full — interior zone-map blocks from the index.
+            let mut capped = config(parallelism, 4_096, false).with_adaptive_sampling(false);
+            capped.touch_budget_micros = 10;
+            let (catalog, tid) = build(capped.clone());
+            catalog.drag_column_out(tid, "price", SizeCm::new(2.0, 10.0)).unwrap();
+            let expected = oracle(&layouts[1], &start_view(&catalog), &action, &capped);
+            prop_assert!(expected.stats.refinements > 0, "the capped input refines nothing");
+            let (_, outcome) = run_local(&catalog, tid, &action);
+            oracle::check(&outcome, &expected, true)
+                .map_err(|e| format!("capped run at parallelism={parallelism}: {e}"))?;
+            prop_assert!(outcome.stats.pruned_segments > 0, "no segment was index-answered");
         }
 
         // Live churn at representative grid points: one mutator drags `price`
         // out and merges it back while the session's trace races it. The
         // epoch-snapshot guarantee must hold at any parallelism: the digest
-        // is exactly one of the three sequential baselines, never a hybrid.
+        // is exactly one of the three sequential baselines, never a hybrid,
+        // and the outcome is that layout's oracle outcome.
+        let expected = [expected0, expected1, expected2];
         for &(parallelism, segment_rows) in &[(2usize, 3_000u64), (8, 7_777), (2, 65_536)] {
             let (catalog, tid) = build(config(parallelism, segment_rows, true));
-            let server =
-                ExplorationServer::serve(ServerConfig::with_workers(2).with_catalog(Arc::clone(&catalog))).unwrap();
             let mutator = {
                 let catalog = Arc::clone(&catalog);
                 std::thread::spawn(move || {
@@ -588,20 +671,18 @@ proptest! {
                     catalog.drag_column_into(tid, qid).unwrap();
                 })
             };
-            let session = server.open_session();
-            session.set_action(tid, action.clone()).unwrap();
-            session.run_trace(tid, trace.clone()).unwrap();
-            let report = session.close().unwrap();
+            let report = serve(&catalog, tid);
             mutator.join().unwrap();
-            server.shutdown();
             prop_assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
             let digest = report.result_digest();
+            let layout = [d0, d1, d2].iter().position(|&d| d == digest);
             prop_assert!(
-                digest == d0 || digest == d1 || digest == d2,
+                layout.is_some(),
                 "hybrid result under churn at parallelism={parallelism}, \
                  segment_rows={segment_rows}: digest {digest} matches no baseline \
                  ({d0}, {d1}, {d2})"
             );
+            oracle::check(&report.outcomes[0].outcome, &expected[layout.unwrap()], false)?;
         }
     }
 }
@@ -689,7 +770,8 @@ proptest! {
     /// dict-shaped and incompressible columns, a persisted-then-reopened
     /// catalog replays bit-identical digests across encoding {on, off} ×
     /// `scan_parallelism` {1, 8} — while live loads append (and pack) pages
-    /// through the same attached store mid-replay.
+    /// through the same attached store mid-replay — and every outcome
+    /// equals the oracle's over the generated values.
     #[test]
     fn encoded_catalog_digests_match_raw_across_parallelism_under_churn(
         rows in 40_000i64..80_000,
@@ -705,28 +787,39 @@ proptest! {
             half_window: Some(10_000),
             kind: AggregateKind::Sum,
         };
-        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str| -> u64 {
+        let oracle = |values: &[i64], catalog: &Arc<SharedCatalog>, name: &str| {
+            let view = catalog.data(catalog.object_id(name).unwrap()).unwrap().base_view().clone();
+            let trace = GestureSynthesizer::new(60.0).slide_down(&view, duration);
+            let mut engine = NaiveEngine::new(vec![ints(values)], catalog.config().sample_levels);
+            oracle::expected_outcome(&mut engine, &view, &action, catalog.config(), &trace)
+        };
+        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str| {
             let id = catalog.object_id(name).unwrap();
             let data = catalog.data(id).unwrap();
             let trace = GestureSynthesizer::new(60.0).slide_down(data.base_view(), duration);
             let mut kernel = Kernel::from_catalog(Arc::clone(catalog));
             kernel.set_action(id, action.clone()).unwrap();
             let outcome = kernel.run_trace(id, &trace).unwrap();
-            digest_outcomes([TraceOutcome { object: id, outcome }].iter())
+            let digest = digest_outcomes([TraceOutcome { object: id, outcome: outcome.clone() }].iter());
+            (digest, outcome)
         };
 
         // In-memory baseline: encoding only exists on disk, so these digests
-        // are the ground truth every on-disk configuration must reproduce.
+        // are the ground truth every on-disk configuration must reproduce,
+        // and the oracle's outcomes the answers every one must equal.
         let baseline = Arc::new(SharedCatalog::new(KernelConfig::default()));
         for (name, values) in &datasets {
             baseline
                 .load_column(*name, values.clone(), SizeCm::new(2.0, 10.0))
                 .unwrap();
         }
-        let expected: Vec<u64> = datasets
-            .iter()
-            .map(|(name, _)| digest_object(&baseline, name))
-            .collect();
+        let mut expected = Vec::new();
+        for (name, values) in &datasets {
+            let (digest, outcome) = digest_object(&baseline, name);
+            let answer = oracle(values, &baseline, name);
+            oracle::check(&outcome, &answer, true).map_err(|e| format!("{name} in memory: {e}"))?;
+            expected.push((digest, answer));
+        }
 
         for encoding_on in [true, false] {
             for parallelism in [1usize, 8] {
@@ -765,13 +858,16 @@ proptest! {
                         }
                     })
                 };
-                for ((name, _), expected) in datasets.iter().zip(&expected) {
-                    let actual = digest_object(&reopened, name);
+                for ((name, _), (expected, answer)) in datasets.iter().zip(&expected) {
+                    let (actual, outcome) = digest_object(&reopened, name);
                     prop_assert!(
                         actual == *expected,
                         "digest diverged for {name} at encoding={encoding_on}, \
                          parallelism={parallelism}"
                     );
+                    oracle::check(&outcome, answer, true).map_err(|e| {
+                        format!("{name} at encoding={encoding_on}, parallelism={parallelism}: {e}")
+                    })?;
                 }
                 churn.join().unwrap();
                 let _ = std::fs::remove_dir_all(&dir);
@@ -789,7 +885,9 @@ proptest! {
     /// object of the reopened, paged-backed catalog produces bit-identical
     /// results to the in-memory catalog it was persisted from — including
     /// catalogs whose object table carries tombstones and a
-    /// `drag_column_into`-rebuilt table.
+    /// `drag_column_into`-rebuilt table — and both equal the oracle's. The
+    /// trace slides down and back up at a third of the speed, so a summary
+    /// reads the same windows at two sample levels.
     #[test]
     fn persisted_catalog_replays_identical_digests(
         rows in 512i64..4_000,
@@ -804,19 +902,23 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
+        let ids: Vec<i64> = (0..rows).collect();
+        let prices: Vec<f64> = (0..rows).map(|i| i as f64 / 2.0).collect();
+        let qtys: Vec<i64> = (0..rows).map(|i| i % 7).collect();
+        let solo: Vec<i64> = (0..rows).map(|i| i * 3).collect();
         let catalog = Arc::new(SharedCatalog::new(KernelConfig::default()));
         let table = Table::from_columns(
             "t",
             vec![
-                StorageColumn::from_i64("id", (0..rows).collect()),
-                StorageColumn::from_f64("price", (0..rows).map(|i| i as f64 / 2.0).collect()),
-                StorageColumn::from_i64("qty", (0..rows).map(|i| i % 7).collect()),
+                StorageColumn::from_i64("id", ids.clone()),
+                StorageColumn::from_f64("price", prices.clone()),
+                StorageColumn::from_i64("qty", qtys.clone()),
             ],
         )
         .unwrap();
         let tid = catalog.load_table(table, SizeCm::new(6.0, 10.0)).unwrap();
         catalog
-            .load_column("solo", (0..rows).map(|i| i * 3).collect(), SizeCm::new(2.0, 10.0))
+            .load_column("solo", solo.clone(), SizeCm::new(2.0, 10.0))
             .unwrap();
         // Restructure history: a dragged-out column, optionally merged back
         // (which rebuilds the table AND leaves a permanent tombstone).
@@ -825,23 +927,46 @@ proptest! {
             catalog.drag_column_into(tid, qid).unwrap();
         }
 
-        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str| -> u64 {
+        // The oracle's columns of each object, as the restructures left them.
+        let columns = |name: &str| match name {
+            "t" if merge_back => vec![ints(&ids), floats(&prices), ints(&qtys)],
+            "t" => vec![ints(&ids), floats(&prices)],
+            "qty" => vec![ints(&qtys)],
+            "solo" => vec![ints(&solo)],
+            other => panic!("unexpected object {other}"),
+        };
+        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str| {
             let id = catalog.object_id(name).unwrap();
             let data = catalog.data(id).unwrap();
-            let trace = GestureSynthesizer::new(60.0).slide_down(data.base_view(), duration);
+            let view = data.base_view();
+            let trace = GestureSynthesizer::new(60.0).slide_profile(
+                view,
+                &[
+                    SlideSegment::movement(0.0, 1.0, duration),
+                    SlideSegment::movement(1.0, 0.0, 3.0 * duration),
+                ],
+                Timestamp::ZERO,
+            );
             let action = if data.schema().len() > 1 {
                 TouchAction::Tuple
             } else {
                 TouchAction::Summary { half_window: Some(9), kind: AggregateKind::Avg }
             };
             let mut kernel = Kernel::from_catalog(Arc::clone(catalog));
-            kernel.set_action(id, action).unwrap();
+            kernel.set_action(id, action.clone()).unwrap();
             let outcome = kernel.run_trace(id, &trace).unwrap();
-            digest_outcomes([TraceOutcome { object: id, outcome }].iter())
+            let mut engine = NaiveEngine::new(columns(name), catalog.config().sample_levels);
+            let answer =
+                oracle::expected_outcome(&mut engine, view, &action, catalog.config(), &trace);
+            oracle::check(&outcome, &answer, true).map_err(|e| format!("{name}: {e}"))?;
+            Ok::<u64, String>(digest_outcomes([TraceOutcome { object: id, outcome }].iter()))
         };
 
         let names = catalog.names();
-        let expected: Vec<u64> = names.iter().map(|n| digest_object(&catalog, n)).collect();
+        let mut expected = Vec::new();
+        for name in &names {
+            expected.push(digest_object(&catalog, name)?);
+        }
         let epoch = catalog.persist_to(&dir).unwrap();
 
         let reopened = Arc::new(SharedCatalog::open(&dir, KernelConfig::default()).unwrap());
@@ -853,7 +978,7 @@ proptest! {
             prop_assert!(reopened.checkout(qid).is_err(), "tombstoned id must stay dead");
         }
         for (name, expected) in names.iter().zip(expected) {
-            let actual = digest_object(&reopened, name);
+            let actual = digest_object(&reopened, name)?;
             prop_assert!(actual == expected, "digest diverged for {name}");
         }
 
