@@ -7,9 +7,10 @@
 //! through the whole kernel and limited the system to a single explorer. This
 //! module splits that bundle along the concurrency boundary:
 //!
-//! * [`ObjectData`] — what was *loaded*: the matrix, the per-attribute sample
-//!   hierarchies and zone-map indexes, plus the default view geometry and
-//!   touch action. Immutable after load, shared across sessions behind `Arc`.
+//! * [`ObjectData`] — what was *loaded*: the matrix, one shared [`Attribute`]
+//!   build per column (its sample hierarchy and zone map), plus the default
+//!   view geometry and touch action. Immutable after load, shared across
+//!   sessions behind `Arc`.
 //! * [`ObjectState`] — what a *session* does with it: the session's view
 //!   (zoom/rotation), its chosen touch action, and (after a rotate gesture)
 //!   its privately rotated copy of the matrix. Cheap to create, owned by
@@ -29,13 +30,14 @@
 //!   checkout.
 //!
 //! **Epochs and live sessions.** Every publish advances the snapshot's epoch;
-//! rebuild-style publishes (restructures) additionally advance the
-//! restructure counter. A checked-out [`ObjectState`] records the epoch it
-//! was taken at and keeps that exact view — same matrix, same schema — until
-//! its session reaches a gesture boundary and calls
-//! [`ObjectState::refresh`]: only then does it observe the newest epoch,
-//! rebuilding its state (base view, shared matrix, action kept when it still
-//! validates) when its object's data identity changed. A
+//! restructures additionally advance the restructure counter. A restructure
+//! reassembles the attribute builds its objects already hold — it builds no
+//! sample or zone map, only the new matrix and view. A checked-out
+//! [`ObjectState`] records the epoch it was taken at and keeps that exact
+//! view — same matrix, same schema — until its session reaches a gesture
+//! boundary and calls [`ObjectState::refresh`]: only then does it observe the
+//! newest epoch, rebuilding its state (base view, shared matrix, action kept
+//! when it still validates) when its object's data identity changed. A
 //! gesture trace therefore always runs against one consistent snapshot —
 //! never a half-restructured object.
 //!
@@ -52,7 +54,6 @@ use dbtouch_gesture::view::View;
 use dbtouch_obs::{Gauge, MetricSource, MetricValue, SpanConfig, Telemetry};
 use dbtouch_storage::column::Column;
 use dbtouch_storage::index::ZoneMapIndex;
-use dbtouch_storage::layout::Layout;
 use dbtouch_storage::matrix::Matrix;
 use dbtouch_storage::rotation::RotationTask;
 use dbtouch_storage::sample::SampleHierarchy;
@@ -66,46 +67,91 @@ const SHARED_CACHE_CAPACITY: usize = 1 << 16;
 /// Rows converted per step of an incremental layout rotation (Section 2.8).
 const ROTATION_CHUNK_ROWS: u64 = 65_536;
 
+/// One attribute of a loaded object: its sample hierarchy (level 0 is the
+/// column itself) and, for numeric attributes, its zone map.
+///
+/// Built once, by the load that brought the column in, and shared behind
+/// `Arc` by every object build that holds the column afterwards: a
+/// restructure moves attributes between objects instead of rebuilding them,
+/// and the attached store (`crate::persist`) writes each attribute's pages
+/// once, keyed by its identity.
+#[derive(Debug)]
+pub struct Attribute {
+    /// Process-unique identity of this build, from the generator object
+    /// identities use ([`next_object_identity`]).
+    identity: u64,
+    hierarchy: SampleHierarchy,
+    zone_map: Option<ZoneMapIndex>,
+}
+
+impl Attribute {
+    /// Wrap built (or reopened) parts under a fresh identity.
+    pub(crate) fn new(hierarchy: SampleHierarchy, zone_map: Option<ZoneMapIndex>) -> Attribute {
+        Attribute {
+            identity: next_object_identity(),
+            hierarchy,
+            zone_map,
+        }
+    }
+
+    /// The identity of this attribute build.
+    pub fn identity(&self) -> u64 {
+        self.identity
+    }
+
+    /// The column (level 0 of the hierarchy).
+    pub fn column(&self) -> &Column {
+        self.hierarchy.base()
+    }
+
+    /// The sample hierarchy. Non-numeric attributes have a degenerate
+    /// single-level hierarchy (base data only).
+    pub fn hierarchy(&self) -> &SampleHierarchy {
+        &self.hierarchy
+    }
+
+    /// The zone-map index (numeric attributes only).
+    pub fn zone_map(&self) -> Option<&ZoneMapIndex> {
+        self.zone_map.as_ref()
+    }
+}
+
 /// The immutable, shareable part of a loaded data object.
 ///
 /// Everything here is fixed at load (or restructure) time. Sessions read it
-/// concurrently through `Arc<ObjectData>`; nothing in it ever mutates.
+/// concurrently through `Arc<ObjectData>`; nothing in it ever mutates. A
+/// restructure reassembles a new `ObjectData` from the [`Attribute`]s the old
+/// objects hold; only the matrix and the view are new.
 #[derive(Debug, Clone)]
 pub struct ObjectData {
-    name: String,
-    /// Process-unique generation of this immutable build. A restructure
-    /// (`drag_column_out`, `drag_column_into`) builds fresh `ObjectData` with
-    /// a fresh identity, which is what keys (and thereby invalidates) the
-    /// shared cross-session result cache. Cloning with unchanged data (e.g.
-    /// `set_default_action`) keeps the identity — cached results stay valid.
+    /// Process-unique generation of this immutable object. A restructure
+    /// (`drag_column_out`, `drag_column_into`) assembles fresh `ObjectData`
+    /// with a fresh identity, which is what keys (and thereby invalidates)
+    /// the shared cross-session result cache. Cloning with unchanged data
+    /// (e.g. `set_default_action`) keeps the identity — cached results stay
+    /// valid.
     identity: u64,
     matrix: Arc<Matrix>,
-    hierarchies: Arc<Vec<SampleHierarchy>>,
-    indexes: Arc<Vec<Option<ZoneMapIndex>>>,
+    /// One build per column, in schema order.
+    attributes: Vec<Arc<Attribute>>,
     base_view: View,
     default_action: TouchAction,
 }
 
 impl ObjectData {
-    /// Assemble object data from already-built parts: the reopen path of the
-    /// persistent catalog (`crate::persist`), where columns, hierarchies and
-    /// indexes come from the on-disk store instead of an O(rows) build.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble an object from its matrix and already-built attributes under
+    /// a fresh identity: loads, restructures and the reopen path of the
+    /// persistent catalog (`crate::persist`) all end here.
     pub(crate) fn from_parts(
-        name: String,
-        identity: u64,
-        matrix: Arc<Matrix>,
-        hierarchies: Arc<Vec<SampleHierarchy>>,
-        indexes: Arc<Vec<Option<ZoneMapIndex>>>,
+        matrix: Matrix,
+        attributes: Vec<Arc<Attribute>>,
         base_view: View,
         default_action: TouchAction,
     ) -> ObjectData {
         ObjectData {
-            name,
-            identity,
-            matrix,
-            hierarchies,
-            indexes,
+            identity: next_object_identity(),
+            matrix: Arc::new(matrix),
+            attributes,
             base_view,
             default_action,
         }
@@ -113,7 +159,7 @@ impl ObjectData {
 
     /// The object's catalog name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.matrix.name()
     }
 
     /// The identity of this immutable build (see
@@ -127,14 +173,22 @@ impl ObjectData {
         &self.matrix
     }
 
-    /// Per-attribute sample hierarchies.
-    pub fn hierarchies(&self) -> &[SampleHierarchy] {
-        &self.hierarchies
+    /// The per-attribute builds, in schema order.
+    pub fn attributes(&self) -> &[Arc<Attribute>] {
+        &self.attributes
     }
 
-    /// Per-attribute zone-map indexes (numeric attributes only).
-    pub fn indexes(&self) -> &[Option<ZoneMapIndex>] {
-        &self.indexes
+    /// One attribute's build.
+    pub fn attribute(&self, attribute: usize) -> Result<&Attribute> {
+        self.attributes
+            .get(attribute)
+            .map(|a| &**a)
+            .ok_or_else(|| DbTouchError::NotFound(format!("attribute {attribute}")))
+    }
+
+    /// Per-attribute sample hierarchies, in schema order.
+    pub fn hierarchies(&self) -> Vec<&SampleHierarchy> {
+        self.attributes.iter().map(|a| a.hierarchy()).collect()
     }
 
     /// The default view new sessions start from.
@@ -157,12 +211,15 @@ impl ObjectData {
         self.matrix.schema()
     }
 
-    /// The standalone column behind a single-column object (`None` for
-    /// tables and for row-major loads).
-    fn standalone_column(&self) -> Option<&Column> {
-        match self.matrix.columns() {
-            Some([column]) => Some(column),
-            _ => None,
+    /// The attribute of a single-column object; tables of several columns
+    /// cannot be dragged into a table or grouped.
+    fn standalone_attribute(&self) -> Result<&Arc<Attribute>> {
+        match self.attributes.as_slice() {
+            [attribute] => Ok(attribute),
+            _ => Err(DbTouchError::InvalidPlan(format!(
+                "object {} is not a standalone column",
+                self.name()
+            ))),
         }
     }
 }
@@ -180,7 +237,7 @@ impl ObjectData {
 pub struct CatalogSnapshot {
     /// Version number: +1 per successful publish of any kind.
     epoch: u64,
-    /// How many publishes rebuilt or removed an existing object's data
+    /// How many publishes replaced or removed an existing object's data
     /// (`drag_column_out`, `drag_column_into`); loads and metadata edits do
     /// not count.
     restructures: u64,
@@ -233,7 +290,7 @@ impl CatalogSnapshot {
         self.slots
             .iter()
             .flatten()
-            .map(|o| o.name.clone())
+            .map(|o| o.name().to_string())
             .collect()
     }
 
@@ -241,7 +298,7 @@ impl CatalogSnapshot {
     pub fn object_id(&self, name: &str) -> Result<ObjectId> {
         self.slots
             .iter()
-            .position(|slot| slot.as_ref().is_some_and(|o| o.name == name))
+            .position(|slot| slot.as_ref().is_some_and(|o| o.name() == name))
             .map(|i| ObjectId(i as u64))
             .ok_or_else(|| DbTouchError::NotFound(name.to_string()))
     }
@@ -346,10 +403,7 @@ impl ObjectState {
     /// The sample hierarchy of an attribute. Non-numeric attributes have a
     /// degenerate single-level hierarchy (base data only).
     pub fn hierarchy(&self, attribute: usize) -> Result<&SampleHierarchy> {
-        self.data
-            .hierarchies
-            .get(attribute)
-            .ok_or_else(|| DbTouchError::NotFound(format!("attribute {attribute}")))
+        self.data.attribute(attribute).map(Attribute::hierarchy)
     }
 
     /// Flip the physical layout of this session's matrix, converting
@@ -466,7 +520,7 @@ pub struct SharedCatalog {
     config: KernelConfig,
     current: EpochCell<CatalogSnapshot>,
     /// Serializes mutators through [`publish`](SharedCatalog::publish) so a
-    /// lost CAS race never throws away a completed O(rows) rebuild. Purely a
+    /// lost CAS race never throws away a completed build. Purely a
     /// write-side optimization: correctness rests on the CAS, and readers
     /// never touch this lock — the checkout/read path stays wait-free.
     mutators: Mutex<()>,
@@ -643,7 +697,7 @@ impl SharedCatalog {
         self.snapshot().epoch
     }
 
-    /// How many publishes rebuilt or removed an existing object's data.
+    /// How many publishes replaced or removed an existing object's data.
     pub fn restructure_count(&self) -> u64 {
         self.snapshot().restructures
     }
@@ -774,15 +828,18 @@ impl SharedCatalog {
     }
 
     /// Drag a column out of a table object into a new standalone column
-    /// object (Section 2.8). The whole restructure — name-clash check, table
-    /// rebuild, registration of the standalone column — is built against one
-    /// snapshot and published atomically, entirely off-lock: concurrent
-    /// checkouts never wait for the O(rows) rebuild, and a concurrent load
-    /// cannot leave the table restructured with the dragged column lost
-    /// (the CAS fails and the rebuild retries against the fresh snapshot).
-    /// Sessions holding the old table `Arc` keep reading the old data until
-    /// their next [`ObjectState::refresh`]; new checkouts see the
-    /// restructured table immediately.
+    /// object (Section 2.8). The table keeps its other attributes and the
+    /// standalone object takes the dragged one: both are reassembled from the
+    /// attribute builds the table already holds, so nothing is re-sampled,
+    /// re-indexed or re-persisted — only the two matrixes and views are new.
+    /// The whole restructure — name-clash check, reassembly, registration of
+    /// the standalone column — is built against one snapshot and published
+    /// atomically, entirely off-lock: a concurrent load cannot leave the
+    /// table restructured with the dragged column lost (the CAS fails and the
+    /// restructure retries against the fresh snapshot). Sessions holding the
+    /// old table `Arc` keep reading the old data until their next
+    /// [`ObjectState::refresh`]; new checkouts see the restructured table
+    /// immediately.
     pub fn drag_column_out(
         &self,
         table_id: ObjectId,
@@ -791,13 +848,9 @@ impl SharedCatalog {
     ) -> Result<ObjectId> {
         let (id, old_identity) = self.publish(|snapshot| {
             let obj = snapshot.object(table_id)?;
-            let mut cols = table_columns(obj)?;
-            let idx = cols
-                .iter()
-                .position(|c| c.name() == column_name)
-                .ok_or_else(|| DbTouchError::NotFound(format!("column {column_name}")))?;
-            let column = cols.remove(idx);
-            if cols.is_empty() {
+            let mut attributes = obj.attributes.clone();
+            let attribute = attributes.remove(obj.matrix.column_index(column_name)?);
+            if attributes.is_empty() {
                 return Err(DbTouchError::InvalidPlan(
                     "cannot drag the last column out of a table".into(),
                 ));
@@ -805,20 +858,26 @@ impl SharedCatalog {
             if snapshot.object_id(column_name).is_ok() {
                 return Err(DbTouchError::AlreadyExists(column_name.to_string()));
             }
-            let rebuilt = self.rebuild_table(obj, cols)?;
-            let column_view = View::for_column(column.name().to_string(), column.len(), size)?;
-            let standalone = self.build_data(Matrix::from_column(column), column_view)?;
-            let old_identity = obj.identity;
+            let table = table_data(obj.name(), attributes, obj.base_view.size)?;
+            let column = attribute.column().clone();
+            let column_view = View::for_column(column_name.to_string(), column.len(), size)?;
+            let standalone = ObjectData::from_parts(
+                Matrix::from_column(column),
+                vec![attribute],
+                column_view,
+                TouchAction::Scan,
+            );
             let mut slots = snapshot.slots.clone();
-            slots[table_id.0 as usize] = Some(Arc::new(rebuilt));
+            slots[table_id.0 as usize] = Some(Arc::new(table));
             let id = ObjectId(slots.len() as u64);
             slots.push(Some(Arc::new(standalone)));
-            Ok((slots, 1, (id, old_identity)))
+            Ok((slots, 1, (id, obj.identity)))
         })?;
-        // The rebuilt table carries a fresh identity, so shared-cache entries
-        // computed against the old build can never be served for it; eagerly
-        // dropping them just frees the memory sooner. Runs after the publish
-        // — the O(cache-size) sweep must not sit inside the retry loop.
+        // The restructured table carries a fresh identity, so shared-cache
+        // entries computed against the old object can never be served for
+        // it; eagerly dropping them just frees the memory sooner. Runs after
+        // the publish — the O(cache-size) sweep must not sit inside the retry
+        // loop.
         if let Some(cache) = &self.shared_cache {
             cache.invalidate_object(old_identity);
         }
@@ -828,10 +887,11 @@ impl SharedCatalog {
     /// Drag a standalone column object back into a table — the inverse of
     /// [`drag_column_out`](SharedCatalog::drag_column_out) (the "drag and
     /// drop actions in a table placeholder" of Section 2.8). The table is
-    /// rebuilt with the column appended and the standalone object is removed
-    /// from the catalog; its id becomes a permanent tombstone (ids are never
-    /// reused). Sessions still holding the removed object keep reading their
-    /// `Arc`'d data; their next [`ObjectState::refresh`] reports `NotFound`.
+    /// reassembled with the column's attribute build appended (nothing is
+    /// rebuilt) and the standalone object is removed from the catalog; its id
+    /// becomes a permanent tombstone (ids are never reused). Sessions still
+    /// holding the removed object keep reading their `Arc`'d data; their next
+    /// [`ObjectState::refresh`] reports `NotFound`.
     pub fn drag_column_into(&self, table_id: ObjectId, column_id: ObjectId) -> Result<()> {
         if table_id == column_id {
             return Err(DbTouchError::InvalidPlan(
@@ -841,25 +901,12 @@ impl SharedCatalog {
         let (old_table_identity, old_column_identity) = self.publish(|snapshot| {
             let table = snapshot.object(table_id)?;
             let column_obj = snapshot.object(column_id)?;
-            let column = column_obj.standalone_column().cloned().ok_or_else(|| {
-                DbTouchError::InvalidPlan(format!(
-                    "object {} is not a standalone column-major column",
-                    column_obj.name
-                ))
-            })?;
-            let mut cols = table_columns(table)?;
-            if cols.iter().any(|c| c.name() == column.name()) {
-                return Err(DbTouchError::AlreadyExists(format!(
-                    "column {} in table {}",
-                    column.name(),
-                    table.name
-                )));
-            }
-            cols.push(column);
-            let rebuilt = self.rebuild_table(table, cols)?;
+            let mut attributes = table.attributes.clone();
+            attributes.push(Arc::clone(column_obj.standalone_attribute()?));
+            let merged = table_data(table.name(), attributes, table.base_view.size)?;
             let identities = (table.identity, column_obj.identity);
             let mut slots = snapshot.slots.clone();
-            slots[table_id.0 as usize] = Some(Arc::new(rebuilt));
+            slots[table_id.0 as usize] = Some(Arc::new(merged));
             slots[column_id.0 as usize] = None;
             Ok((slots, 1, identities))
         })?;
@@ -871,9 +918,10 @@ impl SharedCatalog {
     }
 
     /// Group standalone column objects into a new table object (Section 2.8).
-    /// The source column objects remain in the catalog; the new table is
-    /// registered as a fresh object with fresh per-session state — nothing
-    /// (view, actions) carries over from the sources.
+    /// The source column objects remain in the catalog and share their
+    /// attribute builds with the new table; the table is registered as a
+    /// fresh object with fresh per-session state — nothing (view, actions)
+    /// carries over from the sources.
     pub fn group_into_table(
         &self,
         name: impl Into<String>,
@@ -891,25 +939,11 @@ impl SharedCatalog {
             if snapshot.object_id(&name).is_ok() {
                 return Err(DbTouchError::AlreadyExists(name.clone()));
             }
-            let mut columns = Vec::with_capacity(column_ids.len());
-            for id in column_ids {
-                let obj = snapshot.object(*id)?;
-                let col = obj.standalone_column().cloned().ok_or_else(|| {
-                    DbTouchError::InvalidPlan(format!(
-                        "object {} is not a standalone column-major column",
-                        obj.name
-                    ))
-                })?;
-                columns.push(col);
-            }
-            let table = Table::from_columns(name.clone(), columns)?;
-            let view = View::for_table(
-                table.name().to_string(),
-                table.row_count(),
-                table.column_count(),
-                size,
-            )?;
-            let data = self.build_data(Matrix::from_table(table), view)?;
+            let attributes = column_ids
+                .iter()
+                .map(|id| Ok(Arc::clone(snapshot.object(*id)?.standalone_attribute()?)))
+                .collect::<Result<_>>()?;
+            let data = table_data(&name, attributes, size)?;
             let mut slots = snapshot.slots.clone();
             let id = ObjectId(slots.len() as u64);
             slots.push(Some(Arc::new(data)));
@@ -925,8 +959,8 @@ impl SharedCatalog {
     /// caller's result.
     ///
     /// Mutators are serialized by the `mutators` lock for the duration of
-    /// their build, so under sustained churn each O(rows) restructure build
-    /// runs exactly once instead of being discarded and redone on every lost
+    /// their build, so under sustained churn each restructure build runs
+    /// exactly once instead of being discarded and redone on every lost
     /// race. The CAS remains the actual publication step (and keeps the loop
     /// correct even for a publisher that bypassed the lock); readers are
     /// oblivious to all of this — `EpochCell::load` never blocks.
@@ -968,8 +1002,8 @@ impl SharedCatalog {
         }
         let data = Arc::new(self.build_data(matrix, view)?);
         self.publish(|snapshot| {
-            if snapshot.object_id(&data.name).is_ok() {
-                return Err(DbTouchError::AlreadyExists(data.name.clone()));
+            if snapshot.object_id(data.name()).is_ok() {
+                return Err(DbTouchError::AlreadyExists(data.name().to_string()));
             }
             let mut slots = snapshot.slots.clone();
             let id = ObjectId(slots.len() as u64);
@@ -978,43 +1012,54 @@ impl SharedCatalog {
         })
     }
 
+    /// Build a loaded object: one [`Attribute`] (sample hierarchy and zone
+    /// map) per column — the only place either is built.
     fn build_data(&self, matrix: Matrix, view: View) -> Result<ObjectData> {
-        let hierarchies = build_hierarchies(&matrix, &self.config)?;
-        let indexes = build_indexes(&matrix);
-        Ok(ObjectData {
-            name: matrix.name().to_string(),
-            identity: next_object_identity(),
-            matrix: Arc::new(matrix),
-            hierarchies: Arc::new(hierarchies),
-            indexes: Arc::new(indexes),
-            base_view: view,
-            default_action: TouchAction::Scan,
-        })
-    }
-
-    /// Rebuild a table object's data from a new column set, keeping its name
-    /// and on-screen size (fresh identity, hierarchies and indexes) — the
-    /// shared core of `drag_column_out` and `drag_column_into`.
-    fn rebuild_table(&self, obj: &ObjectData, cols: Vec<Column>) -> Result<ObjectData> {
-        let table = Table::from_columns(obj.name.clone(), cols)?;
-        let view = View::for_table(
-            table.name().to_string(),
-            table.row_count(),
-            table.column_count(),
-            obj.base_view.size,
-        )?;
-        self.build_data(Matrix::from_table(table), view)
+        const INDEX_BLOCK_ROWS: u64 = 4096;
+        let columns = matrix.columns().expect("loads build column-major matrixes");
+        let attributes = columns
+            .iter()
+            .map(|column| {
+                let numeric = column.data_type().is_numeric();
+                let levels = if numeric {
+                    self.config.sample_levels
+                } else {
+                    1
+                };
+                let hierarchy = SampleHierarchy::build(column.clone(), levels)?;
+                let zone_map = numeric
+                    .then(|| ZoneMapIndex::build(column, INDEX_BLOCK_ROWS).ok())
+                    .flatten();
+                Ok(Arc::new(Attribute::new(hierarchy, zone_map)))
+            })
+            .collect::<Result<_>>()?;
+        Ok(ObjectData::from_parts(
+            matrix,
+            attributes,
+            view,
+            TouchAction::Scan,
+        ))
     }
 }
 
-/// A table object's columns, in schema order (via a column-major copy when
-/// the object is currently row-major).
-fn table_columns(obj: &ObjectData) -> Result<Vec<Column>> {
-    let columnar = obj.matrix.converted_to(Layout::ColumnMajor)?;
-    Ok(columnar
-        .columns()
-        .expect("column-major matrix has columns")
-        .to_vec())
+/// A table object over already-built attributes, under a fresh identity:
+/// only the matrix (which shares each attribute's column buffer) and the view
+/// are new.
+fn table_data(name: &str, attributes: Vec<Arc<Attribute>>, size: SizeCm) -> Result<ObjectData> {
+    let columns = attributes.iter().map(|a| a.column().clone()).collect();
+    let matrix = Matrix::from_table(Table::from_columns(name, columns)?);
+    let view = View::for_table(
+        name.to_string(),
+        matrix.row_count(),
+        matrix.column_count(),
+        size,
+    )?;
+    Ok(ObjectData::from_parts(
+        matrix,
+        attributes,
+        view,
+        TouchAction::Scan,
+    ))
 }
 
 /// Whether a session's action carries across a rebuild from `old` schema to
@@ -1083,51 +1128,12 @@ pub fn validate_action(action: &TouchAction, schema: &[(String, DataType)]) -> R
     Ok(())
 }
 
-fn build_hierarchies(matrix: &Matrix, config: &KernelConfig) -> Result<Vec<SampleHierarchy>> {
-    let levels = config.sample_levels;
-    let build_all = |cols: &[Column]| -> Result<Vec<SampleHierarchy>> {
-        cols.iter()
-            .map(|c| {
-                let depth = if c.data_type().is_numeric() {
-                    levels
-                } else {
-                    1
-                };
-                SampleHierarchy::build(c.clone(), depth)
-            })
-            .collect()
-    };
-    match matrix.columns() {
-        Some(cols) => build_all(cols),
-        None => {
-            // Row-major load: build degenerate hierarchies from a columnar copy.
-            let columnar = matrix.converted_to(Layout::ColumnMajor)?;
-            build_all(columnar.columns().expect("column-major matrix has columns"))
-        }
-    }
-}
-
-fn build_indexes(matrix: &Matrix) -> Vec<Option<ZoneMapIndex>> {
-    const INDEX_BLOCK_ROWS: u64 = 4096;
-    match matrix.columns() {
-        Some(cols) => cols
-            .iter()
-            .map(|c| {
-                c.data_type()
-                    .is_numeric()
-                    .then(|| ZoneMapIndex::build(c, INDEX_BLOCK_ROWS).ok())
-                    .flatten()
-            })
-            .collect(),
-        None => vec![None; matrix.column_count()],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Session;
     use dbtouch_gesture::synthesizer::GestureSynthesizer;
+    use dbtouch_storage::layout::Layout;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -1504,9 +1510,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(catalog.data(tid).unwrap().identity(), original);
+        let before = catalog.data(tid).unwrap().attributes().to_vec();
 
-        // A restructure rebuilds the data: both resulting objects get fresh
-        // identities, so stale cached windows can never be served.
+        // A restructure assembles new objects: both get fresh identities, so
+        // stale cached windows can never be served...
         let cid = catalog
             .drag_column_out(tid, "v", SizeCm::new(2.0, 10.0))
             .unwrap();
@@ -1515,6 +1522,10 @@ mod tests {
         assert_ne!(rebuilt, original);
         assert_ne!(standalone, original);
         assert_ne!(rebuilt, standalone);
+        // ... but it moves the attribute builds instead of rebuilding them.
+        let attributes = |id| catalog.data(id).unwrap().attributes().to_vec();
+        assert!(Arc::ptr_eq(&attributes(cid)[0], &before[1]));
+        assert!(Arc::ptr_eq(&attributes(tid)[0], &before[0]));
     }
 
     #[test]

@@ -455,7 +455,11 @@ impl Kernel {
     /// The zone-map index of an attribute, if one was built (numeric columns).
     pub fn index(&self, id: ObjectId, attribute: usize) -> Result<Option<&ZoneMapIndex>> {
         let state = self.state(id)?;
-        Ok(state.data.indexes().get(attribute).and_then(|i| i.as_ref()))
+        Ok(state
+            .data
+            .attributes()
+            .get(attribute)
+            .and_then(|a| a.zone_map()))
     }
 
     /// Reveal a single value by tapping at a fraction of the object's extent —

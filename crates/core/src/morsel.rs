@@ -405,18 +405,15 @@ fn scan_segment(
     level: u8,
     segment: Segment,
 ) -> Result<(SegmentStats, bool)> {
+    let attribute = data.attribute(attribute)?;
     if level == 0 {
-        if let Some(index) = data.indexes().get(attribute).and_then(|i| i.as_ref()) {
+        if let Some(index) = attribute.zone_map() {
             if let Some(stats) = index.segment_stats(segment.range) {
                 return Ok((stats, true));
             }
         }
     }
-    let hierarchy = data
-        .hierarchies()
-        .get(attribute)
-        .ok_or_else(|| DbTouchError::NotFound(format!("attribute {attribute}")))?;
-    let column = hierarchy.level(level)?;
+    let column = attribute.hierarchy().level(level)?;
     Ok((column.segment_range_stats(segment.range)?, false))
 }
 
@@ -460,11 +457,7 @@ pub fn window_stats(
     pool: Option<&MorselPool>,
     telemetry: Option<&Arc<Telemetry>>,
 ) -> Result<WindowScan> {
-    let hierarchy = data
-        .hierarchies()
-        .get(attribute)
-        .ok_or_else(|| DbTouchError::NotFound(format!("attribute {attribute}")))?;
-    let column = hierarchy.level(level)?;
+    let column = data.attribute(attribute)?.hierarchy().level(level)?;
     let range = range.clamp_to(column.len());
     if !column.data_type().is_integer() {
         let (count, sum, min, max) = column.numeric_range_stats(range)?;
@@ -635,9 +628,8 @@ mod tests {
         let scanned = scan(&data, RowRange::new(0, 100_000), 64, Some(&pool));
         assert_eq!(scanned.segments_scanned, 1);
         assert_eq!(scanned.pruned_segments, 0);
-        let hierarchy = &data.hierarchies()[0];
-        let (count, sum, min, max) = hierarchy
-            .base()
+        let (count, sum, min, max) = data.attributes()[0]
+            .column()
             .numeric_range_stats(RowRange::new(0, 100_000))
             .unwrap();
         assert_eq!((scanned.count, scanned.sum), (count, sum));

@@ -17,10 +17,12 @@
 //! produce bit-identical result digests (the paged readers decode the same
 //! encoding with the same fold order).
 //!
-//! **Fresh identities.** Reopened objects are stamped with fresh
-//! [`next_object_identity`] generations, never the previous process's
-//! numbers: identity uniqueness is a process-local invariant that keys the
-//! shared result cache and the `ObjectState::refresh` rebuild detection.
+//! **Fresh identities.** Reopened objects and their attributes are stamped
+//! with fresh generations of
+//! [`next_object_identity`](dbtouch_storage::shared_cache::next_object_identity),
+//! never the previous process's numbers: identity uniqueness is a
+//! process-local invariant that keys the shared result cache and the
+//! `ObjectState::refresh` rebuild detection.
 //! Reusing persisted identities could collide with identities minted for new
 //! loads and serve another object's cached windows.
 //!
@@ -28,47 +30,49 @@
 //! directory keeps the store attached and persists each published epoch
 //! (loads, metadata edits and restructures alike) from inside the publish
 //! path, so the directory tracks the live catalog and a crash loses at most
-//! the epoch being written — never a published one. Extents of objects whose
-//! identity was already persisted are reused, making the common persist
-//! incremental: a restructure writes only the rebuilt objects' pages plus
-//! one manifest.
+//! the epoch being written — never a published one. What is referenced is the
+//! attribute, not the object: the store remembers the extents of every
+//! attribute build the last manifest names, keyed by the attribute's
+//! identity, and a manifest points at them again instead of rewriting them.
+//! A load writes its columns' pages; a restructure, which only reassembles
+//! attributes the catalog already holds, writes no pages — only one
+//! manifest. Reopening seeds the memo from the manifest, so this holds on a
+//! reopened catalog too.
 
-use crate::catalog::{validate_action, CatalogSnapshot, ObjectData, SharedCatalog};
+use crate::catalog::{validate_action, Attribute, CatalogSnapshot, ObjectData, SharedCatalog};
 use crate::kernel::TouchAction;
 use dbtouch_gesture::view::View;
 use dbtouch_storage::column::Column;
 use dbtouch_storage::encoding::EncodingPolicy;
-use dbtouch_storage::layout::Layout;
 use dbtouch_storage::matrix::Matrix;
 use dbtouch_storage::page::DEFAULT_PAGE_SIZE;
 use dbtouch_storage::pager::{ColumnExtent, PagedColumn, PagerStats};
 use dbtouch_storage::persist::{CatalogStore, ObjectRecord, StoreManifest};
 use dbtouch_storage::sample::SampleHierarchy;
-use dbtouch_storage::shared_cache::next_object_identity;
 use dbtouch_storage::table::Table;
 use dbtouch_types::wire;
 use dbtouch_types::{DbTouchError, KernelConfig, Result, SizeCm};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// The extents one immutable object build occupies on disk, remembered per
-/// identity so re-persisting an unchanged object writes no pages.
+/// Where one attribute build lives on disk.
 #[derive(Debug, Clone)]
-struct PersistedExtents {
-    columns: Vec<ColumnExtent>,
-    /// Per attribute: extents of sample levels `1..` (level 0 is the column).
-    sample_levels: Vec<Vec<ColumnExtent>>,
+struct AttributeExtents {
+    column: ColumnExtent,
+    /// Sample levels `1..` (level 0 is the column).
+    levels: Vec<ColumnExtent>,
 }
 
 /// A catalog's attached persistent store: the directory, the pager and the
-/// identity → extents memo. One `Persistence` serializes all persists of its
-/// catalog through its interior mutex.
+/// attribute identity → extents memo. One `Persistence` serializes all
+/// persists of its catalog through its interior mutex.
 #[derive(Debug)]
 pub(crate) struct Persistence {
     store: CatalogStore,
-    extents: Mutex<HashMap<u64, PersistedExtents>>,
-    /// Page-span encoding choices applied when object pages are written.
+    /// The attributes the last persisted snapshot names, and where they are.
+    extents: Mutex<HashMap<u64, AttributeExtents>>,
+    /// Page-span encoding choices applied when attribute pages are written.
     policy: EncodingPolicy,
 }
 
@@ -82,27 +86,27 @@ fn encoding_policy(config: &KernelConfig) -> EncodingPolicy {
 }
 
 impl Persistence {
-    /// Persist one snapshot: append pages for object builds not yet on disk,
-    /// then commit a manifest for the snapshot's epoch. Safe under live
+    /// Persist one snapshot: append pages for attribute builds not yet on
+    /// disk, then commit a manifest for the snapshot's epoch. Safe under live
     /// churn — the snapshot is immutable, so the manifest is one consistent
     /// epoch no matter what publishes concurrently.
     pub(crate) fn persist_snapshot(&self, snapshot: &CatalogSnapshot) -> Result<u64> {
         let mut extents = self.extents.lock().unwrap_or_else(|e| e.into_inner());
         let pager = self.store.pager();
+        let mut live = HashSet::new();
         let mut slots = Vec::with_capacity(snapshot.slots().len());
         for slot in snapshot.slots() {
             let Some(data) = slot else {
                 slots.push(None);
                 continue;
             };
-            let persisted = match extents.get(&data.identity()) {
-                Some(existing) => existing.clone(),
-                None => {
-                    let written = write_object_pages(pager, data, &self.policy)?;
-                    extents.insert(data.identity(), written.clone());
-                    written
-                }
-            };
+            write_new_attributes(pager, data.attributes(), &self.policy, &mut extents)?;
+            let persisted: Vec<&AttributeExtents> = data
+                .attributes()
+                .iter()
+                .map(|a| &extents[&a.identity()])
+                .collect();
+            live.extend(data.attributes().iter().map(|a| a.identity()));
             let schema = data.schema();
             slots.push(Some(ObjectRecord {
                 name: data.name().to_string(),
@@ -112,11 +116,17 @@ impl Persistence {
                 action: wire::encode(data.default_action()),
                 attribute_names: schema.iter().map(|(n, _)| n.clone()).collect(),
                 row_count: data.row_count(),
-                columns: persisted.columns.clone(),
-                sample_levels: persisted.sample_levels.clone(),
-                zone_maps: data.indexes().to_vec(),
+                columns: persisted.iter().map(|p| p.column).collect(),
+                sample_levels: persisted.iter().map(|p| p.levels.clone()).collect(),
+                zone_maps: data
+                    .attributes()
+                    .iter()
+                    .map(|a| a.zone_map().cloned())
+                    .collect(),
             }));
         }
+        // Attributes no object holds any more are never referenced again.
+        extents.retain(|identity, _| live.contains(identity));
         let manifest = StoreManifest {
             epoch: snapshot.epoch(),
             restructures: snapshot.restructures(),
@@ -144,77 +154,76 @@ impl Persistence {
     }
 }
 
-/// Append every page of one object build: its columns (in schema order) and
-/// the derived sample levels. Zone maps travel inline in the manifest.
-fn write_object_pages(
+/// Append the pages of the attributes not yet on disk — their columns in
+/// schema order, then their sample levels — and remember where they went.
+/// Zone maps travel inline in the manifest.
+fn write_new_attributes(
     pager: &Arc<dbtouch_storage::pager::Pager>,
-    data: &ObjectData,
+    attributes: &[Arc<Attribute>],
     policy: &EncodingPolicy,
-) -> Result<PersistedExtents> {
-    // Catalog-held matrixes are column-major (loads and restructures build
-    // them that way; rotation is session-private). Convert defensively if a
-    // future load path registers a row-major build.
-    let columnar;
-    let matrix: &Matrix = if data.matrix().columns().is_some() {
-        data.matrix()
-    } else {
-        columnar = data.matrix().converted_to(Layout::ColumnMajor)?;
-        &columnar
-    };
-    let cols = matrix.columns().expect("column-major after conversion");
-    let mut columns = Vec::with_capacity(cols.len());
-    for col in cols {
-        columns.push(col.persist_to_encoded(pager, policy)?);
+    extents: &mut HashMap<u64, AttributeExtents>,
+) -> Result<()> {
+    let new: Vec<&Attribute> = attributes
+        .iter()
+        .filter(|a| !extents.contains_key(&a.identity()))
+        .map(|a| &**a)
+        .collect();
+    let mut columns = Vec::with_capacity(new.len());
+    for attribute in &new {
+        columns.push(attribute.column().persist_to_encoded(pager, policy)?);
     }
-    let mut sample_levels = Vec::with_capacity(cols.len());
-    for hierarchy in data.hierarchies() {
+    for (attribute, column) in new.into_iter().zip(columns) {
+        let hierarchy = attribute.hierarchy();
         let mut levels = Vec::new();
         for level in 1..hierarchy.level_count() {
             levels.push(hierarchy.level(level)?.persist_to_encoded(pager, policy)?);
         }
-        sample_levels.push(levels);
+        extents.insert(attribute.identity(), AttributeExtents { column, levels });
     }
-    if sample_levels.len() != columns.len() {
-        return Err(DbTouchError::Internal(format!(
-            "object {} has {} hierarchies for {} columns",
-            data.name(),
-            sample_levels.len(),
-            columns.len()
-        )));
-    }
-    Ok(PersistedExtents {
-        columns,
-        sample_levels,
-    })
+    Ok(())
 }
 
-/// Rebuild one object from its manifest record: paged-backed columns and
-/// sample levels, inline zone maps, re-derived base view, decoded default
-/// action — and a **fresh** identity.
+/// Rebuild one object from its manifest record: paged-backed attributes
+/// (column, sample levels, inline zone map), re-derived base view, decoded
+/// default action — and **fresh** identities, each attribute's recorded in
+/// `extents` so re-persisting it writes no pages.
 fn object_from_record(
     pager: &Arc<dbtouch_storage::pager::Pager>,
     record: &ObjectRecord,
-) -> Result<(Arc<ObjectData>, PersistedExtents)> {
+    extents: &mut HashMap<u64, AttributeExtents>,
+) -> Result<Arc<ObjectData>> {
     let mut columns = Vec::with_capacity(record.columns.len());
-    for (name, extent) in record.attribute_names.iter().zip(&record.columns) {
+    let mut attributes = Vec::with_capacity(record.columns.len());
+    let persisted = record
+        .attribute_names
+        .iter()
+        .zip(&record.columns)
+        .zip(&record.sample_levels)
+        .zip(&record.zone_maps);
+    for (((name, extent), levels), zone_map) in persisted {
         if extent.rows != record.row_count {
             return Err(DbTouchError::Corrupt(format!(
                 "object {}: column {name} extent holds {} rows, object claims {}",
                 record.name, extent.rows, record.row_count
             )));
         }
-        let reader = PagedColumn::new(Arc::clone(pager), *extent)?;
-        columns.push(Column::paged(name.clone(), reader));
-    }
-    let mut hierarchies = Vec::with_capacity(columns.len());
-    for (column, levels) in columns.iter().zip(&record.sample_levels) {
+        let column = Column::paged(name.clone(), PagedColumn::new(Arc::clone(pager), *extent)?);
         let mut built = Vec::with_capacity(levels.len() + 1);
         built.push(column.clone());
-        for extent in levels {
-            let reader = PagedColumn::new(Arc::clone(pager), *extent)?;
-            built.push(Column::paged(column.name(), reader));
+        for level in levels {
+            let reader = PagedColumn::new(Arc::clone(pager), *level)?;
+            built.push(Column::paged(name.clone(), reader));
         }
-        hierarchies.push(SampleHierarchy::from_levels(built)?);
+        let attribute = Attribute::new(SampleHierarchy::from_levels(built)?, zone_map.clone());
+        extents.insert(
+            attribute.identity(),
+            AttributeExtents {
+                column: *extent,
+                levels: levels.clone(),
+            },
+        );
+        attributes.push(Arc::new(attribute));
+        columns.push(column);
     }
     let size = SizeCm::new(record.size_w, record.size_h);
     let view = if record.is_table {
@@ -244,22 +253,9 @@ fn object_from_record(
             record.name
         ))
     })?;
-    let data = ObjectData::from_parts(
-        record.name.clone(),
-        next_object_identity(),
-        Arc::new(matrix),
-        Arc::new(hierarchies),
-        Arc::new(record.zone_maps.clone()),
-        view,
-        action,
-    );
-    Ok((
-        Arc::new(data),
-        PersistedExtents {
-            columns: record.columns.clone(),
-            sample_levels: record.sample_levels.clone(),
-        },
-    ))
+    Ok(Arc::new(ObjectData::from_parts(
+        matrix, attributes, view, action,
+    )))
 }
 
 impl SharedCatalog {
@@ -289,9 +285,7 @@ impl SharedCatalog {
                     match record {
                         None => slots.push(None),
                         Some(record) => {
-                            let (data, persisted) = object_from_record(pager, record)?;
-                            extents.insert(data.identity(), persisted);
-                            slots.push(Some(data));
+                            slots.push(Some(object_from_record(pager, record, &mut extents)?));
                         }
                     }
                 }
@@ -314,7 +308,7 @@ impl SharedCatalog {
     /// Persist the current snapshot to `dir` and return the epoch written.
     ///
     /// When `dir` is the attached directory this is an incremental persist
-    /// (unchanged objects write no pages). Any other directory gets a full,
+    /// (attributes already on disk write no pages). Any other directory gets a full,
     /// self-contained copy of the current epoch — and stays detached: the
     /// catalog keeps persisting to its attached directory, if any.
     pub fn persist_to(&self, dir: impl AsRef<Path>) -> Result<u64> {
@@ -524,6 +518,19 @@ mod tests {
         );
     }
 
+    /// Pages in the attached store, and whether its memo names exactly the
+    /// live attributes.
+    fn pages_and_memo(catalog: &SharedCatalog) -> (u64, bool) {
+        let persistence = catalog.persistence().unwrap();
+        let live: usize = catalog
+            .snapshot()
+            .objects()
+            .map(|(_, data)| data.attributes().len())
+            .sum();
+        let memo = persistence.extents.lock().unwrap().len();
+        (persistence.pager().len_pages(), memo == live)
+    }
+
     #[test]
     fn attached_catalog_persists_every_publish_and_resumes() {
         let dir = temp_dir("attached");
@@ -539,11 +546,16 @@ mod tests {
             )
             .unwrap();
             let tid = catalog.load_table(table, SizeCm::new(6.0, 10.0)).unwrap();
+            let (loaded, exact) = pages_and_memo(&catalog);
+            assert!(exact);
             let cid = catalog
                 .drag_column_out(tid, "m", SizeCm::new(2.0, 10.0))
                 .unwrap();
             catalog.drag_column_into(tid, cid).unwrap();
             assert_eq!(catalog.epoch(), 3);
+            // A restructure reassembles attributes already on disk: the
+            // drag cycle appended no page.
+            assert_eq!(pages_and_memo(&catalog), (loaded, true));
             // No explicit persist_to: every publish persisted itself.
         }
         let reopened = SharedCatalog::open(&dir, KernelConfig::default()).unwrap();
@@ -557,12 +569,22 @@ mod tests {
         let data = reopened.data(tid).unwrap();
         let schema: Vec<&str> = data.schema().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(schema, vec!["id", "m"]);
-        // Ids continue after the tombstone, never reusing it.
+        // The reopened memo knows every attribute's extents: a drag cycle
+        // on the reopened catalog appends no page either.
+        let (reopened_pages, exact) = pages_and_memo(&reopened);
+        assert!(exact);
+        let cid = reopened
+            .drag_column_out(tid, "id", SizeCm::new(2.0, 10.0))
+            .unwrap();
+        reopened.drag_column_into(tid, cid).unwrap();
+        assert_eq!(pages_and_memo(&reopened), (reopened_pages, true));
+        // Ids continue after the tombstones, never reusing them.
         let next = reopened
             .load_column("x", vec![1, 2, 3], SizeCm::new(2.0, 10.0))
             .unwrap();
         assert_eq!(next.0, reopened.snapshot().slot_count() as u64 - 1);
-        assert_eq!(reopened.epoch(), 4);
+        assert_eq!(reopened.epoch(), 6);
+        assert!(pages_and_memo(&reopened).1);
     }
 
     #[test]

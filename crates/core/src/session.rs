@@ -245,9 +245,9 @@ impl<'a> Session<'a> {
         };
         let shapes = object
             .data
-            .hierarchies()
+            .attributes()
             .iter()
-            .map(|h| h.shape())
+            .map(|a| a.hierarchy().shape())
             .collect();
         let planner = TouchPlanner::new(object.view.clone(), shapes, &object.action, config);
         Session {
@@ -444,9 +444,9 @@ impl<'a> Session<'a> {
         match self
             .object
             .data()
-            .indexes()
+            .attributes()
             .get(attribute)
-            .and_then(|i| i.as_ref())
+            .and_then(|a| a.zone_map())
         {
             Some(index) => !index.row_block_may_match(row.0, lo, hi),
             None => false,

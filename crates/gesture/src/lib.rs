@@ -21,15 +21,8 @@
 //!   traces (slides with speed profiles, pauses and reversals, pinches, taps) at
 //!   a configurable sampling rate. This is the stand-in for a physical finger on
 //!   a physical touch screen and is what the figure harnesses drive.
-//! * [`trace`] — recorded gesture traces with serialization, so experiments are
-//!   reproducible.
-//! * [`json`] — the dependency-free JSON codec backing trace serialization.
+//! * [`trace`] — recorded gesture traces, so experiments are reproducible.
 
-/// The dependency-free JSON codec (re-exported from `dbtouch-types`, which
-/// metrics and trace export share).
-pub mod json {
-    pub use dbtouch_types::json::*;
-}
 pub mod kinematics;
 pub mod recognizer;
 pub mod synthesizer;

@@ -5,21 +5,10 @@
 //! consumes, and what the experiment harnesses serialize so that every figure
 //! can be regenerated from the exact same input.
 
-use crate::json::Json;
 use crate::touch::{TouchEvent, TouchPhase};
 use dbtouch_types::{DbTouchError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn phase_name(phase: TouchPhase) -> &'static str {
-    match phase {
-        TouchPhase::Began => "Began",
-        TouchPhase::Moved => "Moved",
-        TouchPhase::Stationary => "Stationary",
-        TouchPhase::Ended => "Ended",
-    }
-}
 
 /// The most touch samples one trace may carry: 65 536, about nine minutes of
 /// sliding at 120 Hz. A session is a sequence of traces, so the cap bounds the
@@ -115,33 +104,6 @@ impl GestureTrace {
             }
         }
         Ok(())
-    }
-
-    /// Serialize the trace to JSON (for storing experiment inputs).
-    pub fn to_json(&self) -> Result<String> {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut map = BTreeMap::new();
-                map.insert("x".to_string(), Json::Number(e.location.x));
-                map.insert("y".to_string(), Json::Number(e.location.y));
-                map.insert(
-                    "ms".to_string(),
-                    Json::Number(e.timestamp.as_millis() as f64),
-                );
-                map.insert(
-                    "phase".to_string(),
-                    Json::String(phase_name(e.phase).to_string()),
-                );
-                map.insert("finger".to_string(), Json::Number(e.finger as f64));
-                Json::Object(map)
-            })
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert("target".to_string(), Json::String(self.target.clone()));
-        root.insert("events".to_string(), Json::Array(events));
-        Ok(Json::Object(root).pretty())
     }
 
     /// Concatenate another trace after this one (a session of several gestures
@@ -264,17 +226,6 @@ mod tests {
         ]);
         assert!(t.is_ok());
         assert_eq!(t.unwrap().finger(1).count(), 2);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = valid_trace();
-        let json = crate::json::parse(&t.to_json().unwrap()).unwrap();
-        assert_eq!(json.get("target").and_then(Json::as_str), Some("col"));
-        let events = json.get("events").and_then(Json::as_array).unwrap();
-        assert_eq!(events.len(), t.len());
-        assert_eq!(events[1].get("y").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(events[3].get("phase").and_then(Json::as_str), Some("Ended"));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::pager::{append_row_bytes_encoded, ColumnExtent, PagedColumn, Pager};
 use crate::segment::SegmentStats;
 use dbtouch_types::{DataType, DbTouchError, Result, RowId, RowRange, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Typed storage for a column's values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -50,7 +51,10 @@ enum ColumnData {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Column {
     name: String,
-    data: ColumnData,
+    /// Shared by every clone and copied on the first push to a shared one,
+    /// so a table's matrix, level 0 of its sample hierarchies and every
+    /// object a restructure moves the column into hold one buffer.
+    data: Arc<ColumnData>,
 }
 
 /// Columns compare by *logical content* — name, type and row values — so an
@@ -62,7 +66,7 @@ impl PartialEq for Column {
         if self.name != other.name {
             return false;
         }
-        match (&self.data, &other.data) {
+        match (&*self.data, &*other.data) {
             (ColumnData::Int64(a), ColumnData::Int64(b)) => a == b,
             (ColumnData::Float64(a), ColumnData::Float64(b)) => a == b,
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a == b,
@@ -98,7 +102,7 @@ impl Column {
     pub fn from_i64(name: impl Into<String>, values: Vec<i64>) -> Column {
         Column {
             name: name.into(),
-            data: ColumnData::Int64(values),
+            data: Arc::new(ColumnData::Int64(values)),
         }
     }
 
@@ -106,7 +110,7 @@ impl Column {
     pub fn from_f64(name: impl Into<String>, values: Vec<f64>) -> Column {
         Column {
             name: name.into(),
-            data: ColumnData::Float64(values),
+            data: Arc::new(ColumnData::Float64(values)),
         }
     }
 
@@ -114,7 +118,7 @@ impl Column {
     pub fn from_timestamps(name: impl Into<String>, values: Vec<i64>) -> Column {
         Column {
             name: name.into(),
-            data: ColumnData::Timestamp(values),
+            data: Arc::new(ColumnData::Timestamp(values)),
         }
     }
 
@@ -138,7 +142,7 @@ impl Column {
         }
         Ok(Column {
             name: name.into(),
-            data: ColumnData::FixedStr { width, bytes },
+            data: Arc::new(ColumnData::FixedStr { width, bytes }),
         })
     }
 
@@ -156,7 +160,7 @@ impl Column {
         };
         Column {
             name: name.into(),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -166,13 +170,13 @@ impl Column {
     pub fn paged(name: impl Into<String>, reader: PagedColumn) -> Column {
         Column {
             name: name.into(),
-            data: ColumnData::Paged(reader),
+            data: Arc::new(ColumnData::Paged(reader)),
         }
     }
 
     /// The page extent behind this column, when it is paged-backed.
     pub fn paged_extent(&self) -> Option<ColumnExtent> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Paged(p) => Some(p.extent()),
             _ => None,
         }
@@ -184,7 +188,7 @@ impl Column {
     /// once — no per-row `Value` boxing — so a page fault amortizes over all
     /// the rows it holds.
     pub fn materialized(&self) -> Result<Column> {
-        let ColumnData::Paged(p) = &self.data else {
+        let ColumnData::Paged(p) = &*self.data else {
             return Ok(self.clone());
         };
         let raw = p.raw_row_bytes()?;
@@ -218,7 +222,10 @@ impl Column {
             DataType::Bool => ColumnData::Bool(raw.iter().map(|&b| b != 0).collect()),
             DataType::FixedStr(width) => ColumnData::FixedStr { width, bytes: raw },
         };
-        Ok(Column { name, data })
+        Ok(Column {
+            name,
+            data: Arc::new(data),
+        })
     }
 
     /// Append this column's rows to a persistent store's page file in the raw
@@ -239,7 +246,7 @@ impl Column {
         policy: &EncodingPolicy,
     ) -> Result<ColumnExtent> {
         let dt = self.data_type();
-        let row_bytes: Vec<u8> = match &self.data {
+        let row_bytes: Vec<u8> = match &*self.data {
             ColumnData::Int64(v) | ColumnData::Timestamp(v) => {
                 v.iter().flat_map(|x| x.to_le_bytes()).collect()
             }
@@ -266,7 +273,7 @@ impl Column {
 
     /// Data type of the column.
     pub fn data_type(&self) -> DataType {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int64(_) => DataType::Int64,
             ColumnData::Float64(_) => DataType::Float64,
             ColumnData::Bool(_) => DataType::Bool,
@@ -278,7 +285,7 @@ impl Column {
 
     /// Number of rows.
     pub fn len(&self) -> u64 {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int64(v) => v.len() as u64,
             ColumnData::Float64(v) => v.len() as u64,
             ColumnData::Bool(v) => v.len() as u64,
@@ -304,7 +311,7 @@ impl Column {
     /// this is the *persisted* payload size — encoded columns report what
     /// they actually occupy on disk, not the logical fixed-width size.
     pub fn byte_size(&self) -> u64 {
-        match &self.data {
+        match &*self.data {
             ColumnData::Paged(p) => p.extent().payload_bytes,
             _ => self.len() * self.data_type().width_bytes() as u64,
         }
@@ -314,7 +321,7 @@ impl Column {
     /// columns are immutable (their rows live in a published on-disk extent)
     /// and reject every push.
     pub fn push(&mut self, value: Value) -> Result<()> {
-        match (&mut self.data, value) {
+        match (Arc::make_mut(&mut self.data), value) {
             (ColumnData::Paged(_), _) => {
                 return Err(DbTouchError::InvalidPlan(
                     "paged columns are immutable; materialize before mutating".into(),
@@ -353,7 +360,7 @@ impl Column {
         if row.0 >= len {
             return Err(DbTouchError::RowOutOfBounds { row: row.0, len });
         }
-        Ok(match &self.data {
+        Ok(match &*self.data {
             ColumnData::Int64(v) => Value::Int(v[i]),
             ColumnData::Float64(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
@@ -377,7 +384,7 @@ impl Column {
         if row.0 >= len {
             return Err(DbTouchError::RowOutOfBounds { row: row.0, len });
         }
-        match &self.data {
+        match &*self.data {
             ColumnData::Int64(v) => Ok(v[i] as f64),
             ColumnData::Float64(v) => Ok(v[i]),
             ColumnData::Timestamp(v) => Ok(v[i] as f64),
@@ -424,11 +431,11 @@ impl Column {
     /// Present `range` to the one range fold ([`crate::fold`]) as a span of
     /// raw values; `exact` selects the `i128` sum for integer columns.
     fn range_stats(&self, range: RowRange, exact: bool) -> Result<SegmentStats> {
-        if let ColumnData::Paged(p) = &self.data {
+        if let ColumnData::Paged(p) = &*self.data {
             return p.range_stats(range, exact);
         }
         let rows = range.clamp_to(self.len()).as_usize_range();
-        Ok(match &self.data {
+        Ok(match &*self.data {
             ColumnData::Int64(v) | ColumnData::Timestamp(v) if exact => {
                 fold_values::<_, Exact>(&v[rows])
             }
@@ -449,7 +456,7 @@ impl Column {
     /// to read (I/O fault or corruption) — inline columns cannot fail.
     pub fn strided_sample(&self, step: u64) -> Result<Column> {
         let step = step.max(1) as usize;
-        if let ColumnData::Paged(p) = &self.data {
+        if let ColumnData::Paged(p) = &*self.data {
             // Sampling a paged column materializes the sample in memory (it
             // is a derived, smaller column). The page-at-a-time batch path
             // decodes each page once and faults only pages that hold a
@@ -457,7 +464,7 @@ impl Column {
             let (raw, _) = p.strided_row_bytes(step as u64)?;
             return Column::from_raw_bytes(self.name.clone(), p.data_type(), raw);
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(v.iter().step_by(step).copied().collect()),
             ColumnData::Float64(v) => {
                 ColumnData::Float64(v.iter().step_by(step).copied().collect())
@@ -484,7 +491,7 @@ impl Column {
         };
         Ok(Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
         })
     }
 
@@ -492,14 +499,14 @@ impl Column {
     /// Errors only for paged-backed columns whose pages fail to read.
     pub fn project_range(&self, range: RowRange) -> Result<Column> {
         let range = range.clamp_to(self.len());
-        if let ColumnData::Paged(p) = &self.data {
+        if let ColumnData::Paged(p) = &*self.data {
             // Page-at-a-time batch decode: each page in the range faults and
             // decodes once, instead of one `get()` fault per row.
             let raw = p.range_raw_bytes(range)?;
             return Column::from_raw_bytes(self.name.clone(), p.data_type(), raw);
         }
         let r = range.as_usize_range();
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(v[r].to_vec()),
             ColumnData::Float64(v) => ColumnData::Float64(v[r].to_vec()),
             ColumnData::Bool(v) => ColumnData::Bool(v[r].to_vec()),
@@ -515,7 +522,7 @@ impl Column {
         };
         Ok(Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
         })
     }
 

@@ -46,13 +46,13 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Build a column-major matrix from a table (no copying of column data
-    /// beyond moving the vectors).
+    /// Build a column-major matrix from a table, moving its columns (no
+    /// column data is copied).
     pub fn from_table(table: Table) -> Matrix {
         let schema = table.schema();
         let row_count = table.row_count();
         let name = table.name().to_string();
-        let columns = table.columns().to_vec();
+        let columns = table.into_columns();
         Matrix {
             name,
             schema,

@@ -68,15 +68,6 @@ impl RotationTask {
         self.source.row_count()
     }
 
-    /// Fraction of the conversion completed in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        if self.total_rows() == 0 {
-            1.0
-        } else {
-            self.converted_rows as f64 / self.total_rows() as f64
-        }
-    }
-
     /// True once every row has been converted.
     pub fn is_complete(&self) -> bool {
         self.converted_rows >= self.total_rows()
@@ -121,12 +112,6 @@ impl RotationTask {
     pub fn source(&self) -> &Matrix {
         &self.source
     }
-
-    /// The shared handle to the source matrix (pointer-identical to the one
-    /// passed to [`RotationTask::over`]; no copy is ever made).
-    pub fn source_arc(&self) -> &Arc<Matrix> {
-        &self.source
-    }
 }
 
 #[cfg(test)]
@@ -167,14 +152,14 @@ mod tests {
         let m = demo_matrix();
         let mut task = RotationTask::new(m, 40);
         assert_eq!(task.total_rows(), 100);
-        assert_eq!(task.progress(), 0.0);
+        assert_eq!(task.converted_rows(), 0);
         assert_eq!(task.step().unwrap(), 40);
         assert_eq!(task.step().unwrap(), 40);
-        assert!((task.progress() - 0.8).abs() < 1e-12);
+        assert_eq!(task.converted_rows(), 80);
         assert_eq!(task.step().unwrap(), 20);
         assert!(task.is_complete());
         assert_eq!(task.step().unwrap(), 0);
-        assert_eq!(task.progress(), 1.0);
+        assert_eq!(task.converted_rows(), task.total_rows());
     }
 
     #[test]
@@ -226,7 +211,6 @@ mod tests {
             (0..200_000).collect(),
         )));
         let task = RotationTask::over(Arc::clone(&m), 4096);
-        assert!(Arc::ptr_eq(task.source_arc(), &m));
         assert_eq!(task.source() as *const Matrix, Arc::as_ptr(&m));
         // Only the two handles exist — no hidden clone took a third.
         assert_eq!(Arc::strong_count(&m), 2);
@@ -261,7 +245,7 @@ mod tests {
         let m = Matrix::from_column(Column::from_i64("x", vec![]));
         let task = RotationTask::new(m, 10);
         assert!(task.is_complete());
-        assert_eq!(task.progress(), 1.0);
+        assert_eq!(task.converted_rows(), task.total_rows());
         let rotated = task.finish().unwrap();
         assert_eq!(rotated.row_count(), 0);
         assert_eq!(rotated.layout(), Layout::RowMajor);

@@ -56,6 +56,11 @@ impl Table {
         &self.columns
     }
 
+    /// Consume the table, returning its columns in order.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// Schema as `(name, type)` pairs.
     pub fn schema(&self) -> Vec<(String, DataType)> {
         self.columns

@@ -71,7 +71,7 @@ pub fn plan_explorers(
     // Filtered explorers keep values above the column mean, so the predicate
     // stays selective-but-satisfiable whatever the scenario's value range is.
     let mean = {
-        let base = data.hierarchies()[0].base();
+        let base = data.attribute(0)?.column();
         let (count, sum, _, _) =
             base.numeric_range_stats(dbtouch_types::RowRange::new(0, base.len()))?;
         if count > 0 {

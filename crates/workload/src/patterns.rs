@@ -49,11 +49,6 @@ impl Pattern {
         (self.start_row as f64 + self.len_rows as f64 / 2.0) / total_rows as f64
     }
 
-    /// True if `row` falls inside the affected region.
-    pub fn covers(&self, row: u64) -> bool {
-        row >= self.start_row && row < self.start_row + self.len_rows
-    }
-
     /// Apply the pattern to a signal in place. Rows beyond the signal are
     /// ignored.
     pub fn apply(&self, data: &mut [f64]) {
@@ -120,8 +115,6 @@ mod tests {
         assert_eq!(data[40], 11.0);
         assert_eq!(data[49], 11.0);
         assert_eq!(data[50], 1.0);
-        assert!(p.covers(45));
-        assert!(!p.covers(50));
     }
 
     #[test]

@@ -885,13 +885,16 @@ proptest! {
     /// object of the reopened, paged-backed catalog produces bit-identical
     /// results to the in-memory catalog it was persisted from — including
     /// catalogs whose object table carries tombstones and a
-    /// `drag_column_into`-rebuilt table — and both equal the oracle's. The
-    /// trace slides down and back up at a third of the speed, so a summary
-    /// reads the same windows at two sample levels.
+    /// `drag_column_into`-reassembled table — and both equal the oracle's.
+    /// Optionally the attached reopened catalog is restructured too, and a
+    /// second reopen answers as it does. The trace slides down and back up
+    /// at a third of the speed, so a summary reads the same windows at two
+    /// sample levels.
     #[test]
     fn persisted_catalog_replays_identical_digests(
         rows in 512i64..4_000,
         merge in 0u32..2,
+        reshape in 0u32..2,
         duration in 0.2f64..0.8,
         case in 0u32..u32::MAX,
     ) {
@@ -927,17 +930,39 @@ proptest! {
             catalog.drag_column_into(tid, qid).unwrap();
         }
 
-        // The oracle's columns of each object, as the restructures left them.
-        let columns = |name: &str| match name {
-            "t" if merge_back => vec![ints(&ids), floats(&prices), ints(&qtys)],
-            "t" => vec![ints(&ids), floats(&prices)],
-            "qty" => vec![ints(&qtys)],
-            "solo" => vec![ints(&solo)],
+        // The schema of each object as the restructures left them; a
+        // reshaped "t" had "id" dragged out and back in, to its end.
+        let schema = |name: &str, reshaped: bool| match name {
+            "t" => {
+                let mut t = vec!["id", "price"];
+                if merge_back {
+                    t.push("qty");
+                }
+                if reshaped {
+                    t.rotate_left(1);
+                }
+                t
+            }
+            "qty" => vec!["qty"],
+            "solo" => vec!["solo"],
             other => panic!("unexpected object {other}"),
         };
-        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str| {
+        // The oracle's columns, by attribute name.
+        let column = |attribute: &str| match attribute {
+            "id" => ints(&ids),
+            "price" => floats(&prices),
+            "qty" => ints(&qtys),
+            "solo" => ints(&solo),
+            other => panic!("unexpected attribute {other}"),
+        };
+        let digest_object = |catalog: &Arc<SharedCatalog>, name: &str, reshaped: bool| {
             let id = catalog.object_id(name).unwrap();
             let data = catalog.data(id).unwrap();
+            let attributes = schema(name, reshaped);
+            let names: Vec<&str> = data.schema().iter().map(|(n, _)| n.as_str()).collect();
+            if names != attributes {
+                return Err(format!("{name}: schema {names:?}, expected {attributes:?}"));
+            }
             let view = data.base_view();
             let trace = GestureSynthesizer::new(60.0).slide_profile(
                 view,
@@ -955,7 +980,8 @@ proptest! {
             let mut kernel = Kernel::from_catalog(Arc::clone(catalog));
             kernel.set_action(id, action.clone()).unwrap();
             let outcome = kernel.run_trace(id, &trace).unwrap();
-            let mut engine = NaiveEngine::new(columns(name), catalog.config().sample_levels);
+            let columns = attributes.iter().map(|a| column(a)).collect();
+            let mut engine = NaiveEngine::new(columns, catalog.config().sample_levels);
             let answer =
                 oracle::expected_outcome(&mut engine, view, &action, catalog.config(), &trace);
             oracle::check(&outcome, &answer, true).map_err(|e| format!("{name}: {e}"))?;
@@ -965,7 +991,7 @@ proptest! {
         let names = catalog.names();
         let mut expected = Vec::new();
         for name in &names {
-            expected.push(digest_object(&catalog, name)?);
+            expected.push(digest_object(&catalog, name, false)?);
         }
         let epoch = catalog.persist_to(&dir).unwrap();
 
@@ -978,8 +1004,26 @@ proptest! {
             prop_assert!(reopened.checkout(qid).is_err(), "tombstoned id must stay dead");
         }
         for (name, expected) in names.iter().zip(expected) {
-            let actual = digest_object(&reopened, name)?;
+            let actual = digest_object(&reopened, name, false)?;
             prop_assert!(actual == expected, "digest diverged for {name}");
+        }
+        if reshape == 1 {
+            // The reopened catalog is attached: its restructure persists
+            // (reusing the extents it reopened), and a second reopen
+            // answers as the restructured catalog does.
+            let tid = reopened.object_id("t").unwrap();
+            let cid = reopened.drag_column_out(tid, "id", SizeCm::new(2.0, 10.0)).unwrap();
+            reopened.drag_column_into(tid, cid).unwrap();
+            let mut expected = Vec::new();
+            for name in &names {
+                expected.push(digest_object(&reopened, name, true)?);
+            }
+            drop(reopened);
+            let again = Arc::new(SharedCatalog::open(&dir, KernelConfig::default()).unwrap());
+            for (name, expected) in names.iter().zip(expected) {
+                let actual = digest_object(&again, name, true)?;
+                prop_assert!(actual == expected, "digest diverged for {name} after a reshape");
+            }
         }
 
         let _ = std::fs::remove_dir_all(&dir);
