@@ -88,17 +88,16 @@ impl DataGenerator {
     /// A brightness-like signal for the sky-survey scenario: mostly faint
     /// background noise with occasional brighter sources.
     pub fn sky_brightness(&mut self, n: usize) -> Vec<f64> {
-        let background = self.gaussian(n, 10.0, 1.5);
-        (0..n)
-            .map(|i| {
-                let source = if self.rng.gen_range(0.0..1.0) < 0.001 {
-                    self.rng.gen_range(5.0..15.0)
-                } else {
-                    0.0
-                };
-                (background[i] + source).max(0.0)
-            })
-            .collect()
+        let mut sky = self.gaussian(n, 10.0, 1.5);
+        for value in &mut sky {
+            let source = if self.rng.gen_range(0.0..1.0) < 0.001 {
+                self.rng.gen_range(5.0..15.0)
+            } else {
+                0.0
+            };
+            *value = (*value + source).max(0.0);
+        }
+        sky
     }
 }
 
