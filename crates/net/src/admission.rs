@@ -43,8 +43,6 @@ pub enum ShedReason {
     TouchP99 { p99_nanos: u64, max_nanos: u64 },
     /// `max_connections` live connections at accept time.
     ConnectionLimit,
-    /// The accepted-but-undispatched connection queue is full.
-    AcceptBacklogFull,
 }
 
 impl fmt::Display for ShedReason {
@@ -64,7 +62,6 @@ impl fmt::Display for ShedReason {
                 max_nanos,
             } => write!(f, "per-touch p99 {p99_nanos}ns above limit {max_nanos}ns"),
             ShedReason::ConnectionLimit => write!(f, "connection limit reached"),
-            ShedReason::AcceptBacklogFull => write!(f, "accept backlog full"),
         }
     }
 }
@@ -293,15 +290,12 @@ mod tests {
         server.shutdown();
     }
 
+    /// The one shed decided at accept time, before a connection is served.
     #[test]
     fn accept_time_sheds_are_connection_limits() {
         assert_eq!(
             ShedReason::ConnectionLimit.to_string(),
             "connection limit reached"
-        );
-        assert_eq!(
-            ShedReason::AcceptBacklogFull.to_string(),
-            "accept backlog full"
         );
     }
 }

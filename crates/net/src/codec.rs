@@ -299,6 +299,29 @@ mod tests {
         }
     }
 
+    /// The server's request cap leaves room for a trace one touch over
+    /// `MAX_TRACE_TOUCHES`, so it is refused as an invalid gesture, not as an
+    /// oversize frame.
+    #[test]
+    fn an_over_cap_trace_fits_under_the_request_cap() {
+        let mut trace = sample_trace();
+        let last = *trace.events.last().unwrap();
+        trace
+            .events
+            .resize(dbtouch_gesture::trace::MAX_TRACE_TOUCHES + 1, last);
+        let ctx = WireTraceContext {
+            trace: dbtouch_obs::CLIENT_ID_BIT | 1,
+            root_span: dbtouch_obs::CLIENT_ID_BIT | 2,
+        };
+        let frame = encode_request(&Request::RunTrace(ObjectId(u64::MAX), trace, Some(ctx)));
+        assert!(
+            frame.len() <= crate::MAX_REQUEST_LEN,
+            "{} > {}",
+            frame.len(),
+            crate::MAX_REQUEST_LEN
+        );
+    }
+
     #[test]
     fn trace_context_roundtrips_and_absence_costs_no_bytes() {
         let ctx = WireTraceContext {

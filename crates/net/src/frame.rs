@@ -30,7 +30,10 @@
 //! None of these panic: every byte of the payload is attacker-controlled and
 //! the decoder above this layer is likewise total.
 
+use dbtouch_gesture::touch::TouchEvent;
+use dbtouch_gesture::trace::MAX_TRACE_TOUCHES;
 use dbtouch_types::checksum::checksum64;
+use dbtouch_types::wire::Wire;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Protocol name carried in the JSON handshake frame.
@@ -44,10 +47,17 @@ pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Hard cap on a handshake (Hello/HelloAck) payload.
 pub const MAX_HANDSHAKE_LEN: usize = 4 << 10;
-/// Hard cap on any other frame payload. A report holds every outcome since
-/// the session's previous one, and a session that never snapshots sends its
+/// Hard cap on any other frame payload; the server reads requests under the
+/// tighter [`MAX_REQUEST_LEN`]. A report holds every outcome since the
+/// session's previous one, and a session that never snapshots sends its
 /// whole result stream at close, but nothing legitimate approaches this.
 pub const MAX_FRAME_LEN: usize = 256 << 20;
+/// Hard cap on a request frame payload, as the server reads it: a
+/// `RunTrace` of one touch more than [`MAX_TRACE_TOUCHES`] (each touch a
+/// fixed-size layout), so an over-cap trace still decodes and is refused as
+/// an invalid gesture, plus 64 KiB for its target name, object and trace
+/// context — about 1.7 MiB. Responses keep [`MAX_FRAME_LEN`].
+pub const MAX_REQUEST_LEN: usize = (MAX_TRACE_TOUCHES + 1) * TouchEvent::MIN_BYTES + (64 << 10);
 
 /// Frame type tags (first payload byte).
 pub mod tag {

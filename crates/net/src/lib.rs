@@ -64,6 +64,8 @@ pub use client::{TcpClient, TcpSession};
 pub use codec::{
     decode_request, decode_response, encode_request, encode_response, Request, Response,
 };
-pub use frame::{checksum, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN, PROTOCOL_NAME, PROTOCOL_VERSION};
+pub use frame::{
+    checksum, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN, MAX_REQUEST_LEN, PROTOCOL_NAME, PROTOCOL_VERSION,
+};
 pub use metrics::NetInstruments;
 pub use server::NetServer;

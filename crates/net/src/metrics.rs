@@ -18,8 +18,8 @@ pub struct NetInstruments {
     pub connections: Gauge,
     /// Connections accepted since startup.
     pub accepted: Counter,
-    /// Requests and connections rejected by load shedding (connection cap,
-    /// accept-backlog overflow, or admission control).
+    /// Requests and connections rejected by load shedding (connection cap
+    /// or admission control).
     pub shed: Counter,
     /// Wire bytes received (frame headers and checksums included).
     pub bytes_in: Counter,

@@ -1,18 +1,17 @@
-//! The TCP serving loop: acceptor, bounded dispatch, per-connection
-//! handlers, admission control, graceful drain.
+//! The TCP serving loop: acceptor, per-connection handlers, admission
+//! control, graceful drain.
 //!
 //! [`NetServer::serve`] brings up an in-process [`ExplorationServer`] from
 //! the same validated [`ServerConfig`] every other entry point uses, then
 //! listens on `config.listen_addr`:
 //!
-//! * the **acceptor** thread accepts sockets and pushes them into a bounded
-//!   queue of `ACCEPT_BACKLOG` entries — an accept burst beyond the
-//!   queue (or beyond `config.max_connections` live connections) receives an
-//!   explicit `Shed` frame and is closed, counted in `net.shed`;
-//! * the **dispatcher** thread drains the queue and spawns one handler
+//! * the **acceptor** thread blocks in `accept` and spawns one handler
 //!   thread per connection (sessions are cheap: the exploration server
 //!   multiplexes them over its fixed worker pool, so a connection thread
-//!   only parses frames and blocks on session barriers);
+//!   only parses frames and blocks on session barriers). A connection beyond
+//!   `config.max_connections` live ones receives an explicit `Shed` frame and
+//!   is closed, counted in `net.shed`; the check takes the slot in the same
+//!   step, so a burst of connects cannot pass it together;
 //! * each **handler** speaks the frame protocol: JSON version handshake
 //!   first, then binary request/response frames. One connection serves at
 //!   most one exploration session. `RunTrace` is acknowledged only after the
@@ -24,17 +23,18 @@
 //! signal from the telemetry hub by key (never a full scrape), and answer
 //! `Shed { retry_after_ms, reason }` when a threshold is tripped.
 //!
-//! **Graceful drain** ([`NetServer::shutdown`]): the acceptor stops
-//! accepting, every handler finishes the frame in flight, closes its session
-//! (flushing queued traces through the barrier), sends `GoAway` carrying the
-//! session's last [`SessionReport`] delta, and answers any straggling
-//! requests with an error until the client hangs up. Only then is the inner
-//! exploration server shut down.
+//! **Graceful drain** ([`NetServer::shutdown`]): the acceptor is woken by
+//! one connect of the server's own and stops accepting, every handler
+//! finishes the frame in flight, closes its session (flushing queued traces
+//! through the barrier), sends `GoAway` carrying the session's last
+//! [`SessionReport`] delta, and answers any straggling requests with an error
+//! until the client hangs up. Once the last handler has left the live count,
+//! the inner exploration server is shut down.
 
 use crate::admission::{Admission, ShedReason, Verdict};
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::{
-    read_frame, tag, write_frame, FrameReadError, ReadOutcome, MAX_FRAME_LEN, MAX_HANDSHAKE_LEN,
+    read_frame, tag, write_frame, FrameReadError, ReadOutcome, MAX_HANDSHAKE_LEN, MAX_REQUEST_LEN,
     PROTOCOL_NAME, PROTOCOL_VERSION,
 };
 use crate::metrics::NetInstruments;
@@ -45,21 +45,17 @@ use dbtouch_server::{
 use dbtouch_types::json::{self, Json};
 use dbtouch_types::{DbTouchError, Result};
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poll interval of the nonblocking acceptor and the handlers' read timeout:
-/// the upper bound on how stale the draining flag can be observed.
+/// The handlers' read timeout — the upper bound on how stale the draining
+/// flag can be observed between frames — and the acceptor's back-off after
+/// an `accept` error.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Bound of the accepted-but-not-yet-dispatched connection queue; an accept
-/// burst beyond it sheds instead of queueing without bound.
-const ACCEPT_BACKLOG: usize = 64;
 
 /// How long a graceful shutdown waits for in-flight connections to drain
 /// (flush traces, deliver final reports) before giving up on the stragglers.
@@ -98,17 +94,11 @@ struct Shared {
     instruments: Arc<NetInstruments>,
     admission: Admission,
     draining: AtomicBool,
-    live_connections: AtomicUsize,
+    connections: Arc<Connections>,
     retry_after_ms: u64,
 }
 
 impl Shared {
-    fn update_connection_gauge(&self) {
-        self.instruments
-            .connections
-            .set(self.live_connections.load(Ordering::SeqCst) as u64);
-    }
-
     fn telemetry(&self) -> &Telemetry {
         self.server.catalog().telemetry()
     }
@@ -124,13 +114,55 @@ impl Shared {
     }
 }
 
-/// The network front-end: owns the listener threads and the in-process
-/// exploration server they serve.
+/// The live-connection count, mirrored in the `net.connections` gauge: the
+/// acceptor admits against it and shutdown waits on it. It lives outside
+/// [`Shared`] so a handler can release the server before it leaves.
+struct Connections {
+    live: Mutex<usize>,
+    left: Condvar,
+    max: usize,
+    instruments: Arc<NetInstruments>,
+}
+
+impl Connections {
+    /// Take a slot if fewer than `max` connections are live: the check and
+    /// the increment are one step.
+    fn admit(&self) -> bool {
+        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        let admitted = *live < self.max;
+        if admitted {
+            *live += 1;
+            self.instruments.connections.set(*live as u64);
+        }
+        admitted
+    }
+
+    /// Give a slot back and wake a waiting shutdown.
+    fn leave(&self) {
+        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        *live -= 1;
+        self.instruments.connections.set(*live as u64);
+        self.left.notify_all();
+    }
+
+    /// Block until no connection is live or `timeout` passes; true when
+    /// none is.
+    fn wait_drained(&self, timeout: Duration) -> bool {
+        let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        let (live, _) = self
+            .left
+            .wait_timeout_while(live, timeout, |live| *live > 0)
+            .unwrap_or_else(|e| e.into_inner());
+        *live == 0
+    }
+}
+
+/// The network front-end: owns the acceptor thread and the in-process
+/// exploration server it serves.
 pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl NetServer {
@@ -155,42 +187,33 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| DbTouchError::Io(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DbTouchError::Io(format!("set_nonblocking: {e}")))?;
 
         let shared = Arc::new(Shared {
             server,
+            connections: Arc::new(Connections {
+                live: Mutex::new(0),
+                left: Condvar::new(),
+                max: config.max_connections,
+                instruments: Arc::clone(&instruments),
+            }),
             instruments,
             admission: Admission::new(config.shed.clone()),
             draining: AtomicBool::new(false),
-            live_connections: AtomicUsize::new(0),
             retry_after_ms: config.shed.retry_after_ms,
         });
-
-        let (tx, rx) = sync_channel::<TcpStream>(ACCEPT_BACKLOG);
-        let max_connections = config.max_connections;
 
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("net-acceptor".into())
-                .spawn(move || accept_loop(&shared, listener, tx, max_connections))
+                .spawn(move || accept_loop(shared, listener))
                 .map_err(|e| DbTouchError::Io(format!("spawn acceptor: {e}")))?
-        };
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("net-dispatcher".into())
-                .spawn(move || dispatch_loop(shared, rx))
-                .map_err(|e| DbTouchError::Io(format!("spawn dispatcher: {e}")))?
         };
 
         Ok(NetServer {
             shared,
             local_addr,
-            acceptor: Some(acceptor),
-            dispatcher: Some(dispatcher),
+            acceptor,
         })
     }
 
@@ -214,38 +237,33 @@ impl NetServer {
     /// in-flight traces and receive the rest of its report via `GoAway`,
     /// then shut the inner exploration server down. Connections that have
     /// not finished within `DRAIN_TIMEOUT` are abandoned (their handler
-    /// threads die with the process).
-    pub fn shutdown(mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+    /// threads die with the process), and so is the inner server they hold.
+    pub fn shutdown(self) {
+        let NetServer {
+            shared,
+            mut local_addr,
+            acceptor,
+        } = self;
+        shared.draining.store(true, Ordering::SeqCst);
+        // Wake the acceptor out of `accept`: it sees `draining` and returns.
+        // An unspecified listen address is reached over loopback.
+        if local_addr.ip().is_unspecified() {
+            local_addr.set_ip(match local_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
+        // Without the wake-up the acceptor may never return, so it is joined
+        // only after one; unjoined, it keeps the server alive below.
+        if TcpStream::connect_timeout(&local_addr, DRAIN_TIMEOUT).is_ok() {
+            let _ = acceptor.join();
         }
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while self.shared.live_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Handlers decrement the live count just before releasing their
-        // reference; retry briefly to win that last race.
-        let mut shared = self.shared;
-        loop {
-            match Arc::try_unwrap(shared) {
-                Ok(inner) => {
-                    inner.server.shutdown();
-                    return;
-                }
-                Err(back) => {
-                    shared = back;
-                    if Instant::now() >= deadline {
-                        // Stragglers still hold the server; give it up — the
-                        // workers park when their queues drain.
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
+        shared.connections.wait_drained(DRAIN_TIMEOUT);
+        // Every handler released the server before it left the count, so
+        // after a full drain this is the last reference; stragglers keep it,
+        // and the workers park when their queues drain.
+        if let Ok(inner) = Arc::try_unwrap(shared) {
+            inner.server.shutdown();
         }
     }
 }
@@ -270,71 +288,49 @@ fn send(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
     }
 }
 
-/// Shed a connection before it is served: explicit `Shed` frame, then close.
-/// The decision counts in `net.shed` like every other shed.
-fn shed_connection(shared: &Shared, mut stream: TcpStream, reason: ShedReason) {
-    let resp = shared.shed(shared.retry_after_ms, &reason);
-    let _ = write_frame(&mut stream, &encode_response(&resp));
-}
-
-fn accept_loop(
-    shared: &Shared,
-    listener: TcpListener,
-    tx: std::sync::mpsc::SyncSender<TcpStream>,
-    max_connections: usize,
-) {
+fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((mut stream, _peer)) => {
+                // Shutdown's wake-up, or a client behind the drain: close it
+                // (with the listener) unserved.
+                if shared.draining.load(Ordering::SeqCst) {
+                    return;
+                }
                 shared.instruments.accepted.inc();
-                if shared.live_connections.load(Ordering::SeqCst) >= max_connections {
-                    shed_connection(shared, stream, ShedReason::ConnectionLimit);
+                if !shared.connections.admit() {
+                    let resp = shared.shed(shared.retry_after_ms, &ShedReason::ConnectionLimit);
+                    let _ = write_frame(&mut stream, &encode_response(&resp));
                     continue;
                 }
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        shed_connection(shared, stream, ShedReason::AcceptBacklogFull);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
+                if spawn_handler(Arc::clone(&shared), stream).is_err() {
+                    // The socket moved into the dropped closure and is
+                    // already closed; give its slot back.
+                    shared.connections.leave();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+            // Anything else (`EMFILE`, say) would most likely fail again at
+            // once: back off instead of spinning until a descriptor frees.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
 
-fn dispatch_loop(shared: Arc<Shared>, rx: Receiver<TcpStream>) {
-    // Bounded by the acceptor: the channel closes when the acceptor exits.
-    while let Ok(stream) = rx.recv() {
-        if shared.draining.load(Ordering::SeqCst) {
-            continue; // queued behind the drain: just close.
-        }
-        shared.live_connections.fetch_add(1, Ordering::SeqCst);
-        shared.update_connection_gauge();
-        let conn_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name("net-conn".into())
-            .spawn(move || {
-                // The handler is panic-contained so a bug in one connection
-                // cannot wedge the live-connection accounting of the rest.
-                let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(&conn_shared, stream)));
-                conn_shared.live_connections.fetch_sub(1, Ordering::SeqCst);
-                conn_shared.update_connection_gauge();
-            });
-        if spawned.is_err() {
-            // Could not spawn a handler: undo the accounting (the socket
-            // moved into the dropped closure and is already closed).
-            shared.live_connections.fetch_sub(1, Ordering::SeqCst);
-            shared.update_connection_gauge();
-        }
-    }
+/// Serve one admitted connection on a thread of its own.
+fn spawn_handler(shared: Arc<Shared>, stream: TcpStream) -> std::io::Result<JoinHandle<()>> {
+    let connections = Arc::clone(&shared.connections);
+    std::thread::Builder::new()
+        .name("net-conn".into())
+        .spawn(move || {
+            // The handler is panic-contained so a bug in one connection
+            // cannot wedge the live count of the rest.
+            let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, stream)));
+            // Release the server before leaving the count: shutdown takes it
+            // back once the count is zero.
+            drop(shared);
+            connections.leave();
+        })
 }
 
 /// The per-connection protocol loop.
@@ -385,7 +381,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // --- request loop ----------------------------------------------------
     let mut session: Option<SessionHandle> = None;
     loop {
-        match read_frame(&mut stream, MAX_FRAME_LEN) {
+        match read_frame(&mut stream, MAX_REQUEST_LEN) {
             Ok((ReadOutcome::Frame(payload), n)) => {
                 shared.instruments.bytes_in.add(n);
                 let started = Instant::now();
@@ -578,7 +574,7 @@ fn drain_connection(shared: &Shared, mut stream: TcpStream, session: Option<Sess
     let _ = stream.flush();
     let deadline = Instant::now() + DRAIN_TIMEOUT;
     loop {
-        match read_frame(&mut stream, MAX_FRAME_LEN) {
+        match read_frame(&mut stream, MAX_REQUEST_LEN) {
             Ok((ReadOutcome::Frame(_), n)) => {
                 shared.instruments.bytes_in.add(n);
                 if !send(
@@ -612,11 +608,12 @@ mod tests {
             max_remote_backlog: Some(0),
             ..ShedConfig::default()
         };
-        let server = NetServer::serve(
-            ServerConfig::with_workers(1)
+        let server = NetServer::serve(ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::with_workers(1)
                 .with_shed(shed)
-                .with_listen_addr("127.0.0.1:0"),
-        )
+                .with_listen_addr("127.0.0.1:0")
+        })
         .unwrap();
 
         // A remote-executor backlog shed names the signal that tripped.
@@ -628,20 +625,68 @@ mod tests {
         }
         assert_eq!(server.metrics_snapshot().scalar("net.shed"), Some(1));
 
-        // An accept-backlog shed says so. The queue never fills on an idle
-        // server, so hand the acceptor's shed path a connection directly.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        shed_connection(&server.shared, accepted, ShedReason::AcceptBacklogFull);
-        match read_frame(&mut peer, MAX_FRAME_LEN).unwrap() {
+        // Of connects that arrive together, exactly `max_connections` are
+        // served, whichever they are: admission takes the slot in the same
+        // step it checks the count. The client above has left first.
+        assert!(server
+            .shared
+            .connections
+            .wait_drained(Duration::from_secs(10)));
+        let mut burst: Vec<TcpStream> = (0..4)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        for stream in &mut burst {
+            write_frame(stream, &hello_frame(tag::HELLO)).unwrap();
+        }
+        let (mut acked, mut shed) = (0, 0);
+        for stream in &mut burst {
+            // A hang guard only: every stream is answered at once.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            match read_frame(stream, MAX_HANDSHAKE_LEN).unwrap() {
+                (ReadOutcome::Frame(p), _) if p.first() == Some(&tag::HELLO_ACK) => acked += 1,
+                (ReadOutcome::Frame(p), _) => match crate::codec::decode_response(&p).unwrap() {
+                    Response::Shed { reason, .. } => {
+                        assert_eq!(reason, "connection limit reached");
+                        shed += 1;
+                    }
+                    other => panic!("expected Shed, got {other:?}"),
+                },
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert_eq!((acked, shed), (1, 3));
+        assert_eq!(server.metrics_snapshot().scalar("net.shed"), Some(4));
+        drop(burst);
+        server.shutdown();
+    }
+
+    /// Shutdown wakes an acceptor listening on an unspecified address over
+    /// loopback, and a peer that never finished its handshake is told the
+    /// server is going away.
+    #[test]
+    fn shutdown_wakes_the_acceptor_and_drains_a_peer_before_its_handshake() {
+        let server =
+            NetServer::serve(ServerConfig::with_workers(1).with_listen_addr("0.0.0.0:0")).unwrap();
+        let port = server.local_addr().port();
+        let mut peer = TcpStream::connect((Ipv4Addr::LOCALHOST, port)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.instruments().connections.get() == 0 {
+            assert!(Instant::now() < deadline, "the peer was never admitted");
+            std::thread::yield_now();
+        }
+        let stopping = std::thread::spawn(move || server.shutdown());
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match read_frame(&mut peer, crate::MAX_FRAME_LEN).unwrap() {
             (ReadOutcome::Frame(p), _) => match crate::codec::decode_response(&p).unwrap() {
-                Response::Shed { reason, .. } => assert_eq!(reason, "accept backlog full"),
-                other => panic!("expected Shed, got {other:?}"),
+                Response::GoAway(None) => {}
+                other => panic!("expected GoAway, got {other:?}"),
             },
             other => panic!("expected a frame, got {other:?}"),
         }
-        assert_eq!(server.metrics_snapshot().scalar("net.shed"), Some(2));
-        server.shutdown();
+        drop(peer);
+        stopping.join().unwrap();
     }
 }

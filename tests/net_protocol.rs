@@ -379,15 +379,17 @@ fn malformed_frames_get_errors_never_panics() {
     }
 
     // 4. Oversize length prefix: error response, then the connection closes.
-    {
+    // A request is capped far below a response: one byte over the request
+    // cap is refused before any payload arrives, not waited for.
+    for len in [u32::MAX, frame::MAX_REQUEST_LEN as u32 + 1] {
         let mut stream = handshaken_raw_stream(&server);
-        stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        let resp = read_response(&mut stream);
-        assert_eq!(resp.first(), Some(&tag::ERROR));
-        let mut rest = Vec::new();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
+        stream.write_all(&len.to_le_bytes()).unwrap();
+        let resp = read_response(&mut stream);
+        assert_eq!(resp.first(), Some(&tag::ERROR), "length {len}");
+        let mut rest = Vec::new();
         assert_eq!(stream.read_to_end(&mut rest).unwrap_or(0), 0);
     }
 
